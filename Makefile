@@ -20,7 +20,7 @@ PKG_FLOORS = sidewinder/internal/ir=85.0 sidewinder/internal/adapt=85.0
 BENCH_PKGS = . ./internal/interp ./internal/telemetry
 
 .PHONY: verify build vet staticcheck test race bench bench-telemetry \
-	bench-baseline bench-check cover cover-check fuzz soak chaos
+	bench-baseline bench-check cover cover-check fuzz soak chaos swbench-check
 
 verify: build vet staticcheck race
 	@echo "verify clean — consider 'make fuzz' (FUZZTIME=$(FUZZTIME) per target) for parser/framing changes"
@@ -79,6 +79,13 @@ bench-baseline:
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS) | tee bench-current.txt
 	scripts/check_bench_allocs.sh docs/bench/baseline.txt bench-current.txt
+
+# swbench-check vets and race-tests the benchmark harness. swbench is its
+# own Go module (swbench/go.mod), so `go build ./...` and `make verify`
+# never compile it, yet it imports interp, ir, sim, eval and fleetd: an API
+# change there breaks it silently without this gate (CI's swbench job).
+swbench-check:
+	cd swbench && $(GO) vet . && $(GO) test -race .
 
 # cover writes an aggregate coverage profile and prints the per-package
 # summary; open coverage.html for the annotated source view.

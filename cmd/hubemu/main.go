@@ -112,7 +112,7 @@ func run(irPath, tracePath, deviceName string, verbose bool, metricsFile, traceO
 	fmt.Printf("condition %q: %d nodes on %s (%.2f%% cycle budget)\n",
 		plan.Name, len(plan.Nodes), dev.Name, dev.Utilization(plan)/dev.MaxUtilization*100)
 	if verbose {
-		printStaticDemand(plan, dev)
+		printStaticDemand(os.Stdout, plan, dev)
 	}
 
 	machine, err := interp.NewPrecision(plan, prec)
@@ -284,21 +284,20 @@ func finishRun(tr *sensor.Trace, dev hub.Device, machine *interp.Machine,
 	return nil
 }
 
-// printStaticDemand reports the condition's per-stage static demand — the
+// printStaticDemand writes the condition's per-stage static demand — the
 // numbers the capacity scheduler admits against — as cycles on the chosen
 // device and resident window memory.
-func printStaticDemand(plan *core.Plan, dev hub.Device) {
-	stages := interp.MergedDemandByStage(plan)
-	fmt.Println("static demand by stage (admission-controller view):")
+func printStaticDemand(w io.Writer, plan *core.Plan, dev hub.Device) {
+	fmt.Fprintln(w, "static demand by stage (admission-controller view):")
 	var totalCycles float64
 	var totalMem int
-	for _, sd := range stages {
-		cycles := sd.FloatOpsPerSec*dev.CyclesPerFloatOp + sd.IntOpsPerSec*dev.CyclesPerIntOp
+	for _, kd := range ir.DemandByKind(ir.CompileOptions{}, plan) {
+		cycles := kd.FloatOpsPerSec*dev.CyclesPerFloatOp + kd.IntOpsPerSec*dev.CyclesPerIntOp
 		totalCycles += cycles
-		totalMem += sd.MemoryBytes
-		fmt.Printf("  %-16s x%d  %10.0f cycles/s  %6d B\n", sd.Kind, sd.Nodes, cycles, sd.MemoryBytes)
+		totalMem += kd.MemoryBytes
+		fmt.Fprintf(w, "  %-16s x%d  %10.0f cycles/s  %6d B\n", kd.Kind, kd.Nodes, cycles, kd.MemoryBytes)
 	}
-	fmt.Printf("  %-16s     %10.0f cycles/s  %6d B  (budget %.0f cycles/s, %d B)\n",
+	fmt.Fprintf(w, "  %-16s     %10.0f cycles/s  %6d B  (budget %.0f cycles/s, %d B)\n",
 		"total", totalCycles, totalMem, dev.ClockHz*dev.MaxUtilization, dev.RAMBytes)
 }
 

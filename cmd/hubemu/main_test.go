@@ -1,14 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"sidewinder/internal/core"
 	"sidewinder/internal/fleetd"
+	"sidewinder/internal/ir"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/tracegen"
 )
@@ -245,5 +251,65 @@ func TestReplayInterruptedStillFlushesTelemetry(t *testing.T) {
 	}
 	if _, err := os.Stat(metrics2); err != nil {
 		t.Fatalf("metrics file missing after interrupted per-sample run: %v", err)
+	}
+}
+
+// TestStaticDemandTable pins the -v static-demand table: one row per
+// algorithm kind matching ir.DemandByKind, and a total row equal to the
+// sum of the per-stage rows.
+func TestStaticDemandTable(t *testing.T) {
+	plan, err := ir.ParseAndBind(stepsIR, core.DefaultCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := pickDevice("", plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	printStaticDemand(&buf, plan, dev)
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if len(lines) < 3 || !strings.HasPrefix(lines[0], "static demand by stage") {
+		t.Fatalf("malformed table:\n%s", buf.String())
+	}
+	num := func(s string) float64 {
+		t.Helper()
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatalf("bad number %q in table:\n%s", s, buf.String())
+		}
+		return v
+	}
+
+	want := ir.DemandByKind(ir.CompileOptions{}, plan)
+	rows, total := lines[1:len(lines)-1], strings.Fields(lines[len(lines)-1])
+	if len(rows) != len(want) || len(want) != 4 {
+		t.Fatalf("%d stage rows, want %d (one per kind of the 4-stage plan):\n%s", len(rows), len(want), buf.String())
+	}
+	var sumCycles, sumMem float64
+	for i, row := range rows {
+		f := strings.Fields(row)
+		if len(f) != 6 {
+			t.Fatalf("row %q: %d fields, want 6", row, len(f))
+		}
+		kd := want[i]
+		cycles := kd.FloatOpsPerSec*dev.CyclesPerFloatOp + kd.IntOpsPerSec*dev.CyclesPerIntOp
+		if f[0] != string(kd.Kind) || f[1] != "x"+strconv.Itoa(kd.Nodes) ||
+			num(f[2]) != math.Round(cycles) || int(num(f[4])) != kd.MemoryBytes {
+			t.Errorf("row %q does not match ir.DemandByKind %+v (%.0f cycles/s)", row, kd, cycles)
+		}
+		sumCycles += num(f[2])
+		sumMem += num(f[4])
+	}
+	if total[0] != "total" {
+		t.Fatalf("last row %q is not the total", lines[len(lines)-1])
+	}
+	// Each printed figure is rounded to a whole cycle, so the rounded rows
+	// may drift from the rounded total by at most half a cycle apiece.
+	if d := math.Abs(sumCycles - num(total[1])); d > 0.5*float64(len(rows)+1) {
+		t.Errorf("stage rows sum to %.0f cycles/s, total row says %s", sumCycles, total[1])
+	}
+	if sumMem != num(total[3]) {
+		t.Errorf("stage rows sum to %.0f B, total row says %s B", sumMem, total[3])
 	}
 }

@@ -166,7 +166,7 @@ func SelectDevice(candidates []Device, plans ...*core.Plan) (Device, error) {
 
 // CheckDemand verifies a raw resource demand (operations per second and
 // instance memory) against the device. It lets callers that deduplicate
-// work across conditions — the merged interpreter of package interp —
+// work across conditions — the DAG demand model of package ir —
 // place sets more tightly than per-plan sums allow.
 func (d Device) CheckDemand(floatOpsPerSec, intOpsPerSec float64, memoryBytes int) error {
 	cycles := floatOpsPerSec*d.CyclesPerFloatOp + intOpsPerSec*d.CyclesPerIntOp

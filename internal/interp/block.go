@@ -69,14 +69,11 @@ func ParsePrecision(name string) (Precision, error) {
 }
 
 // BlockWake is a wake event produced by PushBlock, tagged with the offset
-// (within the pushed block) of the raw sample whose delivery triggered it.
+// (within the pushed block) of the raw sample whose delivery triggered it
+// and with the plan it belongs to (always 0 on a single-plan Machine). It
+// is also the engine's own wake record, so PushBlock returns the engine's
+// scratch as is.
 type BlockWake struct {
-	Off int
-	WakeEvent
-}
-
-// TaggedBlockWake is the Merged equivalent: offset plus plan attribution.
-type TaggedBlockWake struct {
 	Off int
 	TaggedWake
 }
@@ -106,36 +103,38 @@ type blockMapper interface {
 // within the block. The returned slice is machine-owned scratch, valid
 // until the next push.
 func (m *Machine) PushBlock(ch core.SensorChannel, samples []float64) []BlockWake {
-	m.bwakes = m.bwakes[:0]
-	if len(samples) == 0 {
-		return m.bwakes
-	}
-	if m.prec == Q15 {
-		samples = m.quantize(samples)
-	}
-	seq0 := m.chanSeq[ch]
-	m.chanSeq[ch] = seq0 + int64(len(samples))
-	for _, tg := range m.byChan[ch] {
-		m.deliverBlock(tg, samples, seq0, 0)
-	}
-	// With several targets on the channel, each target's wakes come out
-	// batched; a stable insertion sort by offset restores the per-sample
-	// interleaving. Wakes are rare, so this is a no-op almost always.
-	for i := 1; i < len(m.bwakes); i++ {
-		for j := i; j > 0 && m.bwakes[j].Off < m.bwakes[j-1].Off; j-- {
-			m.bwakes[j], m.bwakes[j-1] = m.bwakes[j-1], m.bwakes[j]
-		}
-	}
-	return m.bwakes
+	m.pushBlock(ch, samples)
+	return m.wakes
 }
 
-// quantize rounds a block onto the Q15 grid in machine-owned scratch
-// (sensor ingress conversion; the caller's slice is never mutated).
-func (m *Machine) quantize(samples []float64) []float64 {
-	if cap(m.qbuf) < len(samples) {
-		m.qbuf = make([]float64, len(samples))
+// pushBlock feeds a block of raw samples into the graph, leaving its wakes
+// in e.wakes ordered by (offset, output).
+func (e *engine) pushBlock(ch core.SensorChannel, samples []float64) {
+	e.wakes = e.wakes[:0]
+	if len(samples) == 0 {
+		return
 	}
-	q := m.qbuf[:len(samples)]
+	if e.prec == Q15 {
+		samples = e.quantize(samples)
+	}
+	seq0 := e.chanSeq[ch]
+	e.chanSeq[ch] = seq0 + int64(len(samples))
+	for _, tg := range e.byChan[ch] {
+		e.deliverBlock(tg, samples, seq0, 0)
+	}
+	// With several targets on the channel, each target's wakes come out
+	// batched; sorting by offset restores the per-sample interleaving.
+	// Wakes are rare, so this is a no-op almost always.
+	e.sortWakes()
+}
+
+// quantize rounds a block onto the Q15 grid in engine-owned scratch
+// (sensor ingress conversion; the caller's slice is never mutated).
+func (e *engine) quantize(samples []float64) []float64 {
+	if cap(e.qbuf) < len(samples) {
+		e.qbuf = make([]float64, len(samples))
+	}
+	q := e.qbuf[:len(samples)]
 	for i, x := range samples {
 		q[i] = dsp.QuantizeQ15(x)
 	}
@@ -144,55 +143,53 @@ func (m *Machine) quantize(samples []float64) []float64 {
 
 // deliverBlock pushes a block into one node port. src holds the values for
 // offsets [off0, off0+len(src)) with sequence numbers starting at seq0.
-func (m *Machine) deliverBlock(tg target, src []float64, seq0 int64, off0 int) {
-	node := &m.plan.Nodes[tg.node]
-	switch inst := m.nodes[tg.node].(type) {
+func (e *engine) deliverBlock(tg target, src []float64, seq0 int64, off0 int) {
+	n := &e.nodes[tg.node]
+	switch inst := n.inst.(type) {
 	case blockConsumer:
 		base := 0
 		for base < len(src) {
-			n, out, ok := inst.consumeBlock(src[base:])
-			m.work = m.work.Add(node.Cost.Scale(float64(n)))
-			if m.stageStats != nil {
+			k, out, ok := inst.consumeBlock(src[base:])
+			e.work = e.work.Add(n.cost.Scale(float64(k)))
+			if e.stageStats != nil {
 				var em int64
 				if ok {
 					em = 1
 				}
-				m.stageStats[tg.node].RecordBlock(node.Cost.FloatOps, node.Cost.IntOps, int64(n), em)
+				e.stageStats[tg.node].RecordBlock(n.cost.FloatOps, n.cost.IntOps, int64(k), em)
 			}
-			base += n
+			base += k
 			if !ok {
 				continue
 			}
-			m.off = off0 + base - 1
-			if tg.node == m.outNode {
-				m.appendWake(node.ID, out)
-			}
-			for _, next := range m.byNode[tg.node] {
-				m.deliver(next, out)
+			e.off = off0 + base - 1
+			e.appendWakes(n, out)
+			for _, next := range n.fanout {
+				e.deliver(next, out)
 			}
 		}
 	case blockMapper:
 		out, skip := inst.pushBlock(src)
-		m.work = m.work.Add(node.Cost.Scale(float64(len(src))))
-		if m.stageStats != nil {
-			m.stageStats[tg.node].RecordBlock(node.Cost.FloatOps, node.Cost.IntOps, int64(len(src)), int64(len(out)))
+		e.work = e.work.Add(n.cost.Scale(float64(len(src))))
+		if e.stageStats != nil {
+			e.stageStats[tg.node].RecordBlock(n.cost.FloatOps, n.cost.IntOps, int64(len(src)), int64(len(out)))
 		}
 		if len(out) == 0 {
 			return
 		}
-		if tg.node == m.outNode {
+		if len(n.outs) > 0 {
 			for j, y := range out {
-				m.off = off0 + skip + j
-				m.appendWake(node.ID, Value{Seq: seq0 + int64(skip+j), Scalar: y})
+				e.off = off0 + skip + j
+				e.appendWakes(n, Value{Seq: seq0 + int64(skip+j), Scalar: y})
 			}
 		}
-		for _, next := range m.byNode[tg.node] {
-			m.deliverBlock(next, out, seq0+int64(skip), off0+skip)
+		for _, next := range n.fanout {
+			e.deliverBlock(next, out, seq0+int64(skip), off0+skip)
 		}
 	default:
 		for i, x := range src {
-			m.off = off0 + i
-			m.deliver(tg, Value{Seq: seq0 + int64(i), Scalar: x})
+			e.off = off0 + i
+			e.deliver(tg, Value{Seq: seq0 + int64(i), Scalar: x})
 		}
 	}
 }

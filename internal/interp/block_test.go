@@ -146,8 +146,9 @@ func TestPushBlockMatchesPushSample(t *testing.T) {
 	}
 }
 
-// TestMergedPushBlockMatchesPushSample checks the Merged equivalent,
-// including plan attribution order and prefix sharing.
+// TestMergedPushBlockMatchesPushSample checks the Merged equivalent on the
+// signature-shared reference lowering, including plan attribution order
+// and prefix sharing.
 func TestMergedPushBlockMatchesPushSample(t *testing.T) {
 	pipes := blockTestPipelines()
 	plans := []*core.Plan{
@@ -163,7 +164,7 @@ func TestMergedPushBlockMatchesPushSample(t *testing.T) {
 		wakeRec
 	}
 	for _, prec := range []Precision{Float64, Q15} {
-		ref, err := NewMergedPrecision(prec, plans...)
+		ref, err := newSignatureMerged(prec, plans...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +176,7 @@ func TestMergedPushBlockMatchesPushSample(t *testing.T) {
 			}
 		}
 		for _, chunk := range []int{1, 5, 128, 1024} {
-			m, err := NewMergedPrecision(prec, plans...)
+			m, err := newSignatureMerged(prec, plans...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,9 +10,10 @@ import (
 // dagBenchPlans builds n wake conditions with heavy interior sharing: every
 // plan runs the same movingAvg → window → rms feature chain over the
 // microphone and differs only in its admission cutoff. The DAG pass
-// collapses the whole interior to one shared execution; the linear merged
-// path shares it too (it is a common prefix), so the pair benchmarks the
-// dispatch machinery, not different amounts of arithmetic.
+// collapses the whole interior to one shared execution; the signature
+// reference shares it too (it is a common prefix), so the pair benchmarks
+// the two lowerings on the one engine, not different amounts of
+// arithmetic.
 func dagBenchPlans(tb testing.TB, n int) []*core.Plan {
 	tb.Helper()
 	cat := core.DefaultCatalog()
@@ -36,7 +37,7 @@ func dagBenchPlans(tb testing.TB, n int) []*core.Plan {
 }
 
 // BenchmarkDAGMerged compares the DAG-compiled shared plan against the
-// linear signature-merged path on the block dispatch hot loop. Both must
+// signature-shared reference lowering on the block dispatch hot loop. Both must
 // stay 0 allocs/op in steady state (enforced against docs/bench/baseline.txt
 // by `make bench-check`).
 func BenchmarkDAGMerged(b *testing.B) {
@@ -45,7 +46,7 @@ func BenchmarkDAGMerged(b *testing.B) {
 	block := mergedWakeInput(256)
 
 	b.Run("linear", func(b *testing.B) {
-		m, err := NewMerged(plans...)
+		m, err := newSignatureMerged(Float64, plans...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +76,10 @@ func BenchmarkDAGMerged(b *testing.B) {
 }
 
 // TestDAGMergedSteadyStateAllocs is the tier-1 twin of the benchmark: the
-// DAG-shared block path must not allocate once its scratch is warm.
+// block path must not allocate once its scratch is warm, whether the
+// engine runs a DAG-shared plan set or a single plan, in either precision.
+// Every input fires wakes inside the measured loop, so the wake records
+// and the facades' result views are covered too.
 func TestDAGMergedSteadyStateAllocs(t *testing.T) {
 	plans := dagBenchPlans(t, 6)
 	sp, err := ir.CompilePlans(core.DefaultCatalog(), ir.CompileOptions{}, plans...)
@@ -84,17 +88,33 @@ func TestDAGMergedSteadyStateAllocs(t *testing.T) {
 	}
 	block := mergedWakeInput(256)
 	for _, prec := range []Precision{Float64, Q15} {
-		m, err := NewShared(prec, sp)
+		shared, err := NewShared(prec, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
-			m.PushBlock(core.Mic, block)
+		single, err := NewPrecision(plans[0], prec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(200, func() {
-			m.PushBlock(core.Mic, block)
-		}); allocs != 0 {
-			t.Errorf("%s: shared PushBlock allocates %.1f allocs/op in steady state, want 0", prec, allocs)
+		for _, in := range []struct {
+			name string
+			push func() int
+		}{
+			{"shared", func() int { return len(shared.PushBlock(core.Mic, block)) }},
+			{"single-plan", func() int { return len(single.PushBlock(core.Mic, block)) }},
+		} {
+			for i := 0; i < 4; i++ {
+				in.push()
+			}
+			wakes := 0
+			if allocs := testing.AllocsPerRun(200, func() {
+				wakes += in.push()
+			}); allocs != 0 {
+				t.Errorf("%s/%s: PushBlock allocates %.1f allocs/op in steady state, want 0", in.name, prec, allocs)
+			}
+			if wakes == 0 {
+				t.Errorf("%s/%s: no wakes fired; the input does not exercise the wake path", in.name, prec)
+			}
 		}
 	}
 }

@@ -136,8 +136,8 @@ func compareDagWakes(t *testing.T, label string, want, got []dagWake) {
 // application, in both precisions and on both dispatch paths at several
 // chunkings, the DAG-compiled plan produces exactly the wake sequence of
 // the linear plan — and exactly its work meter, with duplicated subgraphs
-// metered once via the signature-sharing merged interpreter as the
-// reference for the apps where CSE actually eliminates nodes.
+// metered once via the signature-sharing reference lowering (run on the
+// same engine) for the apps where CSE actually eliminates nodes.
 func TestDAGLinearEquivalence(t *testing.T) {
 	cat := core.DefaultCatalog()
 	chans := dagTestChannels(t)
@@ -178,15 +178,15 @@ func TestDAGLinearEquivalence(t *testing.T) {
 			// Work meter: with nothing eliminated the DAG machine must
 			// meter bit-identically to the linear one. With duplicates
 			// eliminated it must meter bit-identically to the
-			// signature-sharing merged interpreter over the same plan —
-			// the pre-DAG shared-execution reference.
+			// signature-sharing lowering of the same plan — the pre-DAG
+			// shared-execution reference.
 			if stats.Eliminated() == 0 {
 				if linear.Work() != dag.Work() {
 					t.Fatalf("%s: work meter diverged with no elimination: %+v vs %+v",
 						label, linear.Work(), dag.Work())
 				}
 			} else {
-				ref, err := NewMergedPrecision(prec, plan)
+				ref, err := newSignatureMerged(prec, plan)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -238,7 +238,7 @@ type taggedDagWake struct {
 
 // TestDAGCrossAppEquivalence pins the multi-tenant form: all six catalog
 // apps compiled into one shared DAG execute exactly like the
-// signature-sharing merged interpreter — same tagged wake sequence, same
+// signature-sharing reference lowering — same tagged wake sequence, same
 // work meter — in both precisions, per-sample and blocked. It also pins
 // that cross-app CSE eliminates strictly more than the apps' intra-app
 // duplicates alone.
@@ -289,7 +289,7 @@ func TestDAGCrossAppEquivalence(t *testing.T) {
 	}
 
 	for _, prec := range []Precision{Float64, Q15} {
-		ref, err := NewMergedPrecision(prec, plans...)
+		ref, err := newSignatureMerged(prec, plans...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestDAGCrossAppEquivalence(t *testing.T) {
 		// Blocked dispatch, both machines driven by the identical chunk
 		// pattern, must agree wake for wake as well.
 		for _, chunk := range dagChunkings {
-			refB, err := NewMergedPrecision(prec, plans...)
+			refB, err := newSignatureMerged(prec, plans...)
 			if err != nil {
 				t.Fatal(err)
 			}

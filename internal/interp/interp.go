@@ -17,6 +17,7 @@ import (
 
 	"sidewinder/internal/core"
 	"sidewinder/internal/dsp"
+	"sidewinder/internal/ir"
 	"sidewinder/internal/telemetry"
 )
 
@@ -61,28 +62,44 @@ type instance interface {
 
 // target routes an emission to one input port of a downstream node.
 type target struct {
-	node int // index into Machine.nodes
+	node int // index into engine.nodes
 	port int
 }
 
-// Machine executes one bound wake-up condition.
-type Machine struct {
-	plan    *core.Plan
-	nodes   []instance
+// node is one algorithm instance in the engine's node table.
+type node struct {
+	inst instance
+	cost core.CostEstimate
+	// kind is the algorithm kind, kept for per-stage telemetry.
+	kind core.AlgorithmKind
+	// id is the node's plan ID, reported in wake events.
+	id int
+	// outs lists the outputs this node feeds OUT for, as indices into the
+	// output list the engine was built with.
+	outs []int
+	// fanout routes emissions to downstream nodes.
+	fanout []target
+}
+
+// engine is the interpreter proper: one node table executing a plan whose
+// outputs may be any number of its nodes. Machine runs it on a
+// single-pipeline plan with one output; Merged runs it on a DAG-compiled
+// shared plan with one output per resident application. Both are thin
+// facades: PushBlock returns the engine's wake records as they are, and
+// PushSample reshapes them into the per-sample event type.
+type engine struct {
+	nodes   []node
 	byChan  map[core.SensorChannel][]target
-	byNode  [][]target // fan-out per node index
-	outNode int        // index of the node feeding OUT
+	chanSeq map[core.SensorChannel]int64
 	prec    Precision
 	work    core.CostEstimate
-	wakes   []WakeEvent
-	chanSeq map[core.SensorChannel]int64
 
 	// off is the offset (within the block being pushed) of the raw sample
 	// whose delivery cascade is currently running; wakes record it so the
 	// block path can report when within the block each wake fired. The
 	// per-sample path runs with off pinned to 0.
-	off    int
-	bwakes []BlockWake
+	off   int
+	wakes []BlockWake
 	// qbuf is the Q15 ingress scratch: PushBlock quantizes into it rather
 	// than mutating the caller's samples.
 	qbuf []float64
@@ -90,8 +107,160 @@ type Machine struct {
 	// stageStats, when non-nil, holds one pre-interned telemetry handle
 	// per node (parallel to nodes), so the delivery loop attributes work
 	// per stage kind with plain field arithmetic — no map lookups, no
-	// allocation, nothing when telemetry is disabled.
+	// allocation, nothing when telemetry is disabled. Work on a shared
+	// node is recorded once: the profile sees the deduplicated execution
+	// the hub actually pays for.
 	stageStats []*telemetry.StageStat
+}
+
+// init wires the engine over the plan's nodes. Plan node IDs must be 1..n
+// in topological order, so every input references an already wired node;
+// outs[i].Out is the ID of the node feeding OUT for output i.
+func (e *engine) init(prec Precision, plan *core.Plan, outs []ir.AppOut) error {
+	if len(outs) == 0 {
+		return fmt.Errorf("interp: plan %q has no output", plan.Name)
+	}
+	e.nodes = make([]node, len(plan.Nodes))
+	e.byChan = make(map[core.SensorChannel][]target)
+	e.chanSeq = make(map[core.SensorChannel]int64)
+	e.prec = prec
+	for i := range plan.Nodes {
+		n := &plan.Nodes[i]
+		inst, err := newInstance(n, prec)
+		if err != nil {
+			return fmt.Errorf("interp: node %d (%s): %w", n.ID, n.Kind, err)
+		}
+		e.nodes[i] = node{inst: inst, cost: n.Cost, kind: n.Kind, id: n.ID}
+		for port, ref := range n.Inputs {
+			tg := target{node: i, port: port}
+			if ref.FromChannel() {
+				e.byChan[ref.Channel] = append(e.byChan[ref.Channel], tg)
+			} else {
+				e.nodes[ref.Node-1].fanout = append(e.nodes[ref.Node-1].fanout, tg)
+			}
+		}
+	}
+	for i, o := range outs {
+		e.nodes[o.Out-1].outs = append(e.nodes[o.Out-1].outs, i)
+	}
+	return nil
+}
+
+// SetProfile attaches a telemetry profile: subsequent execution is
+// attributed per stage kind into the profile's StageStats. The handles are
+// interned once here, keeping the push paths at 0 allocs/op. A nil profile
+// detaches instrumentation.
+func (e *engine) SetProfile(p *telemetry.InterpProfile) {
+	if p == nil {
+		e.stageStats = nil
+		return
+	}
+	e.stageStats = make([]*telemetry.StageStat, len(e.nodes))
+	for i := range e.nodes {
+		e.stageStats[i] = p.Stage(string(e.nodes[i].kind))
+	}
+}
+
+// push feeds one raw sensor sample into the graph, leaving its wakes in
+// e.wakes ordered by output index.
+func (e *engine) push(ch core.SensorChannel, sample float64) {
+	e.wakes = e.wakes[:0]
+	e.off = 0
+	if e.prec == Q15 {
+		sample = dsp.QuantizeQ15(sample)
+	}
+	seq := e.chanSeq[ch]
+	e.chanSeq[ch] = seq + 1
+	v := Value{Seq: seq, Scalar: sample}
+	for _, tg := range e.byChan[ch] {
+		e.deliver(tg, v)
+	}
+	e.sortWakes()
+}
+
+// sortWakes orders the recorded wakes by (offset, output) — the order a
+// per-sample loop over the outputs would report them in. Pushes produce
+// zero or one wake almost always; a stable insertion sort keeps the hot
+// path free of the reflection allocations sort.Slice would make.
+func (e *engine) sortWakes() {
+	w := e.wakes
+	for i := 1; i < len(w); i++ {
+		for j := i; j > 0 && wakeLess(w[j], w[j-1]); j-- {
+			w[j], w[j-1] = w[j-1], w[j]
+		}
+	}
+}
+
+func wakeLess(a, b BlockWake) bool {
+	if a.Off != b.Off {
+		return a.Off < b.Off
+	}
+	return a.Plan < b.Plan
+}
+
+// deliver pushes a value into one node port and propagates any emission.
+func (e *engine) deliver(tg target, v Value) {
+	n := &e.nodes[tg.node]
+	e.work = e.work.Add(n.cost)
+	out, ok := n.inst.Push(tg.port, v)
+	if e.stageStats != nil {
+		e.stageStats[tg.node].Record(n.cost.FloatOps, n.cost.IntOps, ok)
+	}
+	if !ok {
+		return
+	}
+	e.appendWakes(n, out)
+	for _, next := range n.fanout {
+		e.deliver(next, out)
+	}
+}
+
+// appendWakes records the node's wakes (one per output it feeds OUT for)
+// at the current block offset, snapping the admitted value onto the Q15
+// grid in fixed-point mode (wake egress conversion: downstream consumers
+// see what the MCU would report).
+func (e *engine) appendWakes(n *node, out Value) {
+	if len(n.outs) == 0 {
+		return
+	}
+	val := out.Scalar
+	if e.prec == Q15 {
+		val = dsp.QuantizeQ15(val)
+	}
+	for _, o := range n.outs {
+		e.wakes = append(e.wakes, BlockWake{
+			Off: e.off,
+			TaggedWake: TaggedWake{
+				Plan:      o,
+				WakeEvent: WakeEvent{NodeID: n.id, Value: val, Seq: out.Seq},
+			},
+		})
+	}
+}
+
+// Work returns the cumulative work executed since construction or the last
+// ResetWork, in catalog cost units.
+func (e *engine) Work() core.CostEstimate { return e.work }
+
+// ResetWork zeroes the work meter.
+func (e *engine) ResetWork() { e.work = core.CostEstimate{} }
+
+// Reset restores every algorithm instance to its initial state and clears
+// sequence counters; the work meter is left untouched.
+func (e *engine) Reset() {
+	for i := range e.nodes {
+		e.nodes[i].inst.Reset()
+	}
+	for ch := range e.chanSeq {
+		delete(e.chanSeq, ch)
+	}
+}
+
+// Machine executes one bound wake-up condition.
+type Machine struct {
+	engine
+	// events is the per-sample view of engine.wakes PushSample returns.
+	events []WakeEvent
 }
 
 // New builds a machine for the plan in the default float64 precision. The
@@ -100,128 +269,24 @@ type Machine struct {
 // cannot instantiate.
 func New(plan *core.Plan) (*Machine, error) { return NewPrecision(plan, Float64) }
 
-// NewPrecision builds a machine executing in the given precision.
+// NewPrecision builds a machine executing in the given precision. The plan
+// runs exactly as given, with its last node feeding OUT.
 func NewPrecision(plan *core.Plan, prec Precision) (*Machine, error) {
-	m := &Machine{
-		plan:    plan,
-		nodes:   make([]instance, len(plan.Nodes)),
-		byChan:  make(map[core.SensorChannel][]target),
-		byNode:  make([][]target, len(plan.Nodes)),
-		outNode: plan.OutputNode() - 1,
-		prec:    prec,
-		chanSeq: make(map[core.SensorChannel]int64),
-	}
-	for i := range plan.Nodes {
-		n := &plan.Nodes[i]
-		inst, err := newInstance(n, prec)
-		if err != nil {
-			return nil, fmt.Errorf("interp: node %d (%s): %w", n.ID, n.Kind, err)
-		}
-		m.nodes[i] = inst
-		for port, ref := range n.Inputs {
-			tg := target{node: i, port: port}
-			if ref.FromChannel() {
-				m.byChan[ref.Channel] = append(m.byChan[ref.Channel], tg)
-			} else {
-				m.byNode[ref.Node-1] = append(m.byNode[ref.Node-1], tg)
-			}
-		}
+	m := &Machine{}
+	if err := m.init(prec, plan, []ir.AppOut{{Name: plan.Name, Out: plan.OutputNode()}}); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// Plan returns the machine's bound plan.
-func (m *Machine) Plan() *core.Plan { return m.plan }
-
-// Precision returns the machine's numeric execution mode.
-func (m *Machine) Precision() Precision { return m.prec }
-
-// SetProfile attaches a telemetry profile: subsequent execution is
-// attributed per stage kind into the profile's StageStats. The handles are
-// interned once here, keeping PushSample at 0 allocs/op. A nil profile
-// detaches instrumentation.
-func (m *Machine) SetProfile(p *telemetry.InterpProfile) {
-	if p == nil {
-		m.stageStats = nil
-		return
-	}
-	m.stageStats = make([]*telemetry.StageStat, len(m.plan.Nodes))
-	for i := range m.plan.Nodes {
-		m.stageStats[i] = p.Stage(string(m.plan.Nodes[i].Kind))
-	}
-}
-
-// Channels returns the sensor channels the machine consumes.
-func (m *Machine) Channels() []core.SensorChannel { return m.plan.Channels }
-
 // PushSample feeds one raw sensor sample into the condition and returns
-// any wake events it produced.
+// any wake events it produced. The returned slice is machine-owned
+// scratch, valid until the next push.
 func (m *Machine) PushSample(ch core.SensorChannel, sample float64) []WakeEvent {
-	m.wakes = m.wakes[:0]
-	m.bwakes = m.bwakes[:0]
-	m.off = 0
-	if m.prec == Q15 {
-		sample = dsp.QuantizeQ15(sample)
+	m.push(ch, sample)
+	m.events = m.events[:0]
+	for i := range m.wakes {
+		m.events = append(m.events, m.wakes[i].WakeEvent)
 	}
-	seq := m.chanSeq[ch]
-	m.chanSeq[ch] = seq + 1
-	v := Value{Seq: seq, Scalar: sample}
-	for _, tg := range m.byChan[ch] {
-		m.deliver(tg, v)
-	}
-	for i := range m.bwakes {
-		m.wakes = append(m.wakes, m.bwakes[i].WakeEvent)
-	}
-	return m.wakes
-}
-
-// deliver pushes a value into one node port and propagates any emission.
-func (m *Machine) deliver(tg target, v Value) {
-	node := &m.plan.Nodes[tg.node]
-	m.work = m.work.Add(node.Cost)
-	out, ok := m.nodes[tg.node].Push(tg.port, v)
-	if m.stageStats != nil {
-		m.stageStats[tg.node].Record(node.Cost.FloatOps, node.Cost.IntOps, ok)
-	}
-	if !ok {
-		return
-	}
-	if tg.node == m.outNode {
-		m.appendWake(node.ID, out)
-	}
-	for _, next := range m.byNode[tg.node] {
-		m.deliver(next, out)
-	}
-}
-
-// appendWake records a wake at the current block offset, snapping the
-// admitted value onto the Q15 grid in fixed-point mode (wake egress
-// conversion: downstream consumers see what the MCU would report).
-func (m *Machine) appendWake(nodeID int, out Value) {
-	val := out.Scalar
-	if m.prec == Q15 {
-		val = dsp.QuantizeQ15(val)
-	}
-	m.bwakes = append(m.bwakes, BlockWake{
-		Off:       m.off,
-		WakeEvent: WakeEvent{NodeID: nodeID, Value: val, Seq: out.Seq},
-	})
-}
-
-// Work returns the cumulative work executed since construction or the last
-// ResetWork, in catalog cost units.
-func (m *Machine) Work() core.CostEstimate { return m.work }
-
-// ResetWork zeroes the work meter.
-func (m *Machine) ResetWork() { m.work = core.CostEstimate{} }
-
-// Reset restores every algorithm instance to its initial state and clears
-// sequence counters; the work meter is left untouched.
-func (m *Machine) Reset() {
-	for _, inst := range m.nodes {
-		inst.Reset()
-	}
-	for ch := range m.chanSeq {
-		delete(m.chanSeq, ch)
-	}
+	return m.events
 }

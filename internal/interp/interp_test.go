@@ -421,8 +421,8 @@ func TestJoinPruneBoundsMemory(t *testing.T) {
 	}
 	// Find the join instance and check its pending map.
 	var join *joinInst
-	for _, inst := range m.nodes {
-		if j, ok := inst.(*joinInst); ok {
+	for _, n := range m.nodes {
+		if j, ok := n.inst.(*joinInst); ok {
 			join = j
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sidewinder/internal/core"
+	"sidewinder/internal/ir"
 )
 
 // twoWindowPlans builds two pipelines sharing an identical window stage
@@ -32,27 +33,51 @@ func twoWindowPlans(t *testing.T) (*core.Plan, *core.Plan) {
 	return pa, pb
 }
 
-func TestMergedSharesCommonPrefix(t *testing.T) {
-	pa, pb := twoWindowPlans(t)
-	m, err := NewMerged(pa, pb)
+// sharePaths builds the plans' shared plan both ways the engine can be fed:
+// the DAG compile pass and the signature-sharing reference.
+func sharePaths(t *testing.T, plans ...*core.Plan) map[string]*ir.SharedPlan {
+	t.Helper()
+	dag, err := ir.CompilePlans(core.DefaultCatalog(), ir.CompileOptions{}, plans...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sig, err := signatureShare(plans...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*ir.SharedPlan{"dag": dag, "signature": sig}
+}
+
+// checkSharing builds a merged machine from each shared plan and checks
+// its node table size and eliminated-node count.
+func checkSharing(t *testing.T, plans []*core.Plan, wantNodes, wantShared int) {
+	t.Helper()
+	for name, sp := range sharePaths(t, plans...) {
+		m, err := NewShared(Float64, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.nodes) != wantNodes {
+			t.Errorf("%s: %d live nodes, want %d", name, len(m.nodes), wantNodes)
+		}
+		if m.SharedNodes() != wantShared {
+			t.Errorf("%s: SharedNodes = %d, want %d", name, m.SharedNodes(), wantShared)
+		}
+		if len(sp.Outputs) != len(plans) {
+			t.Errorf("%s: %d outputs for %d plans", name, len(sp.Outputs), len(plans))
+		}
+	}
+}
+
+func TestMergedSharesCommonPrefix(t *testing.T) {
+	pa, pb := twoWindowPlans(t)
 	// 3 + 3 plan nodes, window shared once -> 5 live nodes.
-	if m.NodeCount() != 5 {
-		t.Errorf("NodeCount = %d, want 5", m.NodeCount())
-	}
-	if m.SharedNodes() != 1 {
-		t.Errorf("SharedNodes = %d, want 1", m.SharedNodes())
-	}
-	if len(m.Plans()) != 2 {
-		t.Errorf("Plans = %d", len(m.Plans()))
-	}
+	checkSharing(t, []*core.Plan{pa, pb}, 5, 1)
 }
 
 func TestMergedMatchesSeparateMachines(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	merged, err := NewMerged(pa, pb)
+	merged, err := newSignatureMerged(Float64, pa, pb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +115,7 @@ func TestMergedMatchesSeparateMachines(t *testing.T) {
 
 func TestMergedWorkLessThanSeparate(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	merged, _ := NewMerged(pa, pb)
+	merged, _ := newSignatureMerged(Float64, pa, pb)
 	ma, _ := New(pa)
 	mb, _ := New(pb)
 	for i := 0; i < 400; i++ {
@@ -109,17 +134,12 @@ func TestMergedWorkLessThanSeparate(t *testing.T) {
 func TestMergedIdenticalPlansFullSharing(t *testing.T) {
 	pa, _ := twoWindowPlans(t)
 	pa2, _ := twoWindowPlans(t)
-	m, err := NewMerged(pa, pa2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Fully identical plans: every node shared, one OUT node tagged for
 	// both plans.
-	if m.NodeCount() != 3 {
-		t.Errorf("NodeCount = %d, want 3", m.NodeCount())
-	}
-	if m.SharedNodes() != 3 {
-		t.Errorf("SharedNodes = %d, want 3", m.SharedNodes())
+	checkSharing(t, []*core.Plan{pa, pa2}, 3, 3)
+	m, err := newSignatureMerged(Float64, pa, pa2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	fired := 0
 	for _, v := range []float64{3, 3, 3, 3} {
@@ -135,9 +155,9 @@ func TestMergedIdenticalPlansFullSharing(t *testing.T) {
 
 func TestMergedDemandDeduplicates(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	fBoth, iBoth, memBoth := MergedDemand(pa, pb)
-	fA, iA, memA := MergedDemand(pa)
-	fB, iB, memB := MergedDemand(pb)
+	fBoth, iBoth, memBoth := ir.Demand(ir.CompileOptions{}, pa, pb)
+	fA, iA, memA := ir.Demand(ir.CompileOptions{}, pa)
+	fB, iB, memB := ir.Demand(ir.CompileOptions{}, pb)
 	if fBoth >= fA+fB && iBoth >= iA+iB {
 		t.Errorf("merged demand (%.1f, %.1f) not below sum (%.1f, %.1f)", fBoth, iBoth, fA+fB, iA+iB)
 	}
@@ -152,7 +172,7 @@ func TestMergedDemandDeduplicates(t *testing.T) {
 
 func TestMergedResetAndWorkMeter(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	m, _ := NewMerged(pa, pb)
+	m, _ := newSignatureMerged(Float64, pa, pb)
 	for i := 0; i < 8; i++ {
 		m.PushSample(core.Mic, 3)
 	}
@@ -176,8 +196,12 @@ func TestMergedResetAndWorkMeter(t *testing.T) {
 }
 
 func TestMergedValidation(t *testing.T) {
-	if _, err := NewMerged(); err == nil {
-		t.Error("empty plan set should fail")
+	if _, err := ir.CompilePlans(core.DefaultCatalog(), ir.CompileOptions{}); err == nil {
+		t.Error("empty plan set should fail to compile")
+	}
+	pa, _ := twoWindowPlans(t)
+	if _, err := NewShared(Float64, &ir.SharedPlan{Plan: pa}); err == nil {
+		t.Error("shared plan without outputs should fail")
 	}
 }
 
@@ -195,24 +219,15 @@ func TestMergedDistinctParamsNotShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMerged(pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Different window sizes: nothing shared; stat/threshold differ
 	// because their inputs differ.
-	if m.SharedNodes() != 0 {
-		t.Errorf("SharedNodes = %d, want 0", m.SharedNodes())
-	}
-	if m.NodeCount() != 6 {
-		t.Errorf("NodeCount = %d, want 6", m.NodeCount())
-	}
+	checkSharing(t, []*core.Plan{pa, pb}, 6, 0)
 }
 
 func TestMergedDemandByStageSumsToTotal(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	wantF, wantI, wantMem := MergedDemand(pa, pb)
-	stages := MergedDemandByStage(pa, pb)
+	wantF, wantI, wantMem := ir.Demand(ir.CompileOptions{}, pa, pb)
+	stages := ir.DemandByKind(ir.CompileOptions{}, pa, pb)
 	if len(stages) == 0 {
 		t.Fatal("no stage demand reported")
 	}
@@ -228,19 +243,27 @@ func TestMergedDemandByStageSumsToTotal(t *testing.T) {
 		nodes += sd.Nodes
 	}
 	if gotF != wantF || gotI != wantI || gotMem != wantMem {
-		t.Errorf("per-stage sums (%g, %g, %d) != MergedDemand (%g, %g, %d)",
+		t.Errorf("per-stage sums (%g, %g, %d) != ir.Demand (%g, %g, %d)",
 			gotF, gotI, gotMem, wantF, wantI, wantMem)
 	}
-	// 3 + 3 plan nodes with the window shared once -> 5 distinct instances.
+	// 3 + 3 plan nodes with the window shared once -> 5 distinct
+	// instances, exactly the node table the engine executes.
 	if nodes != 5 {
 		t.Errorf("distinct nodes = %d, want 5", nodes)
+	}
+	m, err := NewShared(Float64, sharePaths(t, pa, pb)["dag"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.nodes) != nodes {
+		t.Errorf("engine runs %d nodes, demand model bills %d", len(m.nodes), nodes)
 	}
 }
 
 func TestMergedDemandByStageDeduplicates(t *testing.T) {
 	pa, _ := twoWindowPlans(t)
-	once := MergedDemandByStage(pa)
-	twice := MergedDemandByStage(pa, pa)
+	once := ir.DemandByKind(ir.CompileOptions{}, pa)
+	twice := ir.DemandByKind(ir.CompileOptions{}, pa, pa)
 	if len(once) != len(twice) {
 		t.Fatalf("duplicate plan changed stage count: %d vs %d", len(once), len(twice))
 	}
@@ -254,9 +277,9 @@ func TestMergedDemandByStageDeduplicates(t *testing.T) {
 
 func TestDemandAccumulatorMatchesMergedDemand(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	acc := NewDemandAccumulator()
+	acc := ir.NewDemandAccumulator(ir.CompileOptions{})
 	mf, mi, mmem := acc.Marginal(pa)
-	wf, wi, wmem := MergedDemand(pa)
+	wf, wi, wmem := ir.Demand(ir.CompileOptions{}, pa)
 	if mf != wf || mi != wi || mmem != wmem {
 		t.Errorf("first marginal (%g,%g,%d) != plan demand (%g,%g,%d)", mf, mi, mmem, wf, wi, wmem)
 	}
@@ -264,7 +287,7 @@ func TestDemandAccumulatorMatchesMergedDemand(t *testing.T) {
 	// The second plan's marginal excludes the shared window prefix, so at
 	// least one resource column must come out strictly cheaper.
 	mf, mi, mmem = acc.Marginal(pb)
-	bf, bi, bmem := MergedDemand(pb)
+	bf, bi, bmem := ir.Demand(ir.CompileOptions{}, pb)
 	if mf > bf || mi > bi || mmem > bmem {
 		t.Errorf("marginal (%g,%g,%d) exceeds standalone (%g,%g,%d)", mf, mi, mmem, bf, bi, bmem)
 	}
@@ -272,9 +295,9 @@ func TestDemandAccumulatorMatchesMergedDemand(t *testing.T) {
 		t.Errorf("marginal equals standalone — shared prefix not discounted")
 	}
 	f, i, mem := acc.Commit(pb)
-	wf, wi, wmem = MergedDemand(pa, pb)
+	wf, wi, wmem = ir.Demand(ir.CompileOptions{}, pa, pb)
 	if f != wf || i != wi || mem != wmem {
-		t.Errorf("accumulated (%g,%g,%d) != MergedDemand (%g,%g,%d)", f, i, mem, wf, wi, wmem)
+		t.Errorf("accumulated (%g,%g,%d) != ir.Demand (%g,%g,%d)", f, i, mem, wf, wi, wmem)
 	}
 	// Committing a duplicate changes nothing.
 	f2, i2, mem2 := acc.Commit(pa)

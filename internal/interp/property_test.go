@@ -80,7 +80,7 @@ func TestRandomMergedConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged, err := NewMerged(pa, pb)
+		merged, err := newSignatureMerged(Float64, pa, pb)
 		if err != nil {
 			t.Fatalf("pair %d: %v", i, err)
 		}

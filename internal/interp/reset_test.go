@@ -16,8 +16,9 @@ import (
 // the first reuse. With the DAG pass a reset instance can now be shared
 // by several apps, so stale state would corrupt every resident condition
 // at once. These tests replay the same signal on a fresh machine and on a
-// used-then-Reset machine and require bit-identical wake streams, for the
-// single-plan, merged and DAG-shared interpreters in both precisions.
+// used-then-Reset machine and require bit-identical wake streams, for
+// single plans and for signature-shared and DAG-shared plan sets, in both
+// precisions.
 
 // resetSignal is deliberately biased positive so thresholds fire and
 // sustain runs, joins and window fills all carry state into the reset.
@@ -101,7 +102,7 @@ func TestResetEquivalentToFreshShared(t *testing.T) {
 			name  string
 			build func() (*Merged, error)
 		}{
-			{"merged", func() (*Merged, error) { return NewMergedPrecision(prec, plans...) }},
+			{"signature", func() (*Merged, error) { return newSignatureMerged(prec, plans...) }},
 			{"shared", func() (*Merged, error) { return NewShared(prec, sp) }},
 		} {
 			fresh, err := mk.build()

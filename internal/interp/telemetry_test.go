@@ -198,7 +198,7 @@ func mergedWakeInput(n int) []float64 {
 func TestMergedWakeAttributionMatchesSolo(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
 
-	merged, err := NewMerged(pa, pb)
+	merged, err := newSignatureMerged(Float64, pa, pb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,8 @@ type DAGNode struct {
 	// Key is the canonical structural identity: the stage rendering plus
 	// the recursively rendered parent keys. Nodes with equal keys compute
 	// identical values on identical sensor input. The format matches the
-	// merged interpreter's historical signature scheme, so DAG-based
-	// demand agrees with it term for term.
+	// per-node signature of package interp's signature-sharing test
+	// reference, so the two agree term for term.
 	Key string
 	// Hash is the 64-bit FNV-1a of Key — the stable structural hash shown
 	// in dot exports and diagnostics.
@@ -200,8 +200,8 @@ func (d *DAG) Stage(kind core.AlgorithmKind, params core.Params, parents []*DAGN
 
 // stageKey renders a stage node's canonical structural key:
 // kind(param=value, ...)(parentKey;parentKey;...). The rendering matches
-// the merged interpreter's historical per-node signature so both agree on
-// what "structurally identical" means.
+// the per-node signature of package interp's signature-sharing test
+// reference so both agree on what "structurally identical" means.
 func stageKey(kind core.AlgorithmKind, params core.Params, parents []*DAGNode) string {
 	var b strings.Builder
 	b.WriteString(core.Stage{Kind: kind, Params: params}.String())

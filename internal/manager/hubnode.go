@@ -38,8 +38,9 @@ type HubNode struct {
 	device hub.Device
 	placed bool
 
-	// merged executes all loaded conditions with common-prefix sharing
-	// (paper §7); mergedIDs maps its plan indices back to condition IDs.
+	// merged executes all loaded conditions as one DAG-compiled shared
+	// graph (paper §7); mergedIDs maps its plan indices back to condition
+	// IDs.
 	merged    *interp.Merged
 	mergedIDs []uint16
 
@@ -283,7 +284,7 @@ func (h *HubNode) Service() error {
 }
 
 // handlePush parses, binds and places one pushed condition, replying with
-// an ack (device name) or an error. Placement accounts for prefix sharing:
+// an ack (device name) or an error. Placement accounts for DAG sharing:
 // the whole loaded set is merged (paper §7) and the merged demand placed.
 func (h *HubNode) handlePush(payload []byte) error {
 	id, irText, err := decodeConfigPush(payload)
@@ -368,7 +369,7 @@ func (h *HubNode) rebuild() error {
 		c := h.conds[id]
 		plans[i] = adjustedPlan(c.plan, c.tuner.factor)
 	}
-	fOps, iOps, mem := interp.MergedDemand(plans...)
+	fOps, iOps, mem := ir.Demand(ir.CompileOptions{}, plans...)
 	dev, err := hub.SelectDeviceForDemand(h.devices, fOps, iOps, mem)
 	if err != nil {
 		return err
@@ -517,8 +518,9 @@ func (h *HubNode) TuningFactor(id uint16) (float64, bool) {
 	return c.tuner.factor, true
 }
 
-// SharedNodes reports how many algorithm instances prefix merging
-// eliminated across the loaded set (paper §7).
+// SharedNodes reports how many plan nodes the DAG compile pass eliminated
+// across the loaded set (paper §7): shared subgraphs (prefixes, interior
+// stages, duplicate pipelines), folds and fusions.
 func (h *HubNode) SharedNodes() int {
 	if h.merged == nil {
 		return 0

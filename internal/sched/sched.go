@@ -6,10 +6,10 @@
 // The paper's prototype pushes conditions until the hub rejects one; this
 // package gives the sensor manager the missing multi-tenant story. Each
 // condition is costed through the DAG compile pass's static demand
-// (package ir, via package interp), so structurally identical subgraphs
-// across applications — shared prefixes, shared interior stages, whole
-// duplicate pipelines — are billed exactly once — two applications
-// windowing the microphone the same way together cost one windower. On overload the controller does not
+// (package ir), so structurally identical subgraphs across applications —
+// shared prefixes, shared interior stages, whole duplicate pipelines — are
+// billed exactly once: two applications windowing the microphone the same
+// way together cost one windower. On overload the controller does not
 // reject: it demotes the lowest-priority conditions to fallback, where the
 // phone's duty-cycling schedule covers them at higher energy (billed to
 // the ledger's phone.fallback component by package sim).
@@ -29,7 +29,7 @@ import (
 
 	"sidewinder/internal/core"
 	"sidewinder/internal/hub"
-	"sidewinder/internal/interp"
+	"sidewinder/internal/ir"
 )
 
 // FallbackDeviceName is the placement Status/reports show for a condition
@@ -226,8 +226,9 @@ func (s *Scheduler) HubPlans() []*core.Plan {
 }
 
 // Utilization reports the admitted set's merged demand as fractions of
-// the cycle and RAM budgets, plus the number of plan nodes deduplicated
-// away by prefix sharing.
+// the cycle and RAM budgets, plus the number of plan nodes the DAG compile
+// pass eliminates: shared subgraphs (prefixes, interior stages, duplicate
+// pipelines), folds and fusions.
 func (s *Scheduler) Utilization() (cycleFrac, ramFrac float64, sharedNodes int) {
 	plans := s.HubPlans()
 	if len(plans) == 0 {
@@ -243,7 +244,7 @@ func (s *Scheduler) Utilization() (cycleFrac, ramFrac float64, sharedNodes int) 
 			mem += p.TotalMemory()
 		}
 	} else {
-		f, i, mem = interp.MergedDemand(plans...)
+		f, i, mem = ir.Demand(ir.CompileOptions{}, plans...)
 		for _, p := range plans {
 			sharedNodes += len(p.Nodes)
 		}
@@ -258,11 +259,11 @@ func (s *Scheduler) Utilization() (cycleFrac, ramFrac float64, sharedNodes int) 
 	return cycleFrac, ramFrac, sharedNodes
 }
 
-// distinctNodes counts merged instances across the plans (shared prefixes
-// once), via the per-stage demand breakdown.
+// distinctNodes counts the instances the compiled shared graph keeps
+// across the plans, via the per-kind demand breakdown.
 func distinctNodes(plans []*core.Plan) int {
 	n := 0
-	for _, sd := range interp.MergedDemandByStage(plans...) {
+	for _, sd := range ir.DemandByKind(ir.CompileOptions{}, plans...) {
 		n += sd.Nodes
 	}
 	return n
@@ -300,7 +301,7 @@ func (s *Scheduler) recompute(changed uint16) Delta {
 			}
 		}
 	} else {
-		acc := interp.NewDemandAccumulator()
+		acc := ir.NewDemandAccumulator(ir.CompileOptions{})
 		for _, c := range order {
 			mf, mi, mmem := acc.Marginal(c.plan)
 			f, i, mem := acc.Total()

@@ -6,7 +6,7 @@ import (
 
 	"sidewinder/internal/core"
 	"sidewinder/internal/hub"
-	"sidewinder/internal/interp"
+	"sidewinder/internal/ir"
 )
 
 // motionPlan is a cheap accelerometer condition (fits the MSP430).
@@ -230,7 +230,7 @@ func TestPropertyAdmittedSetNeverExceedsBudget(t *testing.T) {
 				t.Fatalf("op %d on %s: %d placed != %d registered",
 					op, dev.Name, len(hubIDs)+len(fbIDs), len(live))
 			}
-			f, i, mem := interp.MergedDemand(s.HubPlans()...)
+			f, i, mem := ir.Demand(ir.CompileOptions{}, s.HubPlans()...)
 			if len(hubIDs) > 0 && !b.Fits(f, i, mem) {
 				t.Fatalf("op %d on %s: admitted set exceeds budget: %.2f Mcycles/s of %.2f, %d B of %d",
 					op, dev.Name, b.Cycles(f, i)/1e6, b.CyclesPerSec/1e6, mem, b.RAMBytes)
@@ -250,8 +250,8 @@ func TestPropertySharedPrefixBilledOnce(t *testing.T) {
 		for k := 0; k < 1+rng.Intn(6); k++ {
 			set = append(set, base[rng.Intn(len(base))])
 		}
-		f1, i1, m1 := interp.MergedDemand(set...)
-		f2, i2, m2 := interp.MergedDemand(append(set, set[rng.Intn(len(set))])...)
+		f1, i1, m1 := ir.Demand(ir.CompileOptions{}, set...)
+		f2, i2, m2 := ir.Demand(ir.CompileOptions{}, append(set, set[rng.Intn(len(set))])...)
 		if f1 != f2 || i1 != i2 || m1 != m2 {
 			t.Fatalf("duplicating a plan changed merged demand: (%g,%g,%d) -> (%g,%g,%d)",
 				f1, i1, m1, f2, i2, m2)
@@ -347,7 +347,7 @@ func TestPropertyNaiveBillingNeverCheaper(t *testing.T) {
 		if len(plans) == 0 {
 			continue
 		}
-		mf, mi, mm := interp.MergedDemand(plans...)
+		mf, mi, mm := ir.Demand(ir.CompileOptions{}, plans...)
 		var nf, ni float64
 		var nm int
 		for _, p := range plans {
