@@ -20,7 +20,8 @@ PKG_FLOORS = sidewinder/internal/ir=85.0 sidewinder/internal/adapt=85.0
 BENCH_PKGS = . ./internal/interp ./internal/telemetry
 
 .PHONY: verify build vet staticcheck test race bench bench-telemetry \
-	bench-baseline bench-check cover cover-check fuzz soak chaos swbench-check
+	bench-baseline bench-check cover cover-check fuzz soak chaos swbench-check \
+	profile-eval
 
 verify: build vet staticcheck race
 	@echo "verify clean — consider 'make fuzz' (FUZZTIME=$(FUZZTIME) per target) for parser/framing changes"
@@ -86,6 +87,15 @@ bench-check:
 # change there breaks it silently without this gate (CI's swbench job).
 swbench-check:
 	cd swbench && $(GO) vet . && $(GO) test -race .
+
+# profile-eval CPU-profiles the paper evaluation at the benchmark's
+# paper-eval scale (every `-experiment all` table at 2/2/4-minute traces,
+# one worker) and prints the top functions, so an optimization can name
+# the layer it targets from a rerunnable profile.
+profile-eval:
+	$(GO) run ./cmd/sidewinder-eval -experiment all -robot-min 2 -audio-min 2 \
+		-human-min 4 -workers 1 -cpuprofile eval-cpu.prof > /dev/null
+	$(GO) tool pprof -top -nodecount=25 eval-cpu.prof
 
 # cover writes an aggregate coverage profile and prints the per-package
 # summary; open coverage.html for the annotated source view.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/bits"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -67,8 +68,15 @@ func TestCleanProfileIsTransparent(t *testing.T) {
 	if n := p.Stats().Conns.Load(); n != 1 {
 		t.Fatalf("conns = %d, want 1", n)
 	}
-	if p.Stats().ForwardedBytes.Load() < uint64(2*len(msg)) {
-		t.Fatalf("forwarded %d bytes, want >= %d", p.Stats().ForwardedBytes.Load(), 2*len(msg))
+	// The proxy counts a chunk after writing it, so the echo can reach the
+	// client before the return leg is counted: poll until it is.
+	want := uint64(2 * len(msg))
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().ForwardedBytes.Load() < want && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if p.Stats().ForwardedBytes.Load() < want {
+		t.Fatalf("forwarded %d bytes, want >= %d", p.Stats().ForwardedBytes.Load(), want)
 	}
 }
 

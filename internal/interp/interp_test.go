@@ -419,7 +419,7 @@ func TestJoinPruneBoundsMemory(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		m.PushSample(core.Mic, float64(i))
 	}
-	// Find the join instance and check its pending map.
+	// Find the join instance and check its pending slots.
 	var join *joinInst
 	for _, n := range m.nodes {
 		if j, ok := n.inst.(*joinInst); ok {
@@ -430,13 +430,13 @@ func TestJoinPruneBoundsMemory(t *testing.T) {
 		t.Fatal("no join instance found")
 	}
 	// Port 1 never emits, so nothing is provably stale; but the pending
-	// map only holds entries from port 0. With one port never primed we
+	// slots only hold entries from port 0. With one port never primed we
 	// cannot prune -- this documents the worst case: entries accumulate
 	// only for the emitting port. Tighten: once both ports have emitted,
 	// stale entries vanish. Here we assert the pending count equals the
 	// number of port-0 emissions (5000 windows), the documented bound.
-	if len(join.pending) != 5000 {
-		t.Fatalf("pending = %d, want 5000 (one per emitted window)", len(join.pending))
+	if join.pendingLen() != 5000 {
+		t.Fatalf("pending = %d, want 5000 (one per emitted window)", join.pendingLen())
 	}
 }
 
@@ -453,8 +453,8 @@ func TestJoinPruneWithBothPortsEmitting(t *testing.T) {
 		t.Fatalf("join = %+v, %v", out, ok)
 	}
 	// Seqs 0..8 are now provably stale.
-	if len(j.pending) != 0 {
-		t.Fatalf("pending after prune = %d, want 0", len(j.pending))
+	if j.pendingLen() != 0 {
+		t.Fatalf("pending after prune = %d, want 0", j.pendingLen())
 	}
 }
 

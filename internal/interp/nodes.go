@@ -669,16 +669,28 @@ func (absInst) Reset() {}
 // numbers that can no longer complete because every port has advanced past
 // them) are pruned to bound memory, as a microcontroller implementation
 // must.
+//
+// Each port's sequence numbers are non-decreasing. Pending slots live in a
+// slice sorted by Seq, so the per-push work stays logarithmic even when
+// block dispatch lets a leading port queue a whole block before the other
+// ports arrive: the leading port appends at the tail, the others find their
+// slot by binary search, stale slots (below the slowest port's latest Seq)
+// form a prefix, and a slot completes only once it is the oldest.
 type joinInst struct {
 	ports   int
 	combine func([]float64) (float64, bool)
-	pending map[int64]*joinSlot
-	latest  []int64 // highest Seq seen per port
-	primed  []bool
-	free    []*joinSlot // recycled slots; steady state allocates none
+	// slots[head:] are the pending slots in ascending Seq order; the
+	// prefix before head is spent and compacted away when the tail runs
+	// out of capacity.
+	slots  []*joinSlot
+	head   int
+	latest []int64 // highest Seq seen per port
+	primed []bool
+	free   []*joinSlot // recycled slots; steady state allocates none
 }
 
 type joinSlot struct {
+	seq   int64
 	vals  []float64
 	have  []bool
 	count int
@@ -688,7 +700,6 @@ func newJoinInst(ports int, combine func([]float64) (float64, bool)) *joinInst {
 	return &joinInst{
 		ports:   ports,
 		combine: combine,
-		pending: make(map[int64]*joinSlot),
 		latest:  make([]int64, ports),
 		primed:  make([]bool, ports),
 	}
@@ -697,11 +708,7 @@ func newJoinInst(ports int, combine func([]float64) (float64, bool)) *joinInst {
 func (i *joinInst) Push(port int, v Value) (Value, bool) {
 	i.latest[port] = v.Seq
 	i.primed[port] = true
-	slot := i.pending[v.Seq]
-	if slot == nil {
-		slot = i.newSlot()
-		i.pending[v.Seq] = slot
-	}
+	slot := i.find(v.Seq)
 	if !slot.have[port] {
 		slot.have[port] = true
 		slot.count++
@@ -713,7 +720,8 @@ func (i *joinInst) Push(port int, v Value) (Value, bool) {
 	if slot.count < i.ports {
 		return Value{}, false
 	}
-	delete(i.pending, v.Seq)
+	// Every port has reached v.Seq, so prune left this slot at the head.
+	i.popHead()
 	out, ok := i.combine(slot.vals)
 	i.recycle(slot)
 	if !ok {
@@ -722,14 +730,66 @@ func (i *joinInst) Push(port int, v Value) (Value, bool) {
 	return Value{Seq: v.Seq, Scalar: out}, true
 }
 
+// find returns the pending slot for seq, inserting a fresh one in order if
+// none exists. Appending past the newest pending seq is the common case
+// (the leading port); any other seq is found by binary search.
+func (i *joinInst) find(seq int64) *joinSlot {
+	if len(i.slots) == cap(i.slots) && i.head > 0 {
+		i.compact()
+	}
+	n := len(i.slots)
+	if i.head == n || i.slots[n-1].seq < seq {
+		slot := i.newSlot(seq)
+		i.slots = append(i.slots, slot)
+		return slot
+	}
+	lo, hi := i.head, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if i.slots[mid].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if i.slots[lo].seq == seq {
+		return i.slots[lo]
+	}
+	slot := i.newSlot(seq)
+	i.slots = append(i.slots, nil)
+	copy(i.slots[lo+1:], i.slots[lo:n])
+	i.slots[lo] = slot
+	return slot
+}
+
+// compact moves the pending slots to the front of the backing array, so
+// the spent prefix is reused before the slice grows.
+func (i *joinInst) compact() {
+	n := copy(i.slots, i.slots[i.head:])
+	clear(i.slots[n:])
+	i.slots = i.slots[:n]
+	i.head = 0
+}
+
+// popHead drops the oldest pending slot without recycling it.
+func (i *joinInst) popHead() {
+	i.slots[i.head] = nil
+	i.head++
+	if i.head == len(i.slots) {
+		i.slots = i.slots[:0]
+		i.head = 0
+	}
+}
+
 // newSlot pops a recycled slot or allocates the pool's first few.
-func (i *joinInst) newSlot() *joinSlot {
+func (i *joinInst) newSlot(seq int64) *joinSlot {
 	if n := len(i.free); n > 0 {
 		slot := i.free[n-1]
 		i.free = i.free[:n-1]
+		slot.seq = seq
 		return slot
 	}
-	return &joinSlot{vals: make([]float64, i.ports), have: make([]bool, i.ports)}
+	return &joinSlot{seq: seq, vals: make([]float64, i.ports), have: make([]bool, i.ports)}
 }
 
 // recycle clears a slot and returns it to the pool.
@@ -743,6 +803,7 @@ func (i *joinInst) recycle(slot *joinSlot) {
 
 // prune drops pending sequences older than the slowest port's progress:
 // emissions are monotone per port, so such sequences can never complete.
+// They sit at the front of the sorted slots.
 func (i *joinInst) prune() {
 	min := int64(math.MaxInt64)
 	for p := 0; p < i.ports; p++ {
@@ -753,19 +814,20 @@ func (i *joinInst) prune() {
 			min = i.latest[p]
 		}
 	}
-	for seq := range i.pending {
-		if seq < min {
-			i.recycle(i.pending[seq])
-			delete(i.pending, seq)
-		}
+	for i.head < len(i.slots) && i.slots[i.head].seq < min {
+		slot := i.slots[i.head]
+		i.popHead()
+		i.recycle(slot)
 	}
 }
 
 func (i *joinInst) Reset() {
-	for seq, slot := range i.pending {
+	for _, slot := range i.slots[i.head:] {
 		i.recycle(slot)
-		delete(i.pending, seq)
 	}
+	clear(i.slots)
+	i.slots = i.slots[:0]
+	i.head = 0
 	for p := range i.latest {
 		i.latest[p] = 0
 		i.primed[p] = false

@@ -48,7 +48,9 @@ type Trace struct {
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
-// Len returns the per-channel sample count (0 for an empty trace).
+// Len returns the per-channel sample count (0 for an empty trace). It
+// ranges over the channel map to find a channel, so hot loops hoist it
+// rather than evaluating it per sample.
 func (t *Trace) Len() int {
 	for _, s := range t.Channels {
 		return len(s)

@@ -291,8 +291,9 @@ func (p PredefinedActivity) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	if err != nil {
 		return nil, err
 	}
+	n := tr.Len() // hoisted: Len ranges over the channel map
 	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: tr.Len()}
+	c := &clock{ph: ph, rate: tr.RateHz, n: n}
 	dt := 1 / tr.RateHz
 	preBuffer := int(app.PreBufferSec * tr.RateHz)
 	hold := int(paHoldSec * tr.RateHz)
@@ -301,7 +302,7 @@ func (p PredefinedActivity) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	openStart := -1
 	lastSig := -1
 
-	for i := 0; i < tr.Len(); i++ {
+	for i := 0; i < n; i++ {
 		if sig.significant(i, p.Threshold) {
 			lastSig = i
 			if ph.State() == power.Asleep || ph.State() == power.FallingAsleep {
@@ -320,7 +321,7 @@ func (p PredefinedActivity) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		c.advance(dt)
 	}
 	if openStart >= 0 {
-		intervals = append(intervals, Interval{openStart, tr.Len()})
+		intervals = append(intervals, Interval{openStart, n})
 	}
 	return finish(p.Name(), tr, app, ph, hub.MSP430().ActivePowerMW, intervals, nil), nil
 }
