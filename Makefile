@@ -2,7 +2,8 @@
 # suite under the race detector (the parallel evaluation harness fans
 # simulation cells across goroutines, so -race is part of the contract).
 # `make fuzz` runs the native fuzz targets (link deframer, IR parser,
-# DAG compiler, heartbeat codec) for a short fixed budget on top of their
+# DAG compiler, heartbeat codec, Q15 arithmetic, binary trace reader,
+# fleetd payload codecs) for a short fixed budget on top of their
 # committed corpora; run it before shipping protocol or parser changes.
 
 GO ?= go
@@ -139,3 +140,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDAGCompile$$' -fuzztime $(FUZZTIME) ./internal/ir
 	$(GO) test -run '^$$' -fuzz '^FuzzHeartbeat$$' -fuzztime $(FUZZTIME) ./internal/resilience
 	$(GO) test -run '^$$' -fuzz '^FuzzQ15Roundtrip$$' -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/sensor
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime $(FUZZTIME) ./internal/fleetd

@@ -214,13 +214,9 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf := make([]byte, 4*n)
-		if _, err := io.ReadFull(br, buf); err != nil {
+		samples, err := readSamples(br, n)
+		if err != nil {
 			return nil, fmt.Errorf("sensor: reading %s samples: %w", ch, err)
-		}
-		samples := make([]float64, n)
-		for j := range samples {
-			samples[j] = float64(math.Float32frombits(le.Uint32(buf[4*j:])))
 		}
 		t.Channels[ch] = samples
 	}
@@ -246,4 +242,26 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// sampleChunk is how many samples readSamples decodes per read.
+const sampleChunk = 4096
+
+// readSamples decodes n little-endian float32 samples. It reads in
+// fixed-size chunks and grows the result only as samples arrive, so a
+// corrupt count fails at the end of the stream instead of allocating
+// for samples that are not there.
+func readSamples(r io.Reader, n int) ([]float64, error) {
+	buf := make([]byte, 4*min(n, sampleChunk))
+	samples := make([]float64, 0, min(n, sampleChunk))
+	for len(samples) < n {
+		b := buf[:4*min(n-len(samples), sampleChunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for j := 0; j < len(b); j += 4 {
+			samples = append(samples, float64(math.Float32frombits(binary.LittleEndian.Uint32(b[j:]))))
+		}
+	}
+	return samples, nil
 }

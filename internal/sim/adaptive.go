@@ -5,8 +5,6 @@ import (
 
 	"sidewinder/internal/adapt"
 	"sidewinder/internal/apps"
-	"sidewinder/internal/core"
-	"sidewinder/internal/hub"
 	"sidewinder/internal/interp"
 	"sidewinder/internal/ir"
 	"sidewinder/internal/power"
@@ -45,10 +43,6 @@ type AdaptStats struct {
 // is tracked alongside and the difference deposited to the ledger's
 // adapt.savings component.
 type AdaptiveSidewinder struct {
-	// Catalog defaults to core.DefaultCatalog().
-	Catalog *core.Catalog
-	// Devices defaults to hub.Devices().
-	Devices []hub.Device
 	// Config bounds the policy; the zero value takes adapt.DefaultConfig.
 	Config adapt.Config
 	// Frozen disables adaptation: the engine observes nothing and the
@@ -137,33 +131,19 @@ func (t *truthTracker) expire(i int, phoneOpen bool) int {
 
 // adaptiveProgram is one compiled, admitted hub configuration.
 type adaptiveProgram struct {
-	machine  *interp.Machine
-	channels [][]float64
-	chNames  []core.SensorChannel
-	powerMW  float64
+	feed    *hubFeed
+	powerMW float64
 }
 
 // Run implements Strategy.
 func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
-	cat := s.Catalog
-	if cat == nil {
-		cat = core.DefaultCatalog()
-	}
-	devices := s.Devices
-	if devices == nil {
-		devices = hub.Devices()
-	}
 	cfg := s.Config
 	if cfg == (adapt.Config{}) {
 		cfg = adapt.DefaultConfig()
 	}
-	base, err := app.Wake.Validate(cat)
+	cat, base, dev, err := placeWake(app, nil)
 	if err != nil {
-		return nil, fmt.Errorf("sim: validating %s wake condition: %w", app.Name, err)
-	}
-	dev, err := hub.SelectDevice(devices, base)
-	if err != nil {
-		return nil, fmt.Errorf("sim: placing %s wake condition: %w", app.Name, err)
+		return nil, err
 	}
 	budget := sched.BudgetFor(dev)
 	// The static counterfactual: the pushed program at the developer's
@@ -198,19 +178,14 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		p := &adaptiveProgram{machine: m, powerMW: dev.LoadPowerMW(f, i)}
 		if profile != nil {
 			m.SetProfile(profile)
 		}
-		for _, ch := range exec.Channels {
-			samples, ok := tr.Channels[ch]
-			if !ok {
-				return nil, fmt.Errorf("sim: trace %q lacks channel %s required by %s", tr.Name, ch, app.Name)
-			}
-			p.channels = append(p.channels, samples)
-			p.chNames = append(p.chNames, ch)
+		feed, err := newHubFeed(m, tr, exec.Channels, app.Name)
+		if err != nil {
+			return nil, err
 		}
-		return p, nil
+		return &adaptiveProgram{feed: feed, powerMW: dev.LoadPowerMW(f, i)}, nil
 	}
 
 	cur, err := build(engine.Knobs())
@@ -219,21 +194,14 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	}
 	engine.TakeDirty() // the pushed configuration is not an adaptation
 
+	n := tr.Len()
 	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: tr.Len()}
+	c := &clock{ph: ph, rate: tr.RateHz, n: n}
 	dt := 1 / tr.RateHz
-	preBuffer := int(app.PreBufferSec * tr.RateHz)
 	hold := int(swIdleHoldSec * tr.RateHz)
 	tol := int(app.MatchTolSec * tr.RateHz)
 	tracker := newTruthTracker(tr.EventsLabeled(app.Label), tol)
-
-	var phoneStream, hubStream *telemetry.Stream
-	if s.Telemetry.Enabled() {
-		c.tclk = &telemetry.Clock{}
-		phoneStream = s.Telemetry.Tracer.Stream(s.TraceLabel+"phone", c.tclk)
-		hubStream = s.Telemetry.Tracer.Stream(s.TraceLabel+"hub", c.tclk)
-		tracePhoneTransitions(ph, phoneStream)
-	}
+	hubStream := c.trace(s.Telemetry, s.TraceLabel)
 
 	// pending holds a re-admitted program awaiting the next block boundary;
 	// swapping only there keeps each block's wake offsets internally
@@ -264,9 +232,7 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		pending = nil // proposal settled back to the resident program
 	}
 
-	var intervals []Interval
-	openStart := -1
-	lastFire := -1
+	w := newWakeWindow(ph, int(app.PreBufferSec*tr.RateHz), hold)
 	hubMJ, staticMJ := 0.0, 0.0
 	frozenTally := adapt.Stats{}
 	// lastVerdict rate-limits awake-phase re-confirmations: a wake-up
@@ -277,43 +243,20 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	lastVerdict := -(hold + 1)
 
 	fired := make([]bool, simBlock)
-	for blockStart := 0; blockStart < tr.Len(); blockStart += simBlock {
+	for blockStart := 0; blockStart < n; blockStart += simBlock {
 		if pending != nil {
 			cur, pending = pending, nil
 		}
-		end := blockStart + simBlock
-		if end > tr.Len() {
-			end = tr.Len()
-		}
-		f := fired[:end-blockStart]
-		for k := range f {
-			f[k] = false
-		}
-		for ci, samples := range cur.channels {
-			for _, w := range cur.machine.PushBlock(cur.chNames[ci], samples[blockStart:end]) {
-				f[w.Off] = true
-			}
-		}
-		hubMJ += cur.powerMW * float64(end-blockStart) * dt
-		staticMJ += staticMW * float64(end-blockStart) * dt
+		f := fired[:min(simBlock, n-blockStart)]
+		cur.feed.fire(f, blockStart)
+		hubMJ += cur.powerMW * float64(len(f)) * dt
+		staticMJ += staticMW * float64(len(f)) * dt
 		for k := range f {
 			i := blockStart + k
 			if f[k] {
-				lastFire = i
 				hit := tracker.markFired(i)
 				hubStream.Instant1("wake.sent", "hub", "sample", float64(i))
-				verdict := false
-				if ph.State() == power.Asleep || ph.State() == power.FallingAsleep {
-					ph.RequestWake()
-					openStart = i - preBuffer
-					if openStart < 0 {
-						openStart = 0
-					}
-					verdict = true
-				} else if i-lastVerdict > hold {
-					verdict = true
-				}
-				if verdict {
+				if w.fire(i) || i-lastVerdict > hold {
 					lastVerdict = i
 					if hit {
 						frozenTally.TrueWakes++
@@ -324,23 +267,17 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 					}
 				}
 			}
-			for n := tracker.expire(i, openStart >= 0); n > 0; n-- {
+			for m := tracker.expire(i, w.open()); m > 0; m-- {
 				frozenTally.MissedWakes++
 				observe(adapt.MissedWake)
 			}
-			if ph.State() == power.Awake && lastFire >= 0 && i-lastFire > hold {
-				ph.RequestSleep()
-				intervals = append(intervals, Interval{openStart, i})
-				openStart = -1
-			}
+			w.idle(i)
 			c.advance(dt)
 		}
 	}
-	if openStart >= 0 {
-		intervals = append(intervals, Interval{openStart, tr.Len()})
-	}
+	intervals := w.close(n)
 	// Score (but no longer act on) events whose window ran off the trace.
-	frozenTally.MissedWakes += tracker.expire(tr.Len()+tol+1, openStart >= 0)
+	frozenTally.MissedWakes += tracker.expire(n+tol+1, w.open())
 
 	totalSec := ph.TotalSeconds()
 	stats := engine.Stats()

@@ -184,6 +184,11 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 	if err != nil {
 		return nil, err
 	}
+	feed, err := newHubFeed(oracle, tr, app.Channels, app.Name)
+	if err != nil {
+		return nil, err
+	}
+	channels := feed.channels
 
 	profile := power.Nexus4()
 	ph := power.NewPhone(profile)
@@ -233,15 +238,6 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 	bed.Hub.SetCrash(inj)
 	sup := bed.Manager.Supervisor()
 
-	channels := make([][]float64, len(app.Channels))
-	for i, ch := range app.Channels {
-		samples, ok := tr.Channels[ch]
-		if !ok {
-			return nil, fmt.Errorf("sim: trace %q lacks channel %s required by %s", tr.Name, ch, app.Name)
-		}
-		channels[i] = samples
-	}
-
 	fbMW := fallbackAvgMW(cfg.Fallback, sleepSec, profile)
 	n := tr.Len()
 	dt := 1 / tr.RateHz
@@ -254,22 +250,7 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 	// crash injection and heartbeat servicing.
 	oracleFired := make([]bool, n)
 	for base := 0; base < n; base += simBlock {
-		end := base + simBlock
-		if end > n {
-			end = n
-		}
-		for i, ch := range app.Channels {
-			e := end
-			if e > len(channels[i]) {
-				e = len(channels[i])
-			}
-			if e <= base {
-				continue
-			}
-			for _, w := range oracle.PushBlock(ch, channels[i][base:e]) {
-				oracleFired[base+w.Off] = true
-			}
-		}
+		feed.fire(oracleFired[base:min(base+simBlock, n)], base)
 	}
 
 	// Outage span tracing: one span per contiguous non-Up stretch.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"sidewinder/internal/apps"
 	"sidewinder/internal/core"
@@ -270,56 +271,34 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand, sleepSec float64) (FleetCell,
 			return cell, err
 		}
 		// Union of the admitted plans' channels, in first-use order.
-		var chNames []core.SensorChannel
-		var channels [][]float64
+		var chs []core.SensorChannel
 		seen := map[core.SensorChannel]bool{}
 		for _, plan := range hubPlans {
 			for _, ch := range plan.Channels {
-				if seen[ch] {
-					continue
+				if !seen[ch] {
+					seen[ch] = true
+					chs = append(chs, ch)
 				}
-				seen[ch] = true
-				samples, ok := tr.Channels[ch]
-				if !ok {
-					return cell, fmt.Errorf("sim: trace %q lacks channel %s", tr.Name, ch)
-				}
-				chNames = append(chNames, ch)
-				channels = append(channels, samples)
 			}
 		}
+		feed, err := newHubFeed(m, tr, chs, "the fleet mix "+strings.Join(cell.Apps, "+"))
+		if err != nil {
+			return cell, err
+		}
 
-		hold := int(swIdleHoldSec * tr.RateHz)
-		lastFire := -1
-		// Block fast path: push whole chunks through the merged machine,
-		// spread wake offsets onto a fired bitmap, and replay the phone
-		// state machine per sample — identical to the per-sample loop.
+		n := tr.Len()
+		w := newWakeWindow(ph, 0, int(swIdleHoldSec*tr.RateHz))
 		fired := make([]bool, simBlock)
-		for base := 0; base < tr.Len(); base += simBlock {
-			end := base + simBlock
-			if end > tr.Len() {
-				end = tr.Len()
-			}
-			f := fired[:end-base]
-			for k := range f {
-				f[k] = false
-			}
-			for ci := range channels {
-				for _, w := range m.PushBlock(chNames[ci], channels[ci][base:end]) {
-					f[w.Off] = true
-				}
-			}
-			for k := range f {
+		for base := 0; base < n; base += simBlock {
+			f := fired[:min(simBlock, n-base)]
+			feed.fire(f, base)
+			for k, hit := range f {
 				i := base + k
-				if f[k] {
+				if hit {
 					cell.Wakes++
-					lastFire = i
-					if ph.State() == power.Asleep || ph.State() == power.FallingAsleep {
-						ph.RequestWake()
-					}
+					w.fire(i)
 				}
-				if ph.State() == power.Awake && lastFire >= 0 && i-lastFire > hold {
-					ph.RequestSleep()
-				}
+				w.idle(i)
 				ph.Advance(dt)
 			}
 		}

@@ -72,6 +72,10 @@ const maxPushAttempts = 25
 // reach the phone, whether any arrive twice, and what the link traffic —
 // retransmissions included — costs in energy.
 func LossyLinkRun(tr *sensor.Trace, app *apps.App, cfg LossyLinkConfig) (*LossyLinkResult, error) {
+	channels, err := traceChannels(tr, app.Channels, app.Name)
+	if err != nil {
+		return nil, err
+	}
 	bufSamples := cfg.BufSamples
 	if bufSamples <= 0 {
 		bufSamples = 32
@@ -141,10 +145,6 @@ func LossyLinkRun(tr *sensor.Trace, app *apps.App, cfg LossyLinkConfig) (*LossyL
 
 	// Replay the trace through the hub, all of the condition's channels
 	// in lockstep.
-	channels := make([][]float64, len(app.Channels))
-	for i, ch := range app.Channels {
-		channels[i] = tr.Channels[ch]
-	}
 	n := tr.Len()
 	dt := 1 / tr.RateHz
 	hold := int(swIdleHoldSec * tr.RateHz)

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"sidewinder/internal/apps"
+	"sidewinder/internal/core"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/tracegen"
 )
@@ -244,10 +246,26 @@ func TestSidewinderAchievesMostOracleSavings(t *testing.T) {
 	}
 }
 
+// TestSidewinderTraceMissingChannel checks that every entry point that
+// replays an app's wake condition refuses a trace lacking the app's
+// channel with the channel resolver's error, instead of replaying nothing.
 func TestSidewinderTraceMissingChannel(t *testing.T) {
 	tr := robotTrace(t, 0.9)
-	if _, err := (Sidewinder{}).Run(tr, apps.Sirens()); err == nil {
-		t.Error("audio app on an accel trace should fail")
+	app := apps.Sirens()
+	want := fmt.Sprintf("sim: trace %q lacks channel %s required by %s", tr.Name, core.Mic, app.Name)
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"Sidewinder", func() error { _, err := Sidewinder{}.Run(tr, app); return err }},
+		{"AdaptiveSidewinder", func() error { _, err := AdaptiveSidewinder{}.Run(tr, app); return err }},
+		{"CrashRun", func() error { _, err := CrashRun(tr, app, CrashRunConfig{}); return err }},
+		{"LossyLinkRun", func() error { _, err := LossyLinkRun(tr, app, LossyLinkConfig{}); return err }},
+	}
+	for _, r := range runs {
+		if err := r.run(); err == nil || err.Error() != want {
+			t.Errorf("%s: audio app on an accel trace: err = %v, want %q", r.name, err, want)
+		}
 	}
 }
 

@@ -25,10 +25,6 @@ const (
 	// swIdleHoldSec puts the phone back to sleep after this long without
 	// the Sidewinder condition firing.
 	swIdleHoldSec = 1.5
-	// simBlock is the chunk size the simulator feeds the interpreter's
-	// block fast path with; the phone state machine replays each chunk
-	// per sample over the fired bitmap, so the choice only affects speed.
-	simBlock = 1024
 )
 
 // ---------------------------------------------------------------- helpers
@@ -63,6 +59,20 @@ func (c *clock) sampleAt(t float64) int {
 }
 
 func (c *clock) endSec() float64 { return float64(c.n) / c.rate }
+
+// trace attaches a telemetry clock when set is enabled, traces the
+// phone's state transitions on a label+"phone" stream, and returns the
+// label+"hub" stream (nil when disabled).
+func (c *clock) trace(set telemetry.Set, label string) *telemetry.Stream {
+	if !set.Enabled() {
+		return nil
+	}
+	c.tclk = &telemetry.Clock{}
+	phoneStream := set.Tracer.Stream(label+"phone", c.tclk)
+	hubStream := set.Tracer.Stream(label+"hub", c.tclk)
+	tracePhoneTransitions(c.ph, phoneStream)
+	return hubStream
+}
 
 // --------------------------------------------------------- Always Awake
 
@@ -295,35 +305,15 @@ func (p PredefinedActivity) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	ph := power.NewPhone(power.Nexus4())
 	c := &clock{ph: ph, rate: tr.RateHz, n: n}
 	dt := 1 / tr.RateHz
-	preBuffer := int(app.PreBufferSec * tr.RateHz)
-	hold := int(paHoldSec * tr.RateHz)
-
-	var intervals []Interval
-	openStart := -1
-	lastSig := -1
-
+	w := newWakeWindow(ph, int(app.PreBufferSec*tr.RateHz), int(paHoldSec*tr.RateHz))
 	for i := 0; i < n; i++ {
 		if sig.significant(i, p.Threshold) {
-			lastSig = i
-			if ph.State() == power.Asleep || ph.State() == power.FallingAsleep {
-				ph.RequestWake()
-				openStart = i - preBuffer
-				if openStart < 0 {
-					openStart = 0
-				}
-			}
+			w.fire(i)
 		}
-		if ph.State() == power.Awake && lastSig >= 0 && i-lastSig > hold {
-			ph.RequestSleep()
-			intervals = append(intervals, Interval{openStart, i})
-			openStart = -1
-		}
+		w.idle(i)
 		c.advance(dt)
 	}
-	if openStart >= 0 {
-		intervals = append(intervals, Interval{openStart, n})
-	}
-	return finish(p.Name(), tr, app, ph, hub.MSP430().ActivePowerMW, intervals, nil), nil
+	return finish(p.Name(), tr, app, ph, hub.MSP430().ActivePowerMW, w.close(n), nil), nil
 }
 
 // significance computes the streaming significant-motion/sound feature
@@ -338,23 +328,22 @@ type significance struct {
 func newSignificance(kind PAKind, tr *sensor.Trace) (*significance, error) {
 	switch kind {
 	case SignificantMotion:
-		x, okx := tr.Channels[core.AccelX]
-		y, oky := tr.Channels[core.AccelY]
-		z, okz := tr.Channels[core.AccelZ]
-		if !okx || !oky || !okz {
-			return nil, fmt.Errorf("sim: significant motion needs all three accelerometer axes")
+		axes, err := traceChannels(tr, []core.SensorChannel{core.AccelX, core.AccelY, core.AccelZ}, "significant motion")
+		if err != nil {
+			return nil, err
 		}
+		x, y, z := axes[0], axes[1], axes[2]
 		mags := make([]float64, len(x))
 		for i := range mags {
 			mags[i] = math.Sqrt(x[i]*x[i] + y[i]*y[i] + z[i]*z[i])
 		}
 		return &significance{values: mags, win: int(0.5 * tr.RateHz)}, nil
 	case SignificantSound:
-		mic, ok := tr.Channels[core.Mic]
-		if !ok {
-			return nil, fmt.Errorf("sim: significant sound needs the microphone channel")
+		mic, err := traceChannels(tr, []core.SensorChannel{core.Mic}, "significant sound")
+		if err != nil {
+			return nil, err
 		}
-		return &significance{values: mic, win: 1024}, nil
+		return &significance{values: mic[0], win: 1024}, nil
 	}
 	return nil, fmt.Errorf("sim: unknown predefined activity kind %d", kind)
 }
@@ -393,8 +382,6 @@ func (s *significance) significant(i int, threshold float64) bool {
 // phone sleeps. A value reaching OUT wakes the phone, which receives the
 // hub's buffered raw data (paper §2-3).
 type Sidewinder struct {
-	// Catalog defaults to core.DefaultCatalog().
-	Catalog *core.Catalog
 	// Devices defaults to hub.Devices().
 	Devices []hub.Device
 	// Precision selects the interpreter's numeric substrate (default
@@ -413,23 +400,30 @@ type Sidewinder struct {
 // Name implements Strategy.
 func (Sidewinder) Name() string { return "sidewinder" }
 
-// Run implements Strategy.
-func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
-	cat := s.Catalog
-	if cat == nil {
-		cat = core.DefaultCatalog()
-	}
-	devices := s.Devices
+// placeWake validates the app's wake condition against the default
+// catalog and places it on the cheapest feasible device (devices defaults
+// to hub.Devices()).
+func placeWake(app *apps.App, devices []hub.Device) (*core.Catalog, *core.Plan, hub.Device, error) {
+	cat := core.DefaultCatalog()
 	if devices == nil {
 		devices = hub.Devices()
 	}
 	plan, err := app.Wake.Validate(cat)
 	if err != nil {
-		return nil, fmt.Errorf("sim: validating %s wake condition: %w", app.Name, err)
+		return nil, nil, hub.Device{}, fmt.Errorf("sim: validating %s wake condition: %w", app.Name, err)
 	}
 	dev, err := hub.SelectDevice(devices, plan)
 	if err != nil {
-		return nil, fmt.Errorf("sim: placing %s wake condition: %w", app.Name, err)
+		return nil, nil, hub.Device{}, fmt.Errorf("sim: placing %s wake condition: %w", app.Name, err)
+	}
+	return cat, plan, dev, nil
+}
+
+// Run implements Strategy.
+func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
+	cat, plan, dev, err := placeWake(app, s.Devices)
+	if err != nil {
+		return nil, err
 	}
 	// The hub executes the DAG-compiled form of the condition: intra-app
 	// duplicate subgraphs (e.g. two branches windowing the microphone the
@@ -445,82 +439,36 @@ func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	feed, err := newHubFeed(m, tr, exec.Channels, app.Name)
+	if err != nil {
+		return nil, err
+	}
 
+	n := tr.Len()
 	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: tr.Len()}
+	c := &clock{ph: ph, rate: tr.RateHz, n: n}
 	dt := 1 / tr.RateHz
-	preBuffer := int(app.PreBufferSec * tr.RateHz)
-	hold := int(swIdleHoldSec * tr.RateHz)
-
-	var phoneStream, hubStream *telemetry.Stream
+	hubStream := c.trace(s.Telemetry, s.TraceLabel)
 	var profile *telemetry.InterpProfile
 	if s.Telemetry.Enabled() {
-		c.tclk = &telemetry.Clock{}
-		phoneStream = s.Telemetry.Tracer.Stream(s.TraceLabel+"phone", c.tclk)
-		hubStream = s.Telemetry.Tracer.Stream(s.TraceLabel+"hub", c.tclk)
-		tracePhoneTransitions(ph, phoneStream)
 		profile = telemetry.NewInterpProfile()
 		m.SetProfile(profile)
 	}
 
-	channels := make([][]float64, 0, len(exec.Channels))
-	chNames := make([]core.SensorChannel, 0, len(exec.Channels))
-	for _, ch := range exec.Channels {
-		samples, ok := tr.Channels[ch]
-		if !ok {
-			return nil, fmt.Errorf("sim: trace %q lacks channel %s required by %s", tr.Name, ch, app.Name)
-		}
-		channels = append(channels, samples)
-		chNames = append(chNames, ch)
-	}
-
-	var intervals []Interval
-	openStart := -1
-	lastFire := -1
-
-	// The hub interpreter runs on the block fast path: each chunk is pushed
-	// whole and the resulting wake offsets are spread onto a fired bitmap,
-	// then the phone state machine replays the chunk sample by sample. The
-	// bitmap preserves the per-sample fired sequence exactly, so the power
-	// timeline and telemetry are byte-identical to the per-sample loop.
+	w := newWakeWindow(ph, int(app.PreBufferSec*tr.RateHz), int(swIdleHoldSec*tr.RateHz))
 	fired := make([]bool, simBlock)
-	for base := 0; base < tr.Len(); base += simBlock {
-		end := base + simBlock
-		if end > tr.Len() {
-			end = tr.Len()
-		}
-		f := fired[:end-base]
-		for k := range f {
-			f[k] = false
-		}
-		for ci, samples := range channels {
-			for _, w := range m.PushBlock(chNames[ci], samples[base:end]) {
-				f[w.Off] = true
-			}
-		}
-		for k := range f {
+	for base := 0; base < n; base += simBlock {
+		f := fired[:min(simBlock, n-base)]
+		feed.fire(f, base)
+		for k, hit := range f {
 			i := base + k
-			if f[k] {
-				lastFire = i
+			if hit {
 				hubStream.Instant1("wake.sent", "hub", "sample", float64(i))
-				if ph.State() == power.Asleep || ph.State() == power.FallingAsleep {
-					ph.RequestWake()
-					openStart = i - preBuffer
-					if openStart < 0 {
-						openStart = 0
-					}
-				}
+				w.fire(i)
 			}
-			if ph.State() == power.Awake && lastFire >= 0 && i-lastFire > hold {
-				ph.RequestSleep()
-				intervals = append(intervals, Interval{openStart, i})
-				openStart = -1
-			}
+			w.idle(i)
 			c.advance(dt)
 		}
-	}
-	if openStart >= 0 {
-		intervals = append(intervals, Interval{openStart, tr.Len()})
 	}
 
 	if s.Telemetry.Enabled() {
@@ -530,7 +478,7 @@ func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 		emitStageSpans(hubStream, profile, dev)
 	}
 
-	res := finish(s.Name(), tr, app, ph, dev.ActivePowerMW, intervals, nil)
+	res := finish(s.Name(), tr, app, ph, dev.ActivePowerMW, w.close(n), nil)
 	res.Device = dev.Name
 	res.HubUtilization = dev.Utilization(plan)
 	return res, nil
