@@ -3,8 +3,9 @@
 # simulation cells across goroutines, so -race is part of the contract).
 # `make fuzz` runs the native fuzz targets (link deframer, IR parser,
 # DAG compiler, heartbeat codec, Q15 arithmetic, binary trace reader,
-# fleetd payload codecs) for a short fixed budget on top of their
-# committed corpora; run it before shipping protocol or parser changes.
+# fleetd payload codecs, checkpoint envelope loader) for a short fixed
+# budget on top of their committed corpora; run it before shipping
+# protocol or parser changes.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -142,3 +143,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQ15Roundtrip$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/sensor
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime $(FUZZTIME) ./internal/fleetd
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/fleetd

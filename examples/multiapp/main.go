@@ -6,9 +6,10 @@
 //     performance by combining the pipelines that use common algorithms"),
 //   - the set is re-placed on the cheapest feasible device as conditions
 //     come and go, and
-//   - one application reports false positives, and the hub's self-tuning
-//     mechanism tightens its condition ("self-learning mechanisms may be
-//     able to tune the parameters used on the wake-up conditions").
+//   - one application reports false positives, and the phone-side policy
+//     engine tightens its condition's threshold and pushes the tightened
+//     program to the hub in place ("self-learning mechanisms may be able
+//     to tune the parameters used on the wake-up conditions").
 //
 // Run with:
 //
@@ -81,7 +82,7 @@ func main() {
 
 	// The shake app turns out to be too sensitive: its developer set the
 	// threshold at 8, but door slams reach 9. The app reports false
-	// positives and the hub tightens the condition.
+	// positives; the phone tightens the condition and updates the hub.
 	fmt.Println("door slams (x ~ 9 m/s²) wake the shake app; it reports false positives...")
 	slam := func() int {
 		before := shakeFires
@@ -101,8 +102,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	factor, _ := bed.Hub.TuningFactor(shakeID)
-	fmt.Printf("  hub tightened the threshold by %.0f%% after feedback\n", (factor-1)*100)
+	knobs, _ := bed.Manager.AdaptiveKnobs(shakeID)
+	fmt.Printf("  the phone tightened the threshold by %.0f%% and pushed it to the hub\n", (knobs.ThresholdFactor-1)*100)
 	fmt.Printf("  after tuning:  a door slam wakes the phone %d time(s)\n", slam())
 
 	// Real shakes still get through.

@@ -2,9 +2,10 @@
 // deterministic policy engine that consumes false-wake / missed-wake
 // verdicts from the application layer and emits bounded
 // re-parameterizations of a resident wake-up condition — sampling-rate
-// decimation, window stretch, threshold strictness (subsuming the hub's
-// legacy AIMD tuner in internal/manager/tuning.go), and Q15/float64
-// precision demotion.
+// decimation, window stretch, threshold strictness, and Q15/float64
+// precision demotion. It is the repo's one feedback loop: the paper's §7
+// false-positive tuning rule is the engine's threshold axis, and a
+// one-rung config (MaxDecimation 1, AllowQ15 false) runs that rule alone.
 //
 // The design follows AdaSense (PAPERS.md): recognition feedback drives
 // runtime re-selection of sensing parameters, recovering energy headroom
@@ -85,9 +86,8 @@ type Config struct {
 	MaxDecimation int
 	// MaxWindowScale caps window stretching.
 	MaxWindowScale float64
-	// ThresholdMax bounds threshold tightening, exactly like the legacy
-	// tuner's tuneMax: the hub cannot see the false negatives that
-	// over-tightening would cause.
+	// ThresholdMax bounds threshold tightening: the hub cannot see the
+	// false negatives that over-tightening would cause.
 	ThresholdMax float64
 	// AllowQ15 permits precision demotion to fixed point.
 	AllowQ15 bool
@@ -116,8 +116,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Threshold AIMD constants, identical to the legacy hub tuner so the
-// engine subsumes it without changing single-axis behavior.
+// Threshold AIMD constants: ×1.05 strictness per false wake, ×0.97
+// relaxation per true wake (floored at the developer's threshold).
 const (
 	thresholdUp   = 1.05
 	thresholdDown = 0.97

@@ -165,6 +165,13 @@ func TestEngineThresholdAIMD(t *testing.T) {
 	if k := e.Knobs(); k.ThresholdFactor != 1 {
 		t.Fatalf("factor = %g did not decay to 1", k.ThresholdFactor)
 	}
+	// At the floor a true wake changes nothing, so there is nothing to
+	// re-push.
+	e.TakeDirty()
+	e.Observe(TrueWake)
+	if e.TakeDirty() {
+		t.Fatal("true wake at factor 1 reported a change")
+	}
 }
 
 func TestEngineVetoClampsRung(t *testing.T) {
@@ -292,6 +299,31 @@ func TestReparameterizeThreshold(t *testing.T) {
 	if min := last.Params.Float("min"); math.Abs(min-0.6) > 1e-12 {
 		t.Fatalf("tightened min = %g, want 0.6", min)
 	}
+	if min := base.Nodes[len(base.Nodes)-1].Params.Float("min"); min != 0.5 {
+		t.Fatalf("base plan mutated: min = %g, want 0.5", min)
+	}
+
+	// An and-terminated plan has no final threshold to tighten, and the
+	// branch thresholds feeding the aggregator are left alone.
+	p := core.NewPipeline("and")
+	p.AddBranch(
+		core.NewBranch(core.Mic).Add(core.Window(4, 0, "")).Add(core.Stat("mean")).Add(core.MinThreshold(1)),
+		core.NewBranch(core.Mic).Add(core.Window(4, 0, "")).Add(core.Stat("range")).Add(core.MinThreshold(1)),
+	)
+	p.Add(core.And())
+	andPlan, err := p.Validate(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = Reparameterize(cat, andPlan, Knobs{Decimation: 1, WindowScale: 1, ThresholdFactor: 1.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range got.Nodes {
+		if n.Kind == core.KindMinThreshold && n.Params.Float("min") != 1 {
+			t.Fatalf("and-terminated plan: branch threshold moved to %g", n.Params.Float("min"))
+		}
+	}
 }
 
 func TestReparameterizeRejectsBadKnobs(t *testing.T) {
@@ -324,6 +356,17 @@ func TestTightenFinal(t *testing.T) {
 	TightenFinal(core.KindMaxThreshold, p, 1.5)
 	if got := p.Float("max"); math.Abs(got-(-6)) > 1e-12 {
 		t.Fatalf("max = %g, want -6 (stricter for a negative ceiling)", got)
+	}
+	p = core.Params{"max": core.Number(-3)}
+	TightenFinal(core.KindMaxThreshold, p, 1.1)
+	if got := p.Float("max"); math.Abs(got-(-3.3)) > 1e-12 {
+		t.Fatalf("max = %g, want -3.3", got)
+	}
+	// A negative minimum also tightens upward.
+	p = core.Params{"min": core.Number(-5)}
+	TightenFinal(core.KindMinThreshold, p, 1.1)
+	if got := p.Float("min"); math.Abs(got-(-4.5)) > 1e-12 {
+		t.Fatalf("min = %g, want -4.5 (stricter for a negative floor)", got)
 	}
 
 	p = core.Params{"min": core.Number(1), "max": core.Number(3)}

@@ -114,10 +114,9 @@ func scaleWindow(params core.Params, scale float64) {
 // TightenFinal tightens a final admission-control stage's parameters in
 // place by the strictness factor and reports whether anything changed.
 // Factor 1 (or an untunable kind — aggregators, parameter-free stages)
-// leaves the parameters alone. This is the single tightening rule shared
-// by the legacy hub-side tuner and the adaptive policy engine: minimum
-// thresholds rise, maximum thresholds fall, bands shrink symmetrically at
-// half rate (bands are fragile).
+// leaves the parameters alone. This is the single tightening rule behind
+// the engine's threshold axis: minimum thresholds rise, maximum thresholds
+// fall, bands shrink symmetrically at half rate (bands are fragile).
 func TightenFinal(kind core.AlgorithmKind, params core.Params, factor float64) bool {
 	if factor == 1 {
 		return false

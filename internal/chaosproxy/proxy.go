@@ -171,10 +171,18 @@ func (p *Proxy) logf(format string, args ...any) {
 	}
 }
 
+// track registers a live connection for Close to kill. A connection that
+// a handler reaches only after Close swept the set is closed at once, so
+// its pumps cannot block Close's drain.
 func (p *Proxy) track(c net.Conn) {
 	p.mu.Lock()
-	p.conns[c] = struct{}{}
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	select {
+	case <-p.done:
+		c.Close()
+	default:
+		p.conns[c] = struct{}{}
+	}
 }
 
 func (p *Proxy) untrack(c net.Conn) {

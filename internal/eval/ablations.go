@@ -413,8 +413,8 @@ func SirenRedesign(w *Workload) (*SirenRedesignResult, error) {
 
 // AdaptiveTuningResult quantifies the §7 "smartness" loop: an app with a
 // deliberately loose wake-up condition reports verdicts after every
-// wake-up, and the hub's tuner converges the condition toward the false
-// positives' level.
+// wake-up, and the phone's policy engine tightens the condition's
+// threshold toward the false positives' level.
 type AdaptiveTuningResult struct {
 	Table *Table
 	// WakesFirstHalf/WakesSecondHalf per mode ("static", "tuned").
@@ -423,7 +423,8 @@ type AdaptiveTuningResult struct {
 	// Recall per mode measured on the second half (tuning must not cost
 	// detectable events).
 	Recall map[string]float64
-	// FinalFactor is the tuner's strictness factor at trace end.
+	// FinalFactor is the policy engine's threshold strictness factor at
+	// trace end.
 	FinalFactor float64
 }
 
@@ -458,7 +459,7 @@ func AdaptiveTuning(w *Workload) (*AdaptiveTuningResult, error) {
 
 	// A wake is legitimate when it lands inside (or just after) a walking
 	// bout; everything else — scuffs, transitions, noise — is a false
-	// positive the tuner should learn away.
+	// positive the feedback loop should learn away.
 	walkHorizon := int(2 * tr.RateHz)
 	walks := tr.EventsLabeled(tracegen.LabelWalk)
 	isLegit := func(sample int) bool {
@@ -547,7 +548,12 @@ func AdaptiveTuning(w *Workload) (*AdaptiveTuningResult, error) {
 			mo.recall = float64(caught) / float64(total)
 		}
 		if mode == "tuned" {
-			mo.finalFactor, _ = bed.Hub.TuningFactor(id)
+			// The verdicts ran the condition's threshold-only policy
+			// engine; a run with no verdicts never started one.
+			mo.finalFactor = 1
+			if knobs, ok := bed.Manager.AdaptiveKnobs(id); ok {
+				mo.finalFactor = knobs.ThresholdFactor
+			}
 		}
 		return mo, nil
 	})

@@ -411,7 +411,7 @@ func TestAdaptiveTuning(t *testing.T) {
 		t.Errorf("tuning increased FP wakes: %d vs %d", tunedFP, staticFP)
 	}
 	if res.FinalFactor <= 1 {
-		t.Errorf("tuner never tightened: factor %.2f", res.FinalFactor)
+		t.Errorf("feedback never tightened the threshold: factor %.2f", res.FinalFactor)
 	}
 	if res.Recall["tuned"] < res.Recall["static"]-0.05 {
 		t.Errorf("tuning cost recall: %.2f vs %.2f", res.Recall["tuned"], res.Recall["static"])

@@ -141,7 +141,7 @@ func readCheckpointFile(path string) (Checkpoint, error) {
 		if err := json.Unmarshal(env.Data, &cp); err != nil {
 			return Checkpoint{}, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, path, err)
 		}
-		return cp, nil
+		return cp.canonical(), nil
 	}
 	// Legacy layout: the checkpoint object at the top level, no CRC. A
 	// valid legacy file always carries a non-zero epoch; anything else is
@@ -150,7 +150,20 @@ func readCheckpointFile(path string) (Checkpoint, error) {
 	if err := json.Unmarshal(data, &cp); err != nil || cp.Epoch == 0 {
 		return Checkpoint{}, fmt.Errorf("%w: %s: not a checkpoint (torn write or bit damage)", ErrCheckpointCorrupt, path)
 	}
-	return cp, nil
+	return cp.canonical(), nil
+}
+
+// canonical returns the checkpoint as WriteCheckpoint would reload it: an
+// empty applied-above set is omitted on disk, so it loads as nil however
+// the file spelled it, and a loaded checkpoint survives write-back
+// unchanged.
+func (cp Checkpoint) canonical() Checkpoint {
+	for i := range cp.Devices {
+		if len(cp.Devices[i].AppliedAbove) == 0 {
+			cp.Devices[i].AppliedAbove = nil
+		}
+	}
+	return cp
 }
 
 // CheckpointLoadInfo reports where LoadCheckpointDetail found its

@@ -2,7 +2,12 @@ package fleetd
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"sidewinder/internal/telemetry"
@@ -61,4 +66,57 @@ func roundTrip[T any](t *testing.T, name string, p []byte, decode func([]byte) (
 	if !bytes.Equal(enc, p) {
 		t.Fatalf("%s: Encode(Decode(% x)) = % x", name, p, enc)
 	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint chain loader
+// as the newest file of a chain with no .bak. The loader must not panic,
+// every rejection must wrap ErrCheckpointCorrupt, and an accepted
+// checkpoint must be a fixed point: written back with WriteCheckpoint and
+// loaded again, it is reflect.DeepEqual to the first load.
+func FuzzLoadCheckpoint(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.checkpoint")
+	if err := WriteCheckpoint(seed, testCheckpoint(3, 30)); err != nil {
+		f.Fatal(err)
+	}
+	enveloped, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	legacy, err := json.Marshal(testCheckpoint(5, 50))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enveloped)
+	f.Add(legacy)
+	f.Add(enveloped[:len(enveloped)/2]) // torn write
+	f.Add([]byte(`{"epoch":1,"devices":[{"id":1,"energy_mj":[],"applied_above":[]}]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "fleet.checkpoint")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, info, err := LoadCheckpointDetail(path)
+		if err != nil {
+			if !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("rejection does not wrap ErrCheckpointCorrupt: %v", err)
+			}
+			return
+		}
+		if info.Source != path || info.FellBack {
+			t.Fatalf("accepted from %+v, want the newest file", info)
+		}
+		again := filepath.Join(dir, "again.checkpoint")
+		if err := WriteCheckpoint(again, cp); err != nil {
+			t.Fatalf("accepted checkpoint does not write back: %v", err)
+		}
+		reloaded, _, err := LoadCheckpointDetail(again)
+		if err != nil {
+			t.Fatalf("written-back checkpoint rejected: %v", err)
+		}
+		if !reflect.DeepEqual(reloaded, cp) {
+			t.Fatalf("checkpoint changed through write-back:\nfirst: %+v\nagain: %+v", cp, reloaded)
+		}
+	})
 }

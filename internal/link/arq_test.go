@@ -163,11 +163,11 @@ func TestARQBackoffIsCapped(t *testing.T) {
 
 func TestARQLossyPassthrough(t *testing.T) {
 	s, r := arqPair(t, ARQConfig{})
-	if err := s.SendLossy(Frame{Type: MsgFeedback, Payload: []byte{1, 0, 1}}); err != nil {
+	if err := s.SendLossy(Frame{Type: MsgPing, Payload: []byte{1, 0, 1}}); err != nil {
 		t.Fatalf("SendLossy: %v", err)
 	}
 	f, ok := r.Receive()
-	if !ok || f.Type != MsgFeedback {
+	if !ok || f.Type != MsgPing {
 		t.Fatalf("lossy frame not passed through: %+v ok=%v", f, ok)
 	}
 	st := s.Stats()

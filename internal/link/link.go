@@ -48,10 +48,9 @@ const (
 	// MsgPing/MsgPong are the link liveness check.
 	MsgPing MsgType = 0x07
 	MsgPong MsgType = 0x08
-	// MsgFeedback carries an application's wake-up verdict back to the
-	// hub so the runtime can tune the condition's final threshold
-	// (paper §7).
-	MsgFeedback MsgType = 0x09
+	// 0x09 is retired: it carried wake-up verdicts to the hub, and
+	// threshold tuning now runs on the phone. A hub drops such a frame as
+	// an unknown type.
 
 	// MsgArqData and MsgArqAck are the ARQ transport frames: a reliable
 	// frame travels as [seq u8 | inner type u8 | inner payload] and is

@@ -16,6 +16,15 @@ import (
 //	Feedback/ReportMissedWake -> engine.Observe -> Reparameterize ->
 //	sched re-admission -> MsgConfigPush update -> hub in-place rebuild
 //
+// It is the only feedback loop. The paper's §7 "smartness" extension —
+// "given feedback from the more complex algorithms running on the
+// application level, self-learning mechanisms may be able to tune the
+// parameters used on the wake-up conditions" — is the engine's AIMD
+// threshold axis: a condition never put under EnableAdaptive gets a
+// threshold-only engine on its first Feedback verdict, and the tightened
+// program reaches the hub like any other adaptation. The hub runs every
+// program exactly as pushed.
+//
 // The policy lives on the phone, not the hub: the phone sees the missed
 // wakes the hub cannot, and keeping st.irText current means post-crash
 // re-provisioning pushes the *adapted* program — adaptation survives hub
@@ -48,10 +57,15 @@ func (as *adaptState) settleAck() {
 }
 
 // EnableAdaptive puts a previously pushed condition under adaptive
-// management with the given policy bounds. Subsequent Feedback verdicts
-// feed the policy engine instead of the hub's legacy tuner, and
-// ReportMissedWake becomes meaningful. The condition must have settled
-// (acked by the hub or degraded to fallback).
+// management with the given policy bounds, so Feedback and
+// ReportMissedWake verdicts walk the full ladder. The condition must have
+// settled (acked by the hub or degraded to fallback).
+//
+// The engine always starts fresh from the developer's plan. A condition
+// that plain Feedback verdicts had already tightened does not carry that
+// factor over: its fresh proposal (factor 1) is pushed when it differs
+// from the running program, so the hub runs exactly what the new engine
+// proposes.
 func (m *Manager) EnableAdaptive(id uint16, cfg adapt.Config) error {
 	st, ok := m.pushes[id]
 	if !ok {
@@ -60,21 +74,74 @@ func (m *Manager) EnableAdaptive(id uint16, cfg adapt.Config) error {
 	if !st.acked || st.err != nil {
 		return fmt.Errorf("manager: condition %d has not settled; enable adaptation after the push is acked", id)
 	}
-	base, err := ir.ParseAndBind(st.irText, m.cat)
-	if err != nil {
-		return fmt.Errorf("manager: condition %d: cannot rebind pushed program: %w", id, err)
+	restart := m.adaptive[id] != nil
+	as, err := m.startEngine(id, st, cfg)
+	if err != nil || !restart {
+		return err
 	}
-	m.adaptive[id] = &adaptState{
-		engine:      adapt.NewEngine(cfg),
-		base:        base,
-		applied:     base,
-		appliedText: st.irText,
-	}
-	return nil
+	return m.pushProposal(id, st, as)
 }
 
-// AdaptiveEnabled reports whether a condition is under adaptive
-// management.
+// thresholdOnly is the policy a plain Feedback verdict starts: the default
+// bounds on a one-rung ladder (no decimation, no Q15 demotion), so only
+// the AIMD threshold axis moves — the paper's §7 tuning rule.
+func thresholdOnly() adapt.Config {
+	cfg := adapt.DefaultConfig()
+	cfg.MaxDecimation = 1
+	cfg.AllowQ15 = false
+	return cfg
+}
+
+// startEngine installs a fresh policy engine on a settled condition. The
+// reparameterization root is the developer's plan: bound from the pushed
+// program the first time, kept across a restart.
+func (m *Manager) startEngine(id uint16, st *pushState, cfg adapt.Config) (*adaptState, error) {
+	as := m.adaptive[id]
+	if as == nil {
+		base, err := ir.ParseAndBind(st.irText, m.cat)
+		if err != nil {
+			return nil, fmt.Errorf("manager: condition %d: cannot rebind pushed program: %w", id, err)
+		}
+		as = &adaptState{base: base, applied: base, appliedText: st.irText}
+		m.adaptive[id] = as
+	}
+	as.engine = adapt.NewEngine(cfg)
+	return as, nil
+}
+
+// Feedback reports a wake-up verdict (paper §7): falsePositive true means
+// the main-CPU classifier found no event of interest in the delivered
+// data. The verdict feeds the condition's policy engine, starting a
+// threshold-only one if the condition has none, and any resulting
+// program change goes to the hub as a reliable in-place update. A verdict
+// for a degraded condition, or for a push the hub has not yet acked, is
+// accepted and dropped: there is no settled hub program to tune.
+func (m *Manager) Feedback(id uint16, falsePositive bool) error {
+	st, ok := m.pushes[id]
+	if !ok {
+		return fmt.Errorf("manager: unknown condition %d", id)
+	}
+	as := m.adaptive[id]
+	if as == nil {
+		if st.degraded || !st.acked || st.err != nil {
+			return nil
+		}
+		var err error
+		if as, err = m.startEngine(id, st, thresholdOnly()); err != nil {
+			return err
+		}
+	}
+	sig := adapt.TrueWake
+	if falsePositive {
+		sig = adapt.FalseWake
+	}
+	as.engine.Observe(sig)
+	return m.applyAdaptation(id, st, as)
+}
+
+// AdaptiveEnabled reports whether a condition has a policy engine: from
+// EnableAdaptive, or the threshold-only one its first Feedback verdict
+// started.
 func (m *Manager) AdaptiveEnabled(id uint16) bool { return m.adaptive[id] != nil }
 
 // AdaptiveStats returns the policy engine's history for a condition.
@@ -108,9 +175,9 @@ func (m *Manager) AdaptivePlan(id uint16) (*core.Plan, bool) {
 // ReportMissedWake reports that an event of interest passed without a
 // wake — the signal only the application layer can observe (ground truth,
 // user annotation, a heavier duty-cycled classifier). For a condition
-// under adaptive management it drives the policy toward its baseline
-// configuration; for any other known condition it is accepted and
-// dropped, mirroring Feedback on a degraded condition.
+// with a policy engine it drives the policy toward its baseline
+// configuration (undoing any threshold tightening); for any other known
+// condition it is accepted and dropped.
 func (m *Manager) ReportMissedWake(id uint16) error {
 	st, ok := m.pushes[id]
 	if !ok {
@@ -124,13 +191,19 @@ func (m *Manager) ReportMissedWake(id uint16) error {
 	return m.applyAdaptation(id, st, as)
 }
 
-// applyAdaptation turns a dirty engine proposal into a hub update: mutate
-// the base plan, re-check admission, and push the new program. Called
+// applyAdaptation turns a dirty engine proposal into a hub update. Called
 // after every Observe; a clean engine is a no-op.
 func (m *Manager) applyAdaptation(id uint16, st *pushState, as *adaptState) error {
 	if !as.engine.TakeDirty() {
 		return nil
 	}
+	return m.pushProposal(id, st, as)
+}
+
+// pushProposal makes the hub run the engine's current proposal: mutate
+// the base plan, re-check admission, and push the new program unless it
+// is already the one running.
+func (m *Manager) pushProposal(id uint16, st *pushState, as *adaptState) error {
 	if st.degraded {
 		// The condition runs phone-side; there is no hub program to
 		// mutate. The engine keeps observing so a later promotion starts

@@ -81,9 +81,7 @@ func TestEnableAdaptiveErrors(t *testing.T) {
 
 // TestAdaptiveFalseWakeTightensHubProgram drives the AIMD threshold axis
 // end to end: a false-wake verdict must re-parameterize the resident
-// program (min threshold ×1.05) and push the update to the hub in place,
-// leaving the hub's legacy tuner untouched — the policy engine subsumes
-// it, the two loops never tighten the same threshold twice.
+// program (min threshold ×1.05) and push the update to the hub in place.
 func TestAdaptiveFalseWakeTightensHubProgram(t *testing.T) {
 	tb := newBed(t)
 	var events []Event
@@ -114,10 +112,6 @@ func TestAdaptiveFalseWakeTightensHubProgram(t *testing.T) {
 	}
 	if tb.Hub.Loaded() != 1 {
 		t.Fatalf("hub has %d conditions after in-place update, want 1", tb.Hub.Loaded())
-	}
-	// The update must not have gone through the legacy MsgFeedback tuner.
-	if f, ok := tb.Hub.TuningFactor(id); !ok || f != 1 {
-		t.Errorf("hub tuner factor = %g, want 1 (policy engine subsumes it)", f)
 	}
 	// The confirmed plan carries the tightened threshold: 15 × 1.05.
 	plan, ok := tb.Manager.AdaptivePlan(id)

@@ -74,9 +74,13 @@ func TestScheduledPushDegradesInfeasible(t *testing.T) {
 	}
 
 	// Feedback on a degraded condition is accepted and dropped (no hub
-	// threshold to tune); on an unknown ID it still errors.
+	// threshold to tune, so no policy engine starts); on an unknown ID it
+	// still errors.
 	if err := tb.Manager.Feedback(sirenID, true); err != nil {
 		t.Errorf("feedback on degraded condition: %v", err)
+	}
+	if tb.Manager.AdaptiveEnabled(sirenID) {
+		t.Error("feedback on a degraded condition started a policy engine")
 	}
 	if err := tb.Manager.Feedback(999, true); err == nil {
 		t.Error("feedback on unknown condition must error")

@@ -37,8 +37,8 @@ func TestHubSkipsMalformedPayloads(t *testing.T) {
 	phoneEnd.Send(link.Frame{Type: link.MsgConfigPush, Payload: []byte{0x01}})
 	// Remove payload of the wrong size.
 	phoneEnd.Send(link.Frame{Type: link.MsgRemove, Payload: []byte{1, 2, 3}})
-	// Feedback payload of the wrong size.
-	phoneEnd.Send(link.Frame{Type: link.MsgFeedback, Payload: []byte{1}})
+	// The retired feedback type (0x09) from an old peer.
+	phoneEnd.Send(link.Frame{Type: link.MsgType(0x09), Payload: []byte{1, 0, 1}})
 	// Unknown frame type.
 	phoneEnd.Send(link.Frame{Type: 0x7A})
 
@@ -71,10 +71,10 @@ func TestManagerSkipsMalformedPayloads(t *testing.T) {
 	m, _, _, hubEnd := rawPair(t)
 
 	hubEnd.Send(link.Frame{Type: link.MsgConfigAck, Payload: []byte{0x01}}) // too short
-	hubEnd.Send(link.Frame{Type: link.MsgConfigError, Payload: []byte{}})  // empty
-	hubEnd.Send(link.Frame{Type: link.MsgWake, Payload: []byte{1, 2, 3}})  // not 18 bytes
-	hubEnd.Send(link.Frame{Type: link.MsgData, Payload: []byte{0, 1, 9}})  // truncated header
-	hubEnd.Send(link.Frame{Type: 0x6F})                                    // unknown type
+	hubEnd.Send(link.Frame{Type: link.MsgConfigError, Payload: []byte{}})   // empty
+	hubEnd.Send(link.Frame{Type: link.MsgWake, Payload: []byte{1, 2, 3}})   // not 18 bytes
+	hubEnd.Send(link.Frame{Type: link.MsgData, Payload: []byte{0, 1, 9}})   // truncated header
+	hubEnd.Send(link.Frame{Type: 0x6F})                                     // unknown type
 
 	if err := m.Service(); err != nil {
 		t.Fatalf("manager service died on malformed input: %v", err)

@@ -13,15 +13,15 @@ import (
 	"sidewinder/internal/telemetry"
 )
 
-// condState is one loaded wake-up condition on the hub. plan is the
-// developer's bound plan; the tuner's factor adjusts its final threshold
-// (paper §7). pushText is the IR exactly as pushed, so a retransmitted
-// duplicate push can be recognized and re-acked idempotently.
+// condState is one loaded wake-up condition on the hub. plan is the bound
+// program, executed exactly as pushed: threshold tuning (paper §7) happens
+// on the phone and arrives as an in-place update. pushText is the IR
+// exactly as pushed, so a retransmitted duplicate push can be recognized
+// and re-acked idempotently.
 type condState struct {
 	id       uint16
 	plan     *core.Plan
 	pushText string
-	tuner    *tuner
 }
 
 // HubNode is the hub-side runtime (paper §3.5): it receives IR programs
@@ -247,19 +247,6 @@ func (h *HubNode) Service() error {
 			if err := h.rebuild(); err != nil {
 				return err
 			}
-		case link.MsgFeedback:
-			id, falsePositive, err := decodeFeedback(f.Payload)
-			if err != nil {
-				h.dropFrame()
-				continue
-			}
-			if c, ok := h.conds[id]; ok {
-				if c.tuner.feedback(falsePositive) {
-					if err := h.rebuild(); err != nil {
-						return err
-					}
-				}
-			}
 		case link.MsgPing:
 			// A heartbeat ping gets its sequence echoed along with this
 			// hub's boot epoch; a legacy empty ping gets the legacy empty
@@ -305,9 +292,8 @@ func (h *HubNode) handlePush(payload []byte) error {
 		}
 		// In-place update: the phone re-parameterized a resident condition
 		// (adaptive sensing). Bind the new program and swap it in, keeping
-		// the condition's raw-data rings and tuner state. A failed rebuild
-		// restores the previous program — an update can never take down a
-		// running set.
+		// the condition's raw-data rings. A failed rebuild restores the
+		// previous program — an update can never take down a running set.
 		plan, err := ir.ParseAndBind(irText, h.cat)
 		if err != nil {
 			return fail(err)
@@ -333,7 +319,7 @@ func (h *HubNode) handlePush(payload []byte) error {
 	if err != nil {
 		return fail(err)
 	}
-	h.conds[id] = &condState{id: id, plan: plan, pushText: irText, tuner: newTuner()}
+	h.conds[id] = &condState{id: id, plan: plan, pushText: irText}
 	if err := h.rebuild(); err != nil {
 		delete(h.conds, id)
 		// Restore the previous merged set; the old set was feasible.
@@ -366,8 +352,7 @@ func (h *HubNode) rebuild() error {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	plans := make([]*core.Plan, len(ids))
 	for i, id := range ids {
-		c := h.conds[id]
-		plans[i] = adjustedPlan(c.plan, c.tuner.factor)
+		plans[i] = h.conds[id].plan
 	}
 	fOps, iOps, mem := ir.Demand(ir.CompileOptions{}, plans...)
 	dev, err := hub.SelectDeviceForDemand(h.devices, fOps, iOps, mem)
@@ -506,16 +491,6 @@ func (h *HubNode) Work() core.CostEstimate {
 		return core.CostEstimate{}
 	}
 	return h.merged.Work()
-}
-
-// TuningFactor returns a condition's adaptive strictness factor (1 means
-// the developer's original thresholds) and whether the condition exists.
-func (h *HubNode) TuningFactor(id uint16) (float64, bool) {
-	c, ok := h.conds[id]
-	if !ok {
-		return 0, false
-	}
-	return c.tuner.factor, true
 }
 
 // SharedNodes reports how many plan nodes the DAG compile pass eliminated

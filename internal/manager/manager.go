@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"sidewinder/internal/adapt"
 	"sidewinder/internal/core"
 	"sidewinder/internal/ir"
 	"sidewinder/internal/link"
@@ -76,9 +75,9 @@ type Manager struct {
 	// capacity.go.
 	sched *sched.Scheduler
 
-	// adaptive holds the per-condition policy engines for conditions
-	// under adaptive management (adaptive.go); nil entries mean the
-	// legacy hub-side tuner handles feedback instead.
+	// adaptive holds the per-condition policy engines (adaptive.go):
+	// started by EnableAdaptive, or threshold-only by a condition's first
+	// Feedback verdict. A condition without one runs as pushed.
 	adaptive map[uint16]*adaptState
 
 	// Telemetry handles, nil (no-op) until SetTelemetry attaches them.
@@ -198,35 +197,6 @@ func (m *Manager) Repush(id uint16) error {
 	st.acked = false
 	st.err = nil
 	return m.ep.Send(link.Frame{Type: link.MsgConfigPush, Payload: encodeConfigPush(id, st.irText)})
-}
-
-// Feedback reports a wake-up verdict (paper §7): falsePositive true means
-// the main-CPU classifier found no event of interest in the delivered
-// data. For a condition under adaptive management the verdict feeds the
-// phone-side policy engine (which subsumes the hub tuner — no MsgFeedback
-// goes out, so the two loops never tighten the same threshold twice);
-// otherwise it is forwarded to the hub's legacy tuner.
-func (m *Manager) Feedback(id uint16, falsePositive bool) error {
-	st, ok := m.pushes[id]
-	if !ok {
-		return fmt.Errorf("manager: unknown condition %d", id)
-	}
-	if as := m.adaptive[id]; as != nil {
-		sig := adapt.TrueWake
-		if falsePositive {
-			sig = adapt.FalseWake
-		}
-		as.engine.Observe(sig)
-		return m.applyAdaptation(id, st, as)
-	}
-	if st.degraded {
-		// The hub does not run this condition, so there is no hub-side
-		// threshold to tune; the verdict is accepted and dropped.
-		return nil
-	}
-	// Fire-and-forget: a lost feedback hint only delays threshold tuning
-	// by one wake-up, so it is not worth retransmission traffic.
-	return m.ep.SendLossy(link.Frame{Type: link.MsgFeedback, Payload: encodeFeedback(id, falsePositive)})
 }
 
 // Remove unloads a condition from the hub and forgets its listener. With

@@ -126,20 +126,3 @@ func decodeData(p []byte) (id uint16, ch core.SensorChannel, samples []float64, 
 	}
 	return id, chParsed, samples, nil
 }
-
-// feedbackPayload is condID u16 | verdict u8 (1 = false positive).
-func encodeFeedback(id uint16, falsePositive bool) []byte {
-	out := make([]byte, 3)
-	binary.LittleEndian.PutUint16(out, id)
-	if falsePositive {
-		out[2] = 1
-	}
-	return out
-}
-
-func decodeFeedback(p []byte) (id uint16, falsePositive bool, err error) {
-	if len(p) != 3 {
-		return 0, false, fmt.Errorf("manager: feedback payload must be 3 bytes, got %d", len(p))
-	}
-	return binary.LittleEndian.Uint16(p), p[2] == 1, nil
-}

@@ -99,8 +99,9 @@ func TestRemoveWhileRecoveringNotReprovisioned(t *testing.T) {
 func TestFeedbackDuringOutageAndAfterRemove(t *testing.T) {
 	tb, idA, idB, _, _ := removalBed(t)
 	runUntil(t, tb, resilience.Down, 300)
-	// Feedback is fire-and-forget: while the hub is dead it is quietly
-	// lost, never an error surfaced to the app.
+	// A verdict while the hub is dead is never an error surfaced to the
+	// app: the threshold update it triggers rides the ARQ like any other
+	// config push, and recovery re-provisions whatever program is current.
 	if err := tb.Manager.Feedback(idA, true); err != nil {
 		t.Errorf("feedback while down: %v", err)
 	}

@@ -208,9 +208,9 @@ func (t *Testbed) Remove(id uint16) error {
 	return t.Pump()
 }
 
-// Feedback reports a wake-up verdict end to end and applies any resulting
-// threshold adjustment on the hub (or, for a condition under adaptive
-// management, any resulting re-parameterization push).
+// Feedback reports a wake-up verdict end to end: the policy engine's
+// resulting program update, if any, is pumped to the hub before it
+// returns, so the next sample already meets the tightened condition.
 func (t *Testbed) Feedback(id uint16, falsePositive bool) error {
 	if err := t.Manager.Feedback(id, falsePositive); err != nil {
 		return err
@@ -218,9 +218,16 @@ func (t *Testbed) Feedback(id uint16, falsePositive bool) error {
 	return t.Pump()
 }
 
-// EnableAdaptive puts a pushed condition under adaptive management.
+// EnableAdaptive puts a pushed condition under adaptive management and
+// pumps the program reset a restarted engine may push.
 func (t *Testbed) EnableAdaptive(id uint16, cfg adapt.Config) error {
-	return t.Manager.EnableAdaptive(id, cfg)
+	if err := t.Manager.EnableAdaptive(id, cfg); err != nil {
+		return err
+	}
+	if t.quiet() {
+		return nil
+	}
+	return t.Pump()
 }
 
 // MissedWake reports a missed event end to end and applies any resulting
