@@ -71,18 +71,27 @@ func Sirens() *App {
 
 // detectSirens runs the paper's siren classifier: high-pass at 750 Hz,
 // FFT per window, dominant-to-mean magnitude ratio, pitched sounds in
-// [850, 1800] Hz sustained longer than 650 ms.
+// [850, 1800] Hz sustained longer than 650 ms. One call owns one FFT block
+// filter sized to the window and one pair of spectrum buffers, so scoring
+// a window allocates nothing.
 func detectSirens(tr *sensor.Trace, start, end int) []sensor.Event {
+	hp, err := dsp.NewBlockFilter(dsp.HighPass, sirenHighPassHz, tr.RateHz, audioWin)
+	if err != nil {
+		// A rate the filter rejects puts every bin below the cutoff:
+		// nothing passes it, so no window can score as a siren.
+		return nil
+	}
+	var spec []complex128
+	var mags []float64
 	return windowedSustained(tr, start, end, "siren", sirenSustainWins, func(win []float64) bool {
-		filtered, err := dsp.HighPassFFT(win, sirenHighPassHz, tr.RateHz)
-		if err != nil {
+		_, filtered, ok := hp.Consume(win)
+		if !ok {
 			return false
 		}
-		ratio, freq, err := dsp.PeakToMeanRatio(filtered, tr.RateHz)
-		if err != nil {
-			return false
-		}
-		return ratio >= sirenTonality && freq >= sirenBandLo && freq <= sirenBandHi
+		var ratio, freq float64
+		var err error
+		ratio, freq, spec, mags, err = dsp.PeakToMeanRatioInto(spec, mags, filtered, tr.RateHz)
+		return err == nil && ratio >= sirenTonality && freq >= sirenBandLo && freq <= sirenBandHi
 	})
 }
 

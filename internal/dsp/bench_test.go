@@ -1,0 +1,79 @@
+package dsp
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The FFT benchmarks pin the streaming allocation contract: once scratch
+// is warm, a round trip, a block-filter emission and a peak-to-mean score
+// allocate nothing (make bench-check fails on any allocs/op regression).
+
+func benchSignal(n int) []float64 {
+	rng := rand.New(rand.NewSource(1))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Sin(2*math.Pi*900*float64(i)/4000) + 0.1*rng.NormFloat64()
+	}
+	return x
+}
+
+var sinkF float64
+
+func BenchmarkFFTRoundTrip(b *testing.B) {
+	b.Run("1024", func(b *testing.B) {
+		x := benchSignal(1024)
+		buf := make([]complex128, len(x))
+		for i, v := range x {
+			buf[i] = complex(v, 0)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := FFT(buf); err != nil {
+				b.Fatal(err)
+			}
+			if err := IFFT(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sinkF = real(buf[0])
+	})
+}
+
+func BenchmarkBlockFilterFFT(b *testing.B) {
+	f, err := NewBlockFilter(HighPass, 750, 4000, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := benchSignal(1024)
+	f.Consume(x) // warm the filter's scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, out, ok := f.Consume(x)
+		if !ok {
+			b.Fatal("no block emitted")
+		}
+		sinkF = out[0]
+	}
+}
+
+func BenchmarkPeakToMeanRatioInto(b *testing.B) {
+	x := benchSignal(1024)
+	var spec []complex128
+	var mags []float64
+	_, _, spec, mags, _ = PeakToMeanRatioInto(spec, mags, x, 4000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ratio float64
+		var err error
+		ratio, _, spec, mags, err = PeakToMeanRatioInto(spec, mags, x, 4000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkF = ratio
+	}
+}

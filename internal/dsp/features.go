@@ -20,16 +20,7 @@ func ZeroCrossingRate(x []float64) float64 {
 	if len(x) < 2 {
 		return 0
 	}
-	crossings := 0
-	prevNeg := math.Signbit(x[0]) && x[0] != 0
-	for _, v := range x[1:] {
-		neg := math.Signbit(v) && v != 0
-		if neg != prevNeg {
-			crossings++
-		}
-		prevNeg = neg
-	}
-	return float64(crossings) / float64(len(x)-1)
+	return float64(ZeroCrossingCount(x)) / float64(len(x)-1)
 }
 
 // ZeroCrossingCount returns the number of sign changes in x.
@@ -38,15 +29,23 @@ func ZeroCrossingCount(x []float64) int {
 		return 0
 	}
 	crossings := 0
-	prevNeg := math.Signbit(x[0]) && x[0] != 0
+	prev := negative(x[0])
 	for _, v := range x[1:] {
-		neg := math.Signbit(v) && v != 0
-		if neg != prevNeg {
-			crossings++
-		}
-		prevNeg = neg
+		n := negative(v)
+		crossings += n ^ prev
+		prev = n
 	}
 	return crossings
+}
+
+// negative is 1 when v has its sign bit set and is not -0, else 0: the
+// same test as math.Signbit(v) && v != 0 for every float64, NaNs
+// included, as one unsigned compare.
+func negative(v float64) int {
+	if math.Float64bits(v) > 1<<63 {
+		return 1
+	}
+	return 0
 }
 
 // Extremum describes a local maximum or minimum found in a signal.
@@ -88,18 +87,24 @@ func LocalMinima(x []float64, lo, hi float64) []Extremum {
 // (paper §3.7.2): tonal signals have a high ratio, broadband noise a low
 // one. It returns 0 for signals too short to analyze.
 func PeakToMeanRatio(x []float64, sampleRate float64) (ratio, domFreq float64, err error) {
+	ratio, domFreq, _, _, err = PeakToMeanRatioInto(nil, nil, x, sampleRate)
+	return ratio, domFreq, err
+}
+
+// PeakToMeanRatioInto is PeakToMeanRatio with caller-owned scratch: spec
+// and mags are the spectrum and magnitude workspaces, grown only when too
+// small. It returns them (possibly reallocated) so a caller scoring window
+// after window carries one pair of buffers and stays allocation-free.
+func PeakToMeanRatioInto(spec []complex128, mags, x []float64, sampleRate float64) (ratio, domFreq float64, specOut []complex128, magsOut []float64, err error) {
 	if len(x) < 4 {
-		return 0, 0, nil
+		return 0, 0, spec, mags, nil
 	}
-	spec, err := FFTReal(x)
+	spec, err = FFTRealInto(spec, x)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, spec, mags, err
 	}
-	mags := Magnitudes(spec)
+	mags = MagnitudesInto(mags, spec)
 	half := mags[1 : len(mags)/2+1]
-	if len(half) == 0 {
-		return 0, 0, nil
-	}
 	best := 0
 	var sum float64
 	for i, m := range half {
@@ -110,7 +115,7 @@ func PeakToMeanRatio(x []float64, sampleRate float64) (ratio, domFreq float64, e
 	}
 	mean := sum / float64(len(half))
 	if mean == 0 {
-		return 0, 0, nil
+		return 0, 0, spec, mags, nil
 	}
-	return half[best] / mean, BinFrequency(best+1, len(spec), sampleRate), nil
+	return half[best] / mean, BinFrequency(best+1, len(spec), sampleRate), spec, mags, nil
 }

@@ -91,6 +91,43 @@ func TestZeroCrossingCountMatchesRate(t *testing.T) {
 	}
 }
 
+// TestZeroCrossingSignTestMatchesSignbit checks the one-compare sign test
+// against the math.Signbit(v) && v != 0 rule it replaced, on every special
+// value (signed zeros, subnormals, infinities, NaNs of both signs) and on
+// random bit patterns, and checks ZeroCrossingCount against a count made
+// with the old rule over sequences drawn from the same values.
+func TestZeroCrossingSignTestMatchesSignbit(t *testing.T) {
+	oldNeg := func(v float64) bool { return math.Signbit(v) && v != 0 }
+	oldCount := func(x []float64) int {
+		c := 0
+		for i := 1; i < len(x); i++ {
+			if oldNeg(x[i]) != oldNeg(x[i-1]) {
+				c++
+			}
+		}
+		return c
+	}
+	rng := rand.New(rand.NewSource(3))
+	values := append([]float64{1, -1}, specials...)
+	for i := 0; i < 1000; i++ {
+		values = append(values, math.Float64frombits(rng.Uint64()))
+	}
+	for _, v := range values {
+		if got, want := negative(v) == 1, oldNeg(v); got != want {
+			t.Fatalf("negative(%v [%#x]) = %v, want %v", v, math.Float64bits(v), got, want)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		x := make([]float64, 2+rng.Intn(64))
+		for i := range x {
+			x[i] = values[rng.Intn(len(values))]
+		}
+		if got, want := ZeroCrossingCount(x), oldCount(x); got != want {
+			t.Fatalf("ZeroCrossingCount(%v) = %d, want %d", x, got, want)
+		}
+	}
+}
+
 func TestLocalMaxima(t *testing.T) {
 	x := []float64{0, 3, 1, 5, 5, 2, 4, 0}
 	got := LocalMaxima(x, 0, 10)
@@ -200,5 +237,34 @@ func TestPeakToMeanRatioShortInput(t *testing.T) {
 	ratio, freq, err := PeakToMeanRatio([]float64{1, 2}, 100)
 	if err != nil || ratio != 0 || freq != 0 {
 		t.Errorf("short input: got (%g,%g,%v), want zeros", ratio, freq, err)
+	}
+}
+
+// TestPeakToMeanRatioIntoCarriesScratch feeds windows of changing length
+// through one pair of carried buffers and checks every result against a
+// fresh PeakToMeanRatio, so leftover scratch from a longer window never
+// leaks into a shorter one.
+func TestPeakToMeanRatioIntoCarriesScratch(t *testing.T) {
+	const rate = 4000.0
+	rng := rand.New(rand.NewSource(9))
+	var spec []complex128
+	var mags []float64
+	for _, n := range []int{1024, 100, 3, 1024, 7, 512} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = math.Sin(2*math.Pi*900*float64(i)/rate) + 0.3*rng.NormFloat64()
+		}
+		wantRatio, wantFreq, wantErr := PeakToMeanRatio(x, rate)
+		var ratio, freq float64
+		var err error
+		ratio, freq, spec, mags, err = PeakToMeanRatioInto(spec, mags, x, rate)
+		if err != wantErr || math.Float64bits(ratio) != math.Float64bits(wantRatio) ||
+			math.Float64bits(freq) != math.Float64bits(wantFreq) {
+			t.Fatalf("n=%d: Into = (%v, %v, %v), fresh = (%v, %v, %v)",
+				n, ratio, freq, err, wantRatio, wantFreq, wantErr)
+		}
+	}
+	if cap(spec) < 1024 || cap(mags) < 1024 {
+		t.Fatalf("scratch not carried: cap(spec)=%d cap(mags)=%d", cap(spec), cap(mags))
 	}
 }

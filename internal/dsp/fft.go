@@ -41,9 +41,21 @@ func IFFT(x []complex128) error {
 	if err := fftInternal(x, true); err != nil {
 		return err
 	}
+	// x[i] /= n goes through runtime.complex128div (Smith's algorithm).
+	// With a real power-of-two divisor its two quotients reduce to the
+	// expressions below, and scaling by the exact reciprocal 1/n rounds as
+	// dividing by n does, signed zeros included. Only a both-NaN
+	// quotient can differ (the runtime rewrites an infinite numerator's
+	// to infinities), so that case falls back to the runtime division.
 	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
+	inv := 1 / real(n)
+	for i, c := range x {
+		re, im := real(c), imag(c)
+		q := complex((re+im*0)*inv, (im-re*0)*inv)
+		if math.IsNaN(real(q)) && math.IsNaN(imag(q)) {
+			q = c / n
+		}
+		x[i] = q
 	}
 	return nil
 }
@@ -53,6 +65,28 @@ func IFFT(x []complex128) error {
 // concurrent machines (one per simulation cell in the parallel evaluation
 // harness) race-free without per-transform recomputation or allocation.
 var twiddleCache sync.Map // int -> []complex128, length n/2
+
+// bitrevCache memoizes the bit-reversal permutation per transform size
+// as the (i, j) index pairs with i < j that the permutation swaps.
+// Entries are immutable once published, like twiddleCache's.
+var bitrevCache sync.Map // int -> [][2]int
+
+// bitrevSwaps returns the swap pairs of the length-n bit-reversal
+// permutation.
+func bitrevSwaps(n int) [][2]int {
+	if v, ok := bitrevCache.Load(n); ok {
+		return v.([][2]int)
+	}
+	shift := bits.UintSize - uint(bits.Len(uint(n-1)))
+	var swaps [][2]int
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse(uint(i)) >> shift); j > i {
+			swaps = append(swaps, [2]int{i, j})
+		}
+	}
+	v, _ := bitrevCache.LoadOrStore(n, swaps)
+	return v.([][2]int)
+}
 
 // twiddles returns e^(-2πik/n) for k in [0, n/2).
 func twiddles(n int) []complex128 {
@@ -77,31 +111,29 @@ func fftInternal(x []complex128, inverse bool) error {
 		return fmt.Errorf("dsp: FFT length %d is not a power of two", n)
 	}
 
-	// Bit-reversal permutation.
-	shift := bits.UintSize - uint(bits.Len(uint(n-1)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse(uint(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
+	for _, p := range bitrevSwaps(n) {
+		x[p[0]], x[p[1]] = x[p[1]], x[p[0]]
 	}
 
 	// Table lookups replace the incremental w *= wStep recurrence: no
 	// per-stage trigonometry and no error accumulation across a stage.
+	// The butterflies of one stage touch disjoint pairs, so running them
+	// twiddle by twiddle (k outer, block start inner) loads and conjugates
+	// each twiddle once per stage and leaves every output bit unchanged.
 	tw := twiddles(n)
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
 		stride := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := tw[k*stride]
-				if inverse {
-					w = complex(real(w), -imag(w))
-				}
-				even := x[start+k]
-				odd := x[start+k+half] * w
-				x[start+k] = even + odd
-				x[start+k+half] = even - odd
+		for k := 0; k < half; k++ {
+			w := tw[k*stride]
+			if inverse {
+				w = complex(real(w), -imag(w))
+			}
+			for i := k; i < n; i += size {
+				even := x[i]
+				odd := x[i+half] * w
+				x[i] = even + odd
+				x[i+half] = even - odd
 			}
 		}
 	}

@@ -222,11 +222,14 @@ func TestKillRestartRecoversFromCheckpointChain(t *testing.T) {
 			Addr:            addr,
 			Shards:          4,
 			CheckpointPath:  path,
-			CheckpointEvery: 25 * time.Millisecond,
+			CheckpointEvery: 10 * time.Millisecond,
 			Telemetry:       telemetry.Set{Ledger: telemetry.NewLedger()},
 		}
 	}
-	s1, err := NewServer(newCfg("127.0.0.1:0"))
+	reg1 := telemetry.NewRegistry()
+	cfg1 := newCfg("127.0.0.1:0")
+	cfg1.Telemetry.Metrics = reg1
+	s1, err := NewServer(cfg1)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -248,9 +251,19 @@ func TestKillRestartRecoversFromCheckpointChain(t *testing.T) {
 		loadDone <- loadResult{rep, err}
 	}()
 
-	// Let the stream and at least two periodic checkpoints happen, then
-	// pull the plug without ceremony.
-	time.Sleep(120 * time.Millisecond)
+	// Wait until the stream is flowing and at least two periodic
+	// checkpoints have completed (so the chain holds a .bak), then pull
+	// the plug without ceremony. Waiting on these counters rather than a
+	// fixed sleep keeps the kill mid-load however fast the load runs; the
+	// 10 ms checkpoint interval lands it about 20 ms in, a fifth of the
+	// way through an unpaced loopback replay on a 2-vCPU VM.
+	ckpts, rx := reg1.Counter("fleetd.checkpoints"), reg1.Counter("fleetd.rx_frames")
+	for deadline := time.Now().Add(10 * time.Second); ckpts.Value() < 2 || rx.Value() < 1000; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no kill point within 10s: %d checkpoints, %d frames received", ckpts.Value(), rx.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	s1.Kill()
 	if _, err := s1.Drain(); err == nil {
 		t.Fatal("Drain after Kill should refuse")
@@ -592,12 +605,21 @@ func TestChaosShedsWithReconnectsStayConsistent(t *testing.T) {
 	var sheds, reconnects uint64
 	for seed := int64(1); seed <= 3; seed++ {
 		led := telemetry.NewLedger()
-		s := startTestServer(t, Config{
+		s, err := NewServer(Config{
+			Addr:        "127.0.0.1:0",
 			Shards:      1,
 			QueueDepth:  1, // full-blast senders against a depth-1 queue: constant sheds
 			IdleTimeout: 2 * time.Second,
 			Telemetry:   telemetry.Set{Ledger: led},
 		})
+		if err != nil {
+			t.Fatalf("seed %d: NewServer: %v", seed, err)
+		}
+		s.enqueueWait = 0 // a full queue sheds at once
+		if err := s.Start(); err != nil {
+			t.Fatalf("seed %d: Start: %v", seed, err)
+		}
+		t.Cleanup(func() { s.Drain() })
 		p, err := chaosproxy.New(chaosproxy.Config{
 			ListenAddr: "127.0.0.1:0", TargetAddr: s.Addr(),
 			Profile: chaosproxy.Profile{Name: "shed-cuts", ResetProb: 0.01, CutProb: 0.01},

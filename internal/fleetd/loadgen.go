@@ -252,8 +252,8 @@ type devSession struct {
 	// connection: the server kept no record of the refusal (a shed seq is
 	// a hole in its watermark), and a retry it accepts would double-count
 	// the event on top of the fallback billing.
-	resolvedShed []bool
-	nResolved    int
+	resolvedShed   []bool
+	nResolved      int
 	maxResolved    uint32 // highest seq resolved (resume handshake's LastAcked)
 	wakes          uint64
 	heartbeats     uint64
@@ -267,9 +267,16 @@ type devSession struct {
 }
 
 // resolve marks frame i resolved with the given ack status and counts it.
-// Idempotent: retransmit acks for already-resolved frames are ignored.
+// Idempotent: retransmit acks for already-resolved frames are ignored,
+// save one. AckShed for a frame resolved as accepted means the server
+// restarted from a checkpoint that predates the acceptance: it lost the
+// event and has now refused and billed it, so the event is a shed after
+// all and moves from the accepted counters to the shed one.
 func (st *devSession) resolve(i int, status byte) {
 	if st.resolved[i] {
+		if status == AckShed && !st.resolvedShed[i] {
+			st.revoke(i)
+		}
 		return
 	}
 	st.resolved[i] = true
@@ -295,6 +302,31 @@ func (st *devSession) resolve(i int, status byte) {
 	case itemEnergy:
 		st.energy++
 		st.energyAccepted[f.component] += f.mj
+	}
+}
+
+// revoke turns accepted frame i into a shed one. The energy mirror is
+// summed again in send order rather than subtracted from, so it keeps
+// the bits of the server's own sum, which never held the frame.
+func (st *devSession) revoke(i int) {
+	st.resolvedShed[i] = true
+	st.shed++
+	f := &st.frames[i]
+	switch f.kind {
+	case itemWake:
+		st.wakes--
+	case frameHeartbeat:
+		st.heartbeats--
+	case itemEnergy:
+		st.energy--
+		sum := 0.0
+		for j := range st.frames {
+			g := &st.frames[j]
+			if g.kind == itemEnergy && g.component == f.component && st.resolved[j] && !st.resolvedShed[j] {
+				sum += g.mj
+			}
+		}
+		st.energyAccepted[f.component] = sum
 	}
 }
 

@@ -34,6 +34,17 @@ const (
 	DefaultMaxSessions  = 8192
 )
 
+// enqueueWait is how long a connection reader waits for room in a full
+// shard queue before it sheds the frame. Acks go out at enqueue, so a
+// client's window does not bound the queue: without the wait, a shard
+// worker descheduled for a moment on a busy host lets its readers fill
+// the queue and shed frames the worker would have applied an instant
+// later. The wait turns such a stall into TCP backpressure; only a queue
+// that stays full sheds. Measured stalls (a 4-device replay against six
+// CPU-bound processes on a 2-vCPU VM) ran 3-6 ms at the median and 16 ms
+// at most, so 100 ms leaves sixfold headroom.
+const enqueueWait = 100 * time.Millisecond
+
 // Config parameterizes the ingest daemon.
 type Config struct {
 	// Addr is the TCP listen address (default 127.0.0.1:7473; use
@@ -41,8 +52,9 @@ type Config struct {
 	Addr string
 	// Shards is the registry/queue shard count (default 16).
 	Shards int
-	// QueueDepth bounds each shard's ingest queue (default 1024). A full
-	// queue sheds: the frame is refused with AckShed, counted and billed.
+	// QueueDepth bounds each shard's ingest queue (default 1024). A queue
+	// that stays full for 100 ms sheds: the frame is refused with
+	// AckShed, counted and billed.
 	QueueDepth int
 	// FlushEvery batches this many energy deposits per shard before one
 	// ledger flush (default 64). Batches also flush whenever a shard
@@ -196,6 +208,10 @@ type Server struct {
 	killOnce sync.Once
 	killed   atomic.Bool
 
+	// enqueueWait is the enqueueWait constant; in-package tests set it
+	// before Start (zero sheds at once).
+	enqueueWait time.Duration
+
 	applied atomic.Uint64
 
 	// Interned metric handles (nil-safe, but the registry always exists).
@@ -226,6 +242,8 @@ func NewServer(cfg Config) (*Server, error) {
 		sessions: make(map[uint64]*sessionHandle),
 		drainCh:  make(chan struct{}),
 		killCh:   make(chan struct{}),
+
+		enqueueWait: enqueueWait,
 	}
 	reg := cfg.Telemetry.Metrics
 	s.cConnsOpened = reg.Counter("fleetd.conns_opened")
@@ -417,6 +435,21 @@ type session struct {
 	handle  *sessionHandle
 }
 
+// connBuf is a connection's read buffer and reply writer. Only the
+// connection's own goroutine touches them, and the link decoder copies
+// what it reads, so both return to connBufPool when the connection ends.
+// Clients that open a connection per session (fleetload, a resuming
+// fleet) would otherwise make these 32 KiB most of the ingest path's
+// garbage.
+type connBuf struct {
+	read []byte
+	bw   *bufio.Writer
+}
+
+var connBufPool = sync.Pool{New: func() any {
+	return &connBuf{read: make([]byte, 1<<14), bw: bufio.NewWriterSize(nil, 1<<14)}
+}}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wgConns.Done()
 	defer s.nSessions.Add(-1)
@@ -430,12 +463,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.cConnsOpened.Inc()
 
 	var dec link.Decoder
+	cb := connBufPool.Get().(*connBuf)
+	cb.bw.Reset(conn)
+	defer func() {
+		cb.bw.Reset(nil)
+		connBufPool.Put(cb)
+	}()
 	sess := &session{
 		conn:   conn,
-		bw:     bufio.NewWriterSize(conn, 1<<14),
+		bw:     cb.bw,
 		handle: &sessionHandle{conn: conn, done: make(chan struct{})},
 	}
-	buf := make([]byte, 1<<14)
+	buf := cb.read
 	defer close(sess.handle.done) // after this, the reader ingests nothing more
 	defer func() {
 		if sess.helloed {
@@ -619,30 +658,59 @@ func (s *Server) handleFrame(f link.Frame, sess *session) error {
 // ingest enqueues an event onto its shard queue, acking accepted on
 // success. A retransmitted seq (at or below the device's acked watermark)
 // is answered AckDup without touching state — exactly-once delivery into
-// the ledger survives connection cuts. A full queue is explicit
-// backpressure: the event is refused with AckShed, the refusal is
-// counted, and the device's fallback cost is billed to phone.fallback —
-// the degradation is visible in every report, never a silent drop. An
-// accepted ack is a durability promise: the item is in a queue, the
-// acked watermark has advanced past it, and drain applies every queued
-// item before exit.
+// the ledger survives connection cuts. A queue that stays full for
+// enqueueWait is explicit backpressure: the event is refused with
+// AckShed, the refusal is counted, and the device's fallback cost is
+// billed to phone.fallback — the degradation is visible in every report,
+// never a silent drop. An accepted ack is a durability promise: the item
+// is in a queue, the acked watermark has advanced past it, and drain
+// applies every queued item before exit.
 func (s *Server) ingest(bw *bufio.Writer, item ingestItem, seq uint32, shedCostMJ float64) error {
 	if s.registry.AlreadyAcked(item.dev, seq) {
 		s.cDedupAcks.Inc()
 		return writeAck(bw, seq, AckDup)
 	}
 	item.at = time.Now()
-	select {
-	case s.queues[s.registry.ShardIndex(item.dev)] <- item:
+	ok, err := s.enqueue(s.queues[s.registry.ShardIndex(item.dev)], item)
+	if err != nil {
+		return err
+	}
+	if ok {
 		s.registry.MarkAcked(item.dev, seq)
 		return writeAck(bw, seq, AckAccepted)
+	}
+	s.registry.RecordShed(item.dev, shedCostMJ)
+	if shedCostMJ > 0 {
+		s.ledger.AddEnergyMJ(telemetry.PhoneFallback, shedCostMJ)
+	}
+	s.cSheds.Inc()
+	return writeAck(bw, seq, AckShed)
+}
+
+// enqueue puts item on q, waiting up to enqueueWait for room; false means
+// the queue stayed full and the item must be shed. A drain or kill that
+// arrives during the wait ends the session without an ack, so the client
+// retransmits the frame on its next connection.
+func (s *Server) enqueue(q chan<- ingestItem, item ingestItem) (bool, error) {
+	select {
+	case q <- item:
+		return true, nil
 	default:
-		s.registry.RecordShed(item.dev, shedCostMJ)
-		if shedCostMJ > 0 {
-			s.ledger.AddEnergyMJ(telemetry.PhoneFallback, shedCostMJ)
-		}
-		s.cSheds.Inc()
-		return writeAck(bw, seq, AckShed)
+	}
+	if s.enqueueWait <= 0 {
+		return false, nil
+	}
+	t := time.NewTimer(s.enqueueWait)
+	defer t.Stop()
+	select {
+	case q <- item:
+		return true, nil
+	case <-t.C:
+		return false, nil
+	case <-s.drainCh:
+		return false, fmt.Errorf("fleetd: draining, frame from device %d refused", item.dev)
+	case <-s.killCh:
+		return false, fmt.Errorf("fleetd: killed, frame from device %d refused", item.dev)
 	}
 }
 

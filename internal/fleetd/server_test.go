@@ -186,6 +186,78 @@ func TestBackpressureShedsAreCountedAndBilled(t *testing.T) {
 	}
 }
 
+// TestFullQueueWaitsBeforeShedding drives the ingest path with the shard
+// worker stopped and a depth-1 queue, standing in for a worker that is
+// descheduled for a moment. A frame that finds the queue full waits the
+// whole enqueueWait before it sheds, and is accepted if a slot frees in
+// the meantime. A drain during the wait ends the session with no ack at
+// all, so nothing is promised that drain would not apply.
+func TestFullQueueWaitsBeforeShedding(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s, err := NewServer(Config{QueueDepth: 1, Shards: 1, Telemetry: telemetry.Set{Metrics: reg}})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	s.registry.Connect(1)
+	wake := func(seq uint32) ingestItem {
+		return ingestItem{dev: 1, kind: itemWake, wake: WakeEvent{Seq: seq}}
+	}
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := s.ingest(bw, wake(1), 1, s.cfg.ShedWakeCostMJ); err != nil {
+		t.Fatalf("ingest seq 1: %v", err)
+	}
+
+	// Seq 2 finds the queue full and nothing drains it: shed, but only
+	// once the wait has run out.
+	s.enqueueWait = 10 * time.Millisecond
+	began := time.Now()
+	if err := s.ingest(bw, wake(2), 2, s.cfg.ShedWakeCostMJ); err != nil {
+		t.Fatalf("ingest seq 2: %v", err)
+	}
+	if waited := time.Since(began); waited < s.enqueueWait {
+		t.Fatalf("seq 2 shed after %v, want a wait of at least %v", waited, s.enqueueWait)
+	}
+
+	// Seq 3 finds the queue full too; the "worker" takes seq 1 off it.
+	s.enqueueWait = time.Minute
+	done := make(chan error, 1)
+	go func() { done <- s.ingest(bw, wake(3), 3, s.cfg.ShedWakeCostMJ) }()
+	if got := (<-s.queues[0]).wake.Seq; got != 1 {
+		t.Fatalf("dequeued seq %d, want 1", got)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("ingest seq 3: %v", err)
+	}
+	bw.Flush()
+	var dec link.Decoder
+	frames, err := dec.Feed(buf.Bytes())
+	if err != nil || len(frames) != 3 {
+		t.Fatalf("ack stream: %d frames, err %v; want 3", len(frames), err)
+	}
+	for i, want := range []byte{AckAccepted, AckShed, AckAccepted} {
+		ack, err := DecodeEventAck(frames[i].Payload)
+		if err != nil || ack.Seq != uint32(i+1) || ack.Status != want {
+			t.Fatalf("ack %d = %+v (err %v), want status %d for seq %d", i, ack, err, want, i+1)
+		}
+	}
+	if got := reg.Counter("fleetd.sheds").Value(); got != 1 {
+		t.Fatalf("fleetd.sheds = %d, want 1", got)
+	}
+
+	// Seq 4 waits behind seq 3; a drain cuts the wait short, unacked.
+	buf.Reset()
+	go func() { done <- s.ingest(bw, wake(4), 4, s.cfg.ShedWakeCostMJ) }()
+	close(s.drainCh)
+	if err := <-done; err == nil {
+		t.Fatal("ingest during drain succeeded, want an error")
+	}
+	bw.Flush()
+	if buf.Len() != 0 || reg.Counter("fleetd.sheds").Value() != 1 || s.registry.AlreadyAcked(1, 4) {
+		t.Fatalf("drain-interrupted frame was answered (%d bytes), shed or acked", buf.Len())
+	}
+}
+
 // rawSession is a minimal hand-rolled client for the drain test: it
 // pumps frames and records, per sequence number, which were acked
 // accepted — tolerating the connection dying mid-stream when the server
