@@ -218,6 +218,42 @@ func TestRunFleetGolden(t *testing.T) {
 	}
 }
 
+// TestRunFleetNoCSEGolden pins the fleet sweep with cross-app sharing
+// disabled (`-cse=false`) at the fleet golden's scale: every condition is
+// billed and executed standalone, so this golden covers the scheduler's
+// and the shared plan's CSE-off path.
+func TestRunFleetNoCSEGolden(t *testing.T) {
+	opts := eval.Options{
+		Seed:             1,
+		RobotRunDuration: 2 * time.Minute,
+		AudioDuration:    time.Minute,
+		HumanDuration:    4 * time.Minute,
+		SleepIntervals:   []float64{2, 10, 30},
+		DisableCSE:       true,
+	}
+	var out strings.Builder
+	if err := run(&out, io.Discard, "fleet", opts); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "Fleet capacity") {
+		t.Fatalf("missing fleet table:\n%s", out.String())
+	}
+	golden := filepath.Join("testdata", "fleet_nocse_small.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update to create): %v", err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("output differs from %s (run with -update if the change is intended)\ngot:\n%s\nwant:\n%s",
+			golden, got, want)
+	}
+}
+
 // TestRunFleetWorkerInvariance reruns the fleet sweep serially and with a
 // large pool: the determinism contract demands byte-identical output.
 // (The golden test pins the bytes; this one pins the worker independence

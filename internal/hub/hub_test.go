@@ -167,3 +167,44 @@ func TestUtilizationZeroClock(t *testing.T) {
 		t.Error("zero-clock device should report zero utilization")
 	}
 }
+
+// TestErrorTexts pins the exact wording of every feasibility error: the
+// CLIs print them verbatim (swc -report, hubemu -device), so a change to
+// how demand is priced must not move a byte of them.
+func TestErrorTexts(t *testing.T) {
+	big := plan(t, core.NewPipeline("big").AddBranch(
+		core.NewBranch(core.AccelX).Add(core.Window(1<<14, 0, "")).Add(core.Stat("mean")).Add(core.MinThreshold(0))))
+	sirens := make([]*core.Plan, 12)
+	for i := range sirens {
+		sirens[i] = sirenPlan(t)
+	}
+	selectErr := func(_ Device, err error) error { return err }
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{MSP430().CheckFeasible(sirenPlan(t)),
+			`hub: condition cannot run in real time on this device: "siren" needs 58.02 Mcycles/s, MSP430 provides 8.00 Mcycles/s`},
+		{MSP430().CheckFeasible(big),
+			`hub: condition does not fit in device RAM: "big" needs 65648 B, MSP430 has 16384 B`},
+		{selectErr(SelectDevice(Devices(), sirens...)),
+			`hub: no device can run the condition set: hub: condition cannot run in real time on this device: combined demand 696.20 Mcycles/s exceeds MSP430 budget 8.00 Mcycles/s`},
+		{selectErr(SelectDevice([]Device{MSP430()}, big, accelPlan(t))),
+			`hub: no device can run the condition set: hub: condition does not fit in device RAM: combined state 65864 B exceeds MSP430 RAM 16384 B`},
+		{selectErr(SelectDevice(Devices())), `hub: no plans to place`},
+		{selectErr(SelectDevice(nil, accelPlan(t))),
+			`hub: no device can run the condition set: hub: no candidate devices`},
+		{MSP430().CheckDemand(1e6, 5, 10),
+			`hub: condition cannot run in real time on this device: demand 100.00 Mcycles/s exceeds MSP430 budget 8.00 Mcycles/s`},
+		{MSP430().CheckDemand(1, 5, 1<<20),
+			`hub: condition does not fit in device RAM: state 1048576 B exceeds MSP430 RAM 16384 B`},
+		{selectErr(SelectDeviceForDemand(Devices(), 1e8, 3, 1)),
+			`hub: no device can satisfy the demand: hub: condition cannot run in real time on this device: demand 10000.00 Mcycles/s exceeds MSP430 budget 8.00 Mcycles/s`},
+		{selectErr(SelectDeviceForDemand(nil, 1e8, 3, 1)),
+			`hub: no device can satisfy the demand: hub: no candidate devices`},
+	} {
+		if tc.err == nil || tc.err.Error() != tc.want {
+			t.Errorf("error text = %v\nwant %s", tc.err, tc.want)
+		}
+	}
+}
