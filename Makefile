@@ -1,6 +1,7 @@
-# Tier-1 gate: everything must build, vet clean, and pass the full test
-# suite under the race detector (the parallel evaluation harness fans
-# simulation cells across goroutines, so -race is part of the contract).
+# Tier-1 gate: everything must be gofmt-clean, build, vet clean, and pass
+# the full test suite under the race detector (the parallel evaluation
+# harness fans simulation cells across goroutines, so -race is part of the
+# contract).
 # `make fuzz` runs the native fuzz targets (link deframer, IR parser,
 # DAG compiler, heartbeat codec, Q15 arithmetic, binary trace reader,
 # fleetd payload codecs, checkpoint envelope loader) for a short fixed
@@ -21,12 +22,19 @@ PKG_FLOORS = sidewinder/internal/ir=85.0 sidewinder/internal/adapt=85.0
 # (hot paths that must not regress).
 BENCH_PKGS = . ./internal/interp ./internal/telemetry ./internal/dsp
 
-.PHONY: verify build vet staticcheck test race bench bench-telemetry \
+.PHONY: verify fmt build vet staticcheck test race bench bench-telemetry \
 	bench-baseline bench-check cover cover-check fuzz soak chaos swbench-check \
 	profile-eval
 
-verify: build vet staticcheck race
+verify: fmt build vet staticcheck race
 	@echo "verify clean — consider 'make fuzz' (FUZZTIME=$(FUZZTIME) per target) for parser/framing changes"
+
+# fmt fails when `gofmt -l` lists any Go file, swbench/ included.
+fmt:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...

@@ -245,12 +245,12 @@ func finishRun(tr *sensor.Trace, dev hub.Device, machine *interp.Machine,
 	set telemetry.Set, stream *telemetry.Stream, profile *telemetry.InterpProfile,
 	metricsFile, traceOutFile string, wakes, samplesLost, stateWipes, n int) error {
 	work := machine.Work()
-	cycles := work.FloatOps*dev.CyclesPerFloatOp + work.IntOps*dev.CyclesPerIntOp
+	cycles := dev.Cycles(work.FloatOps, work.IntOps)
 	seconds := float64(n) / tr.RateHz
 	wakesPerMin, budgetPct := 0.0, 0.0
 	if seconds > 0 {
 		wakesPerMin = float64(wakes) / (seconds / 60)
-		budgetPct = cycles / seconds / (dev.ClockHz * dev.MaxUtilization) * 100
+		budgetPct = cycles / seconds / dev.CycleBudget() * 100
 	}
 	fmt.Printf("replayed %s: %d samples/channel over %v\n", tr.Name, n, tr.Duration().Round(time.Second))
 	fmt.Printf("wake-ups: %d (%.2f per minute)\n", wakes, wakesPerMin)
@@ -265,14 +265,13 @@ func finishRun(tr *sensor.Trace, dev hub.Device, machine *interp.Machine,
 	if set.Enabled() {
 		if led := set.LedgerSink(); led != nil {
 			led.AddEnergyMJ(telemetry.HubDevice, dev.ActivePowerMW*seconds)
-			profile.DepositCycles(led, dev.CyclesPerFloatOp, dev.CyclesPerIntOp)
+			profile.DepositCycles(led, dev.Cycles)
 		}
 		// Per-stage execution spans: consecutive spans whose durations are
 		// the stages' cycle counts on this device's clock.
 		at := 0.0
 		for _, st := range profile.Stages() {
-			stageCycles := st.FloatOps*dev.CyclesPerFloatOp + st.IntOps*dev.CyclesPerIntOp
-			if dur := stageCycles / dev.ClockHz; dur > 0 {
+			if dur := dev.Cycles(st.FloatOps, st.IntOps) / dev.ClockHz; dur > 0 {
 				stream.Span(st.Kind, "stage", at, dur)
 				at += dur
 			}
@@ -292,13 +291,13 @@ func printStaticDemand(w io.Writer, plan *core.Plan, dev hub.Device) {
 	var totalCycles float64
 	var totalMem int
 	for _, kd := range ir.DemandByKind(ir.CompileOptions{}, plan) {
-		cycles := kd.FloatOpsPerSec*dev.CyclesPerFloatOp + kd.IntOpsPerSec*dev.CyclesPerIntOp
+		cycles := dev.Cycles(kd.FloatOpsPerSec, kd.IntOpsPerSec)
 		totalCycles += cycles
 		totalMem += kd.MemoryBytes
 		fmt.Fprintf(w, "  %-16s x%d  %10.0f cycles/s  %6d B\n", kd.Kind, kd.Nodes, cycles, kd.MemoryBytes)
 	}
 	fmt.Fprintf(w, "  %-16s     %10.0f cycles/s  %6d B  (budget %.0f cycles/s, %d B)\n",
-		"total", totalCycles, totalMem, dev.ClockHz*dev.MaxUtilization, dev.RAMBytes)
+		"total", totalCycles, totalMem, dev.CycleBudget(), dev.RAMBytes)
 }
 
 // writeTelemetry exports the collected sinks: the metrics file carries the

@@ -293,7 +293,7 @@ func TestStaticDemandTable(t *testing.T) {
 			t.Fatalf("row %q: %d fields, want 6", row, len(f))
 		}
 		kd := want[i]
-		cycles := kd.FloatOpsPerSec*dev.CyclesPerFloatOp + kd.IntOpsPerSec*dev.CyclesPerIntOp
+		cycles := dev.Cycles(kd.FloatOpsPerSec, kd.IntOpsPerSec)
 		if f[0] != string(kd.Kind) || f[1] != "x"+strconv.Itoa(kd.Nodes) ||
 			num(f[2]) != math.Round(cycles) || int(num(f[4])) != kd.MemoryBytes {
 			t.Errorf("row %q does not match ir.DemandByKind %+v (%.0f cycles/s)", row, kd, cycles)

@@ -113,8 +113,9 @@ func run(check, report, listCatalog, graph, showApps, optimize, dot bool, args [
 	if err != nil {
 		return err
 	}
+	_, _, mem := ir.Demand(ir.NoOpt(), plan)
 	fmt.Fprintf(os.Stderr, "placement: %s (%.2f%% cycle budget, %d B state)\n",
-		dev.Name, dev.Utilization(plan)/dev.MaxUtilization*100, plan.TotalMemory())
+		dev.Name, dev.Utilization(plan)/dev.MaxUtilization*100, mem)
 
 	if report {
 		printReport(plan)
@@ -172,7 +173,7 @@ func printApps(cat *core.Catalog) error {
 }
 
 func printReport(plan *core.Plan) {
-	f, i := plan.TotalOpsPerSecond()
+	f, i, _ := ir.Demand(ir.NoOpt(), plan)
 	fmt.Fprintf(os.Stderr, "demand: %.0f float ops/s, %.0f int ops/s\n", f, i)
 	for _, d := range hub.Devices() {
 		if err := d.CheckFeasible(plan); err != nil {

@@ -22,7 +22,8 @@
 // The engine only proposes; it never applies. Callers (internal/manager
 // in the live stack, internal/sim in the simulator) must re-resolve the
 // proposal through Reparameterize, re-check admission against the
-// device's cycle/RAM budget (sched.Update or FitsBudget), and call Veto
+// device's cycle/RAM budget (sched.Update, or hub.Device.Fits over
+// Demand), and call Veto
 // to clamp the engine when the proposal does not fit. That contract —
 // adaptation can never exceed the budget a fresh push would be held to —
 // is what the budget-invariance property tests pin.

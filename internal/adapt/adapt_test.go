@@ -225,11 +225,11 @@ func TestReparameterizeBaseline(t *testing.T) {
 	if len(got.Nodes) != len(base.Nodes) {
 		t.Fatalf("baseline reparameterization changed node count: %d != %d", len(got.Nodes), len(base.Nodes))
 	}
-	bf, bi := base.TotalOpsPerSecond()
-	gf, gi := got.TotalOpsPerSecond()
-	if bf != gf || bi != gi || base.TotalMemory() != got.TotalMemory() {
+	bf, bi, bm := Demand(base, interp.Float64)
+	gf, gi, gm := Demand(got, interp.Float64)
+	if bf != gf || bi != gi || bm != gm {
 		t.Fatalf("baseline reparameterization changed cost: (%g,%g,%d) != (%g,%g,%d)",
-			gf, gi, got.TotalMemory(), bf, bi, base.TotalMemory())
+			gf, gi, gm, bf, bi, bm)
 	}
 }
 
@@ -261,10 +261,9 @@ func TestReparameterizeDecimation(t *testing.T) {
 	if gotWin.Rate != baseWin.Rate/4 {
 		t.Fatalf("window rate %g, want %g", gotWin.Rate, baseWin.Rate/4)
 	}
-	bf, bi := base.TotalOpsPerSecond()
-	gf, gi := got.TotalOpsPerSecond()
-	db := hub.MSP430()
-	if gf*db.CyclesPerFloatOp+gi*db.CyclesPerIntOp >= bf*db.CyclesPerFloatOp+bi*db.CyclesPerIntOp {
+	bf, bi, _ := Demand(base, interp.Float64)
+	gf, gi, _ := Demand(got, interp.Float64)
+	if db := hub.MSP430(); db.Cycles(gf, gi) >= db.Cycles(bf, bi) {
 		t.Fatalf("decimation did not reduce cycle demand: (%g,%g) vs (%g,%g)", gf, gi, bf, bi)
 	}
 }
@@ -413,9 +412,7 @@ func TestDemandQ15Rebilling(t *testing.T) {
 		t.Fatalf("ops not conserved: %g != %g", ff+fi, qf+qi)
 	}
 	// On the FPU-less MSP430 the rebilling is a large cycle win.
-	d := hub.MSP430()
-	b := sched.BudgetFor(d)
-	if b.Cycles(qf, qi) >= b.Cycles(ff, fi) {
+	if d := hub.MSP430(); d.Cycles(qf, qi) >= d.Cycles(ff, fi) {
 		t.Fatal("Q15 did not reduce MSP430 cycles")
 	}
 }
@@ -425,7 +422,8 @@ func TestFitsBudget(t *testing.T) {
 	if !FitsBudget(sched.BudgetFor(hub.MSP430()), plan, interp.Float64) {
 		t.Fatal("accel condition does not fit the MSP430")
 	}
-	tiny := sched.Budget{Device: hub.MSP430(), CyclesPerSec: 1, RAMBytes: 1}
+	tiny := hub.MSP430()
+	tiny.ClockHz, tiny.RAMBytes = 2, 1
 	if FitsBudget(tiny, plan, interp.Float64) {
 		t.Fatal("plan fits a 1-cycle budget")
 	}

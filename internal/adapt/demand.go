@@ -2,8 +2,9 @@ package adapt
 
 import (
 	"sidewinder/internal/core"
+	"sidewinder/internal/hub"
 	"sidewinder/internal/interp"
-	"sidewinder/internal/sched"
+	"sidewinder/internal/ir"
 )
 
 // q15Kinds are the stages the interpreter executes on the fixed-point
@@ -25,31 +26,29 @@ var q15Kinds = map[core.AlgorithmKind]bool{
 }
 
 // Demand returns a plan's operation demand under the given execution
-// precision: per-second float and integer ops plus instance memory. In
-// Q15 mode the fixed-point-capable stages' float work is billed as
-// integer work — on an FPU-less device that is the whole point of the
-// demotion (software float emulation costs ~100 cycles per op on the
-// MSP430; an int op costs 2).
+// precision: per-second float and integer ops plus instance memory. It
+// re-bills package ir's standalone (NoOpt) node prices: in Q15 mode the
+// fixed-point-capable stages' float work is billed as integer work — on
+// an FPU-less device that is the whole point of the demotion (software
+// float emulation costs ~100 cycles per op on the MSP430; an int op
+// costs 2).
 func Demand(plan *core.Plan, prec interp.Precision) (floatOps, intOps float64, memoryBytes int) {
-	for i := range plan.Nodes {
-		n := &plan.Nodes[i]
-		f := n.Cost.FloatOps * n.Rate
-		iops := n.Cost.IntOps * n.Rate
-		if prec == interp.Q15 && q15Kinds[n.Kind] {
+	for _, nd := range ir.AnalyzePlan(ir.NoOpt(), plan) {
+		f, iops := nd.FloatOpsPerSec, nd.IntOpsPerSec
+		if prec == interp.Q15 && q15Kinds[nd.Kind] {
 			iops += f
 			f = 0
 		}
 		floatOps += f
 		intOps += iops
-		memoryBytes += n.Memory
+		memoryBytes += nd.MemoryBytes
 	}
 	return floatOps, intOps, memoryBytes
 }
 
-// FitsBudget reports whether a plan's precision-aware demand fits a
-// scheduler budget — the re-admission check every adaptation must clear
-// before the hub may run it.
-func FitsBudget(b sched.Budget, plan *core.Plan, prec interp.Precision) bool {
-	f, i, mem := Demand(plan, prec)
-	return b.Fits(f, i, mem)
+// FitsBudget reports whether a plan's precision-aware demand fits the
+// device — the re-admission check every adaptation must clear before the
+// hub may run it. The swbench harness calls it.
+func FitsBudget(d hub.Device, plan *core.Plan, prec interp.Precision) bool {
+	return d.Fits(Demand(plan, prec))
 }

@@ -194,12 +194,18 @@ func TestValidateAudioSpectralChain(t *testing.T) {
 	if hp.OutRate != wantRate || fft.Rate != wantRate {
 		t.Errorf("block rates = %g/%g, want %g", hp.OutRate, fft.Rate, wantRate)
 	}
-	f, i := plan.TotalOpsPerSecond()
+	var f, i float64
+	var mem int
+	for _, n := range plan.Nodes {
+		f += n.Cost.FloatOps * n.Rate
+		i += n.Cost.IntOps * n.Rate
+		mem += n.Memory
+	}
 	if f <= 0 || i <= 0 {
 		t.Errorf("ops per second = %g/%g", f, i)
 	}
-	if plan.TotalMemory() <= 0 {
-		t.Error("TotalMemory should be positive")
+	if mem <= 0 {
+		t.Error("plan memory should be positive")
 	}
 }
 

@@ -151,26 +151,6 @@ func (p *Plan) Node(id int) *PlanNode {
 	return &p.Nodes[id-1]
 }
 
-// TotalOpsPerSecond returns the aggregate float and integer operations per
-// second the plan demands of the hub.
-func (p *Plan) TotalOpsPerSecond() (floatOps, intOps float64) {
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		floatOps += n.Cost.FloatOps * n.Rate
-		intOps += n.Cost.IntOps * n.Rate
-	}
-	return floatOps, intOps
-}
-
-// TotalMemory returns the aggregate hub RAM demand in bytes.
-func (p *Plan) TotalMemory() int {
-	var m int
-	for i := range p.Nodes {
-		m += p.Nodes[i].Memory
-	}
-	return m
-}
-
 // ResolvedInput describes one already-resolved input edge of a node being
 // validated: where it comes from and what flows over it.
 type ResolvedInput struct {

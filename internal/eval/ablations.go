@@ -6,6 +6,7 @@ import (
 	"sidewinder/internal/apps"
 	"sidewinder/internal/core"
 	"sidewinder/internal/hub"
+	"sidewinder/internal/ir"
 	"sidewinder/internal/manager"
 	"sidewinder/internal/parallel"
 	"sidewinder/internal/sensor"
@@ -250,53 +251,33 @@ func BatchingLatency(o Options, w *Workload) (*BatchingLatencyResult, error) {
 // pipelines that use common algorithms").
 type SharingResult struct {
 	Table *Table
-	// SavedFrac is the fraction of combined hub float-ops/s that prefix
-	// sharing eliminates for the all-six-apps condition set.
+	// SavedFrac is the fraction of the combined hub operations per second
+	// (float plus integer ops) that prefix sharing eliminates for the
+	// all-six-apps condition set.
 	SavedFrac float64
 }
 
-// PipelineSharing statically analyzes the six applications' plans: nodes
-// whose (kind, params, inputs) match an already-counted node on the same
-// sources are shared.
+// PipelineSharing statically analyzes the six applications' plans. The
+// combined column is their standalone demand (ir.NoOpt); the sharing
+// column keeps only the DAG compile pass's common-subgraph elimination
+// (no folding or fusion), so structurally identical stages on the same
+// sources bill once.
 func PipelineSharing() (*SharingResult, error) {
 	cat := core.DefaultCatalog()
 	table := &Table{
 		Title:  "Analysis (paper §7): hub work saved by merging common pipeline prefixes",
 		Header: []string{"Condition set", "Combined Mops/s", "With sharing", "Saved"},
 	}
-	type nodeKey string
-	var appsAll []*apps.App = apps.All()
-
-	var totalCombined, totalShared float64
-	addRow := func(label string, plans []*core.Plan) {
-		seen := make(map[nodeKey]bool)
-		var combined, shared float64
-		for _, plan := range plans {
-			// Map node IDs to canonical keys bottom-up so identical
-			// prefixes in different plans collide.
-			keys := make(map[int]nodeKey, len(plan.Nodes))
-			for i := range plan.Nodes {
-				n := &plan.Nodes[i]
-				sig := core.Stage{Kind: n.Kind, Params: n.Params}.String() + "|"
-				for _, in := range n.Inputs {
-					if in.FromChannel() {
-						sig += string(in.Channel) + ","
-					} else {
-						sig += string(keys[in.Node]) + ","
-					}
-				}
-				key := nodeKey(sig)
-				keys[n.ID] = key
-				ops := (n.Cost.FloatOps + n.Cost.IntOps) * n.Rate
-				combined += ops
-				if !seen[key] {
-					seen[key] = true
-					shared += ops
-				}
+	addRow := func(label string, set []*apps.App) (saved float64, err error) {
+		plans := make([]*core.Plan, len(set))
+		for i, a := range set {
+			if plans[i], err = a.Wake.Validate(cat); err != nil {
+				return 0, err
 			}
 		}
-		totalCombined, totalShared = combined, shared
-		saved := 0.0
+		cf, ci, _ := ir.Demand(ir.NoOpt(), plans...)
+		sf, si, _ := ir.Demand(ir.CompileOptions{NoFold: true, NoFuse: true}, plans...)
+		combined, shared := cf+ci, sf+si
 		if combined > 0 {
 			saved = 1 - shared/combined
 		}
@@ -306,32 +287,16 @@ func PipelineSharing() (*SharingResult, error) {
 			fmt.Sprintf("%.3f", shared/1e6),
 			fmt.Sprintf("%.1f%%", saved*100),
 		})
+		return saved, nil
 	}
 
 	// The interesting set: music + phrase share their window stages.
-	var audioPlans []*core.Plan
-	for _, a := range []*apps.App{apps.MusicJournal(), apps.PhraseDetection()} {
-		plan, err := a.Wake.Validate(cat)
-		if err != nil {
-			return nil, err
-		}
-		audioPlans = append(audioPlans, plan)
+	if _, err := addRow("music + phrase", []*apps.App{apps.MusicJournal(), apps.PhraseDetection()}); err != nil {
+		return nil, err
 	}
-	addRow("music + phrase", audioPlans)
-
-	var allPlans []*core.Plan
-	for _, a := range appsAll {
-		plan, err := a.Wake.Validate(cat)
-		if err != nil {
-			return nil, err
-		}
-		allPlans = append(allPlans, plan)
-	}
-	addRow("all six applications", allPlans)
-
-	saved := 0.0
-	if totalCombined > 0 {
-		saved = 1 - totalShared/totalCombined
+	saved, err := addRow("all six applications", apps.All())
+	if err != nil {
+		return nil, err
 	}
 	return &SharingResult{Table: table, SavedFrac: saved}, nil
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"sidewinder/internal/core"
+	"sidewinder/internal/ir"
 )
 
 // ErrNotRealTime is returned when a wake-up condition demands more cycles
@@ -86,10 +87,20 @@ func Devices() []Device {
 	return []Device{MSP430(), LM4F120()}
 }
 
-// CyclesPerSecond returns the cycle demand the plan places on the device.
-func (d Device) CyclesPerSecond(plan *core.Plan) float64 {
-	floatOps, intOps := plan.TotalOpsPerSecond()
-	return floatOps*d.CyclesPerFloatOp + intOps*d.CyclesPerIntOp
+// Cycles converts an operation demand into cycles per second on the
+// device. It is the only place the per-operation cycle costs apply: every
+// price in ops (package ir) becomes cycles here.
+func (d Device) Cycles(floatOpsPerSec, intOpsPerSec float64) float64 {
+	return floatOpsPerSec*d.CyclesPerFloatOp + intOpsPerSec*d.CyclesPerIntOp
+}
+
+// CycleBudget returns the cycles per second available to wake-up
+// conditions: the clock after the MaxUtilization reservation.
+func (d Device) CycleBudget() float64 { return d.ClockHz * d.MaxUtilization }
+
+// Fits reports whether a demand fits the device's cycle budget and RAM.
+func (d Device) Fits(floatOpsPerSec, intOpsPerSec float64, memoryBytes int) bool {
+	return d.Cycles(floatOpsPerSec, intOpsPerSec) <= d.CycleBudget() && memoryBytes <= d.RAMBytes
 }
 
 // Utilization returns the plan's cycle demand as a fraction of the
@@ -98,7 +109,8 @@ func (d Device) Utilization(plan *core.Plan) float64 {
 	if d.ClockHz == 0 {
 		return 0
 	}
-	return d.CyclesPerSecond(plan) / d.ClockHz
+	f, i, _ := ir.Demand(ir.NoOpt(), plan)
+	return d.Cycles(f, i) / d.ClockHz
 }
 
 // IdleFraction is the share of a device's active draw that does not scale
@@ -113,11 +125,11 @@ const IdleFraction = 0.30
 // over the device's usable cycle budget, clamped to 1). At full budget it
 // equals ActivePowerMW, so static billing is the upper bound.
 func (d Device) LoadPowerMW(floatOpsPerSec, intOpsPerSec float64) float64 {
-	budget := d.ClockHz * d.MaxUtilization
+	budget := d.CycleBudget()
 	if budget <= 0 {
 		return d.ActivePowerMW
 	}
-	duty := (floatOpsPerSec*d.CyclesPerFloatOp + intOpsPerSec*d.CyclesPerIntOp) / budget
+	duty := d.Cycles(floatOpsPerSec, intOpsPerSec) / budget
 	if duty > 1 {
 		duty = 1
 	}
@@ -127,41 +139,8 @@ func (d Device) LoadPowerMW(floatOpsPerSec, intOpsPerSec float64) float64 {
 // CheckFeasible verifies the plan fits the device's real-time budget and
 // RAM. The returned error wraps ErrNotRealTime or ErrOutOfMemory.
 func (d Device) CheckFeasible(plan *core.Plan) error {
-	demand := d.CyclesPerSecond(plan)
-	budget := d.ClockHz * d.MaxUtilization
-	if demand > budget {
-		return fmt.Errorf("%w: %q needs %.2f Mcycles/s, %s provides %.2f Mcycles/s",
-			ErrNotRealTime, plan.Name, demand/1e6, d.Name, budget/1e6)
-	}
-	if mem := plan.TotalMemory(); mem > d.RAMBytes {
-		return fmt.Errorf("%w: %q needs %d B, %s has %d B",
-			ErrOutOfMemory, plan.Name, mem, d.Name, d.RAMBytes)
-	}
-	return nil
-}
-
-// SelectDevice returns the lowest-power device from candidates that can
-// run every given plan concurrently. This reproduces the prototype's
-// device choice: accelerometer conditions land on the MSP430, while the
-// siren detector's FFT chain forces the LM4F120 (paper §4.3, Table 2).
-func SelectDevice(candidates []Device, plans ...*core.Plan) (Device, error) {
-	if len(plans) == 0 {
-		return Device{}, errors.New("hub: no plans to place")
-	}
-	var firstErr error
-	for _, d := range candidates {
-		err := d.checkAll(plans)
-		if err == nil {
-			return d, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = errors.New("hub: no candidate devices")
-	}
-	return Device{}, fmt.Errorf("hub: no device can run the condition set: %w", firstErr)
+	f, i, mem := ir.Demand(ir.NoOpt(), plan)
+	return d.check(f, i, mem, plan, "")
 }
 
 // CheckDemand verifies a raw resource demand (operations per second and
@@ -169,24 +148,56 @@ func SelectDevice(candidates []Device, plans ...*core.Plan) (Device, error) {
 // work across conditions — the DAG demand model of package ir —
 // place sets more tightly than per-plan sums allow.
 func (d Device) CheckDemand(floatOpsPerSec, intOpsPerSec float64, memoryBytes int) error {
-	cycles := floatOpsPerSec*d.CyclesPerFloatOp + intOpsPerSec*d.CyclesPerIntOp
-	if cycles > d.ClockHz*d.MaxUtilization {
-		return fmt.Errorf("%w: demand %.2f Mcycles/s exceeds %s budget %.2f Mcycles/s",
-			ErrNotRealTime, cycles/1e6, d.Name, d.ClockHz*d.MaxUtilization/1e6)
-	}
-	if memoryBytes > d.RAMBytes {
-		return fmt.Errorf("%w: state %d B exceeds %s RAM %d B",
-			ErrOutOfMemory, memoryBytes, d.Name, d.RAMBytes)
+	return d.check(floatOpsPerSec, intOpsPerSec, memoryBytes, nil, "")
+}
+
+// check is the one feasibility verdict with its error text. A demand that
+// belongs to a single plan names it; an anonymous one is described as
+// "<qualifier>demand" and "<qualifier>state".
+func (d Device) check(floatOpsPerSec, intOpsPerSec float64, memoryBytes int, plan *core.Plan, qualifier string) error {
+	cycles, budget := d.Cycles(floatOpsPerSec, intOpsPerSec), d.CycleBudget()
+	switch {
+	case cycles > budget && plan != nil:
+		return fmt.Errorf("%w: %q needs %.2f Mcycles/s, %s provides %.2f Mcycles/s",
+			ErrNotRealTime, plan.Name, cycles/1e6, d.Name, budget/1e6)
+	case cycles > budget:
+		return fmt.Errorf("%w: %sdemand %.2f Mcycles/s exceeds %s budget %.2f Mcycles/s",
+			ErrNotRealTime, qualifier, cycles/1e6, d.Name, budget/1e6)
+	case memoryBytes > d.RAMBytes && plan != nil:
+		return fmt.Errorf("%w: %q needs %d B, %s has %d B",
+			ErrOutOfMemory, plan.Name, memoryBytes, d.Name, d.RAMBytes)
+	case memoryBytes > d.RAMBytes:
+		return fmt.Errorf("%w: %sstate %d B exceeds %s RAM %d B",
+			ErrOutOfMemory, qualifier, memoryBytes, d.Name, d.RAMBytes)
 	}
 	return nil
+}
+
+// SelectDevice returns the lowest-power device from candidates that can
+// run every given plan concurrently, billed standalone (no sharing). This
+// reproduces the prototype's device choice: accelerometer conditions land
+// on the MSP430, while the siren detector's FFT chain forces the LM4F120
+// (paper §4.3, Table 2).
+func SelectDevice(candidates []Device, plans ...*core.Plan) (Device, error) {
+	if len(plans) == 0 {
+		return Device{}, errors.New("hub: no plans to place")
+	}
+	f, i, mem := ir.Demand(ir.NoOpt(), plans...)
+	return selectDevice(candidates, f, i, mem, "combined ", "run the condition set")
 }
 
 // SelectDeviceForDemand returns the lowest-power device satisfying a raw
 // demand.
 func SelectDeviceForDemand(candidates []Device, floatOpsPerSec, intOpsPerSec float64, memoryBytes int) (Device, error) {
+	return selectDevice(candidates, floatOpsPerSec, intOpsPerSec, memoryBytes, "", "satisfy the demand")
+}
+
+// selectDevice is the one device loop: the first candidate that admits
+// the demand, or the first candidate's rejection wrapped with goal.
+func selectDevice(candidates []Device, floatOpsPerSec, intOpsPerSec float64, memoryBytes int, qualifier, goal string) (Device, error) {
 	var firstErr error
 	for _, d := range candidates {
-		err := d.CheckDemand(floatOpsPerSec, intOpsPerSec, memoryBytes)
+		err := d.check(floatOpsPerSec, intOpsPerSec, memoryBytes, nil, qualifier)
 		if err == nil {
 			return d, nil
 		}
@@ -197,24 +208,5 @@ func SelectDeviceForDemand(candidates []Device, floatOpsPerSec, intOpsPerSec flo
 	if firstErr == nil {
 		firstErr = errors.New("hub: no candidate devices")
 	}
-	return Device{}, fmt.Errorf("hub: no device can satisfy the demand: %w", firstErr)
-}
-
-// checkAll verifies the combined demand of several plans.
-func (d Device) checkAll(plans []*core.Plan) error {
-	var cycles float64
-	var mem int
-	for _, p := range plans {
-		cycles += d.CyclesPerSecond(p)
-		mem += p.TotalMemory()
-	}
-	if cycles > d.ClockHz*d.MaxUtilization {
-		return fmt.Errorf("%w: combined demand %.2f Mcycles/s exceeds %s budget %.2f Mcycles/s",
-			ErrNotRealTime, cycles/1e6, d.Name, d.ClockHz*d.MaxUtilization/1e6)
-	}
-	if mem > d.RAMBytes {
-		return fmt.Errorf("%w: combined state %d B exceeds %s RAM %d B",
-			ErrOutOfMemory, mem, d.Name, d.RAMBytes)
-	}
-	return nil
+	return Device{}, fmt.Errorf("hub: no device can %s: %w", goal, firstErr)
 }

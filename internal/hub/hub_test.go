@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sidewinder/internal/core"
+	"sidewinder/internal/ir"
 )
 
 func plan(t *testing.T, p *core.Pipeline) *core.Plan {
@@ -81,8 +82,9 @@ func TestMusicConditionFitsMSP430(t *testing.T) {
 	d := MSP430()
 	pl := musicPlan(t)
 	if err := d.CheckFeasible(pl); err != nil {
+		_, _, mem := ir.Demand(ir.NoOpt(), pl)
 		t.Fatalf("music condition should fit MSP430: %v (util %.4f, mem %d)",
-			err, d.Utilization(pl), pl.TotalMemory())
+			err, d.Utilization(pl), mem)
 	}
 }
 
@@ -206,5 +208,24 @@ func TestErrorTexts(t *testing.T) {
 		if tc.err == nil || tc.err.Error() != tc.want {
 			t.Errorf("error text = %v\nwant %s", tc.err, tc.want)
 		}
+	}
+}
+
+// TestCyclesAndFits pins the one cost model: Cycles applies the
+// per-operation costs, CycleBudget is the clock after the utilization
+// reservation, and Fits admits a demand exactly up to both limits.
+func TestCyclesAndFits(t *testing.T) {
+	d := MSP430()
+	if got := d.Cycles(3, 5); got != 3*100+5*2 {
+		t.Errorf("MSP430 cycles for 3 float + 5 int ops = %g, want 310", got)
+	}
+	if got := d.CycleBudget(); got != 8e6 {
+		t.Errorf("MSP430 cycle budget = %g, want 8e6", got)
+	}
+	if !d.Fits(8e6/100, 0, d.RAMBytes) {
+		t.Error("a demand exactly at both limits must fit")
+	}
+	if d.Fits(8e6/100, 1, 0) || d.Fits(0, 0, d.RAMBytes+1) {
+		t.Error("a demand over either limit must not fit")
 	}
 }

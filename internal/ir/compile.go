@@ -49,10 +49,6 @@ type CompileOptions struct {
 	NoFuse bool
 }
 
-// Ablated reports whether every rewrite family is disabled — the linear
-// baseline the equivalence tests compare against.
-func (o CompileOptions) Ablated() bool { return o.NoCSE && o.NoFold && o.NoFuse }
-
 // NoOpt returns the options that disable every rewrite.
 func NoOpt() CompileOptions { return CompileOptions{NoCSE: true, NoFold: true, NoFuse: true} }
 

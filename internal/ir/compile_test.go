@@ -291,12 +291,6 @@ func TestCompileStatsString(t *testing.T) {
 	if s.Eliminated() != 2 {
 		t.Fatalf("eliminated = %d, want 2", s.Eliminated())
 	}
-	if !NoOpt().Ablated() {
-		t.Fatal("NoOpt must report Ablated")
-	}
-	if (CompileOptions{}).Ablated() {
-		t.Fatal("default options must not report Ablated")
-	}
 }
 
 func TestCompilePlansRejectsEmpty(t *testing.T) {

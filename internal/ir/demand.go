@@ -6,13 +6,17 @@ import (
 	"sidewinder/internal/core"
 )
 
-// Static demand analysis over the compiled DAG. The scheduler bills a
-// resident set by the graph it would actually execute: structurally
-// identical subgraphs — shared prefixes, shared interior stages, whole
-// duplicate pipelines — are billed once, and the folding/fusion rewrites
-// shrink the bill further. Analysis works on the DAG before lowering
-// (facts are carried over from the validated plan nodes), so it needs no
-// catalog and allocates nothing per call beyond the per-plan graph walk.
+// Static demand analysis over the compiled DAG. This is the only code that
+// prices a plan: the hub's feasibility checks, the admission controller,
+// the adaptive engine's precision re-billing and the sharing analysis all
+// call it, and hub.Device alone turns its operation counts into cycles.
+// The scheduler bills a resident set by the graph it would actually
+// execute: structurally identical subgraphs — shared prefixes, shared
+// interior stages, whole duplicate pipelines — are billed once, and the
+// folding/fusion rewrites shrink the bill further. Analysis works on the
+// DAG before lowering (facts are carried over from the validated plan
+// nodes), so it needs no catalog and allocates nothing per call beyond the
+// per-plan graph walk.
 
 // NodeDemand is one surviving DAG node's contribution to the bill.
 type NodeDemand struct {
@@ -36,8 +40,26 @@ func AnalyzePlan(opts CompileOptions, plan *core.Plan) []NodeDemand {
 
 // Demand computes the deduplicated demand of a resident plan set: the sum
 // over the shared graph's surviving nodes of cost × rate, and their
-// instance memory.
+// instance memory. Under NoOpt nothing is shared or rewritten, so every
+// plan node bills as written: Demand sums each plan's nodes directly, then
+// the plans, without building the graph. That is the naive bill the hub's
+// feasibility checks and the CSE-off ablation price with, and it
+// allocates nothing.
 func Demand(opts CompileOptions, plans ...*core.Plan) (floatOpsPerSec, intOpsPerSec float64, memoryBytes int) {
+	if opts == NoOpt() {
+		for _, p := range plans {
+			var pf, pi float64
+			for i := range p.Nodes {
+				n := &p.Nodes[i]
+				pf += n.Cost.FloatOps * n.Rate
+				pi += n.Cost.IntOps * n.Rate
+				memoryBytes += n.Memory
+			}
+			floatOpsPerSec += pf
+			intOpsPerSec += pi
+		}
+		return floatOpsPerSec, intOpsPerSec, memoryBytes
+	}
 	d, outs, _ := buildDAG(opts, plans)
 	for _, nd := range demandNodes(d, outs) {
 		floatOpsPerSec += nd.FloatOpsPerSec
@@ -81,12 +103,14 @@ func demandNodes(d *DAG, outs []*DAGNode) []NodeDemand {
 }
 
 // DemandAccumulator prices plans incrementally against a committed set:
-// Marginal returns what a plan would add (nodes whose keys the committed
-// set already contains cost zero), Commit adds it. The totals always
-// equal Demand over the committed plans to within float associativity.
+// Marginal returns what a plan would add, Commit adds exactly that. With
+// CSE on, nodes whose keys the committed set already contains cost zero;
+// under NoCSE nothing is shared, so every plan bills in full, copies
+// included. The totals always equal Demand over the committed plans to
+// within float associativity.
 type DemandAccumulator struct {
 	opts           CompileOptions
-	seen           map[string]bool
+	seen           map[string]bool // nil under NoCSE: nothing dedups
 	cache          map[*core.Plan][]NodeDemand
 	floatOpsPerSec float64
 	intOpsPerSec   float64
@@ -96,11 +120,11 @@ type DemandAccumulator struct {
 // NewDemandAccumulator returns an empty accumulator billing under the
 // given compile options.
 func NewDemandAccumulator(opts CompileOptions) *DemandAccumulator {
-	return &DemandAccumulator{
-		opts:  opts,
-		seen:  make(map[string]bool),
-		cache: make(map[*core.Plan][]NodeDemand),
+	a := &DemandAccumulator{opts: opts, cache: make(map[*core.Plan][]NodeDemand)}
+	if !opts.NoCSE {
+		a.seen = make(map[string]bool)
 	}
+	return a
 }
 
 // analyze returns the plan's demand nodes, memoized per plan pointer (an
@@ -115,12 +139,15 @@ func (a *DemandAccumulator) analyze(plan *core.Plan) []NodeDemand {
 	return nd
 }
 
-// Marginal returns the additional demand the plan would add on top of the
-// committed set, without committing it.
-func (a *DemandAccumulator) Marginal(plan *core.Plan) (floatOpsPerSec, intOpsPerSec float64, memoryBytes int) {
+// price sums the plan's nodes the committed set does not already bill;
+// with mark set it records them as billed.
+func (a *DemandAccumulator) price(plan *core.Plan, mark bool) (floatOpsPerSec, intOpsPerSec float64, memoryBytes int) {
 	for _, nd := range a.analyze(plan) {
 		if a.seen[nd.Key] {
 			continue
+		}
+		if mark && a.seen != nil {
+			a.seen[nd.Key] = true
 		}
 		floatOpsPerSec += nd.FloatOpsPerSec
 		intOpsPerSec += nd.IntOpsPerSec
@@ -129,19 +156,20 @@ func (a *DemandAccumulator) Marginal(plan *core.Plan) (floatOpsPerSec, intOpsPer
 	return floatOpsPerSec, intOpsPerSec, memoryBytes
 }
 
-// Commit adds the plan to the committed set and returns the accumulated
-// totals.
+// Marginal returns the additional demand the plan would add on top of the
+// committed set, without committing it.
+func (a *DemandAccumulator) Marginal(plan *core.Plan) (floatOpsPerSec, intOpsPerSec float64, memoryBytes int) {
+	return a.price(plan, false)
+}
+
+// Commit adds the plan's marginal demand to the committed set and returns
+// the accumulated totals.
 func (a *DemandAccumulator) Commit(plan *core.Plan) (floatOpsPerSec, intOpsPerSec float64, memoryBytes int) {
-	for _, nd := range a.analyze(plan) {
-		if a.seen[nd.Key] {
-			continue
-		}
-		a.seen[nd.Key] = true
-		a.floatOpsPerSec += nd.FloatOpsPerSec
-		a.intOpsPerSec += nd.IntOpsPerSec
-		a.memoryBytes += nd.MemoryBytes
-	}
-	return a.floatOpsPerSec, a.intOpsPerSec, a.memoryBytes
+	f, i, mem := a.price(plan, true)
+	a.floatOpsPerSec += f
+	a.intOpsPerSec += i
+	a.memoryBytes += mem
+	return a.Total()
 }
 
 // Total returns the committed set's demand.

@@ -90,53 +90,89 @@ func TestDemandConservation(t *testing.T) {
 
 // TestDemandAccumulatorMatchesBatch pins that incremental pricing
 // (Marginal/Commit, the admission controller's path) lands on the same
-// totals as the one-shot Demand over the committed set — and that a
-// committed plan's marginal is exactly zero.
+// totals as the one-shot Demand over the committed set, under both the
+// sharing-aware and the fully ablated options. Every set carries a copy
+// of one of its plans: with CSE a committed plan's marginal is exactly
+// zero, while under NoOpt (nothing shared) a copy bills in full.
 func TestDemandAccumulatorMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	opts := CompileOptions{}
-	for i := 0; i < 50; i++ {
-		plans := randomPlans(t, rng, 1+rng.Intn(4))
-		acc := NewDemandAccumulator(opts)
-		for _, p := range plans {
-			mf, mi, mm := acc.Marginal(p)
-			bf, bi, bm := acc.Total()
-			cf, ci, cm := acc.Commit(p)
-			if math.Abs(bf+mf-cf) > demandEps || math.Abs(bi+mi-ci) > demandEps || bm+mm != cm {
-				t.Fatalf("set %d: marginal %g/%g/%d does not bridge totals", i, mf, mi, mm)
+	for _, opts := range []CompileOptions{{}, NoOpt()} {
+		rng := rand.New(rand.NewSource(99))
+		for i := 0; i < 50; i++ {
+			plans := randomPlans(t, rng, 1+rng.Intn(4))
+			plans = append(plans, plans[rng.Intn(len(plans))])
+			acc := NewDemandAccumulator(opts)
+			for _, p := range plans {
+				mf, mi, mm := acc.Marginal(p)
+				bf, bi, bm := acc.Total()
+				cf, ci, cm := acc.Commit(p)
+				if math.Abs(bf+mf-cf) > demandEps || math.Abs(bi+mi-ci) > demandEps || bm+mm != cm {
+					t.Fatalf("%+v set %d: marginal %g/%g/%d does not bridge totals", opts, i, mf, mi, mm)
+				}
+				mf2, mi2, mm2 := acc.Marginal(p)
+				wf, wi, wm := 0.0, 0.0, 0
+				if opts.NoCSE {
+					wf, wi, wm = Demand(opts, p)
+				}
+				if mf2 != wf || mi2 != wi || mm2 != wm {
+					t.Fatalf("%+v set %d: committed plan has marginal %g/%g/%d, want %g/%g/%d",
+						opts, i, mf2, mi2, mm2, wf, wi, wm)
+				}
 			}
-			if mf2, mi2, mm2 := acc.Marginal(p); mf2 != 0 || mi2 != 0 || mm2 != 0 {
-				t.Fatalf("set %d: committed plan still has marginal %g/%g/%d", i, mf2, mi2, mm2)
+			af, ai, am := acc.Total()
+			df, di, dm := Demand(opts, plans...)
+			if math.Abs(af-df) > demandEps || math.Abs(ai-di) > demandEps || am != dm {
+				t.Fatalf("%+v set %d: accumulator %g/%g/%d vs batch %g/%g/%d",
+					opts, i, af, ai, am, df, di, dm)
 			}
-		}
-		af, ai, am := acc.Total()
-		df, di, dm := Demand(opts, plans...)
-		if math.Abs(af-df) > demandEps || math.Abs(ai-di) > demandEps || am != dm {
-			t.Fatalf("set %d: accumulator %g/%g/%d vs batch %g/%g/%d",
-				i, af, ai, am, df, di, dm)
 		}
 	}
 }
 
+// planTotals is the naive bill the NoOpt demand must reproduce: every
+// node's cost × rate summed per plan, then across plans.
+func planTotals(plans ...*core.Plan) (floatOps, intOps float64, memory int) {
+	for _, p := range plans {
+		var pf, pi float64
+		for _, n := range p.Nodes {
+			pf += n.Cost.FloatOps * n.Rate
+			pi += n.Cost.IntOps * n.Rate
+			memory += n.Memory
+		}
+		floatOps += pf
+		intOps += pi
+	}
+	return floatOps, intOps, memory
+}
+
 // TestNoOptDemandEqualsPlanTotals pins the ablation anchor: with every
-// rewrite disabled, DAG demand is exactly the naive per-plan sum the
-// pre-DAG scheduler would have billed.
+// rewrite disabled, Demand is bit for bit the naive per-plan sum, and the
+// direct sum it takes under NoOpt agrees bit for bit with walking each
+// plan's graph (AnalyzePlan) — so skipping the graph changes no price.
 func TestNoOptDemandEqualsPlanTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for i := 0; i < 50; i++ {
 		plans := randomPlans(t, rng, 1+rng.Intn(3))
-		var wf, wi float64
-		var wm int
+		wf, wi, wm := planTotals(plans...)
+		var af, ai float64
+		var am int
 		for _, p := range plans {
-			f, iOps := p.TotalOpsPerSecond()
-			wf += f
-			wi += iOps
-			wm += p.TotalMemory()
+			var pf, pi float64
+			for _, nd := range AnalyzePlan(NoOpt(), p) {
+				pf += nd.FloatOpsPerSec
+				pi += nd.IntOpsPerSec
+				am += nd.MemoryBytes
+			}
+			af += pf
+			ai += pi
 		}
 		gf, gi, gm := Demand(NoOpt(), plans...)
-		if math.Abs(gf-wf) > demandEps || math.Abs(gi-wi) > demandEps || gm != wm {
+		if gf != wf || gi != wi || gm != wm {
 			t.Fatalf("set %d: NoOpt demand %g/%g/%d, naive totals %g/%g/%d",
 				i, gf, gi, gm, wf, wi, wm)
+		}
+		if gf != af || gi != ai || gm != am {
+			t.Fatalf("set %d: NoOpt demand %g/%g/%d, graph walk %g/%g/%d",
+				i, gf, gi, gm, af, ai, am)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func TestRandomPipelinesCostModelSane(t *testing.T) {
 				t.Fatalf("pipeline %d node %d: out rate %g exceeds in rate %g", i, n.ID, n.OutRate, n.Rate)
 			}
 		}
-		f, iOps := plan.TotalOpsPerSecond()
+		f, iOps, _ := planTotals(plan)
 		if f < 0 || iOps < 0 {
 			t.Fatalf("pipeline %d: negative totals", i)
 		}

@@ -1,7 +1,7 @@
-// Package sched implements the multi-tenant hub capacity model: a cycle
-// and RAM budget derived from the device's power-model constants, and an
+// Package sched implements the multi-tenant hub capacity model: an
 // admission controller that decides which wake-up conditions run on the
-// hub and which degrade to phone-side duty-cycled fallback sensing.
+// hub, within the device's cycle and RAM budget (hub.Device.Fits), and
+// which degrade to phone-side duty-cycled fallback sensing.
 //
 // The paper's prototype pushes conditions until the hub rejects one; this
 // package gives the sensor manager the missing multi-tenant story. Each
@@ -36,35 +36,11 @@ import (
 // degraded to phone-side sensing.
 const FallbackDeviceName = "phone-fallback"
 
-// Budget is a device's schedulable capacity: the cycles per second left
-// after the MaxUtilization reservation for sampling and link handling,
-// and the RAM available for algorithm instance state.
-type Budget struct {
-	Device       hub.Device
-	CyclesPerSec float64
-	RAMBytes     int
-}
-
-// BudgetFor derives the budget from a device model's constants.
-func BudgetFor(d hub.Device) Budget {
-	return Budget{
-		Device:       d,
-		CyclesPerSec: d.ClockHz * d.MaxUtilization,
-		RAMBytes:     d.RAMBytes,
-	}
-}
-
-// Cycles converts a merged float/int demand into cycles per second on the
-// budget's device.
-func (b Budget) Cycles(floatOpsPerSec, intOpsPerSec float64) float64 {
-	return floatOpsPerSec*b.Device.CyclesPerFloatOp + intOpsPerSec*b.Device.CyclesPerIntOp
-}
-
-// Fits reports whether a merged demand fits the budget.
-func (b Budget) Fits(floatOpsPerSec, intOpsPerSec float64, memoryBytes int) bool {
-	return b.Cycles(floatOpsPerSec, intOpsPerSec) <= b.CyclesPerSec &&
-		memoryBytes <= b.RAMBytes
-}
+// BudgetFor returns the device itself: hub.Device carries the cycle
+// budget (CycleBudget), the cycle conversion (Cycles) and the verdict
+// (Fits). It remains because the swbench harness, a separate module,
+// still calls it.
+func BudgetFor(d hub.Device) hub.Device { return d }
 
 // Placement says where a condition currently runs.
 type Placement int
@@ -112,7 +88,8 @@ type Delta struct {
 // Options tune the admission controller's costing.
 type Options struct {
 	// DisableSharing bills every condition its standalone demand: no
-	// cross-app deduplication, no DAG folds — the sum of per-plan totals.
+	// cross-app deduplication, no DAG folds — the sum of per-plan totals
+	// (ir.NoOpt pricing).
 	// This is the CSE-off ablation the fleet sweep compares against; the
 	// default (false) bills the shared execution graph the hub actually
 	// runs.
@@ -121,29 +98,35 @@ type Options struct {
 
 // Scheduler is the admission controller for one hub device.
 type Scheduler struct {
-	budget  Budget
+	dev     hub.Device
 	opts    Options
 	conds   map[uint16]*condition
 	placed  map[uint16]Placement
 	nextSeq int
 }
 
-// New builds a scheduler over a device's derived budget with default
+// New builds a scheduler over a device's budget with default
 // (sharing-aware) costing.
 func New(d hub.Device) *Scheduler { return NewWithOptions(d, Options{}) }
 
 // NewWithOptions builds a scheduler with explicit costing options.
 func NewWithOptions(d hub.Device, opts Options) *Scheduler {
 	return &Scheduler{
-		budget: BudgetFor(d),
+		dev:    d,
 		opts:   opts,
 		conds:  make(map[uint16]*condition),
 		placed: make(map[uint16]Placement),
 	}
 }
 
-// Budget returns the device budget the scheduler admits against.
-func (s *Scheduler) Budget() Budget { return s.budget }
+// pricing returns the compile options the scheduler bills under: the
+// shared graph the hub runs, or with DisableSharing every rewrite off.
+func (s *Scheduler) pricing() ir.CompileOptions {
+	if s.opts.DisableSharing {
+		return ir.NoOpt()
+	}
+	return ir.CompileOptions{}
+}
 
 // Add registers a condition and recomputes placements. Higher priority
 // wins the hub under contention; equal priorities favor earlier arrivals.
@@ -234,39 +217,21 @@ func (s *Scheduler) Utilization() (cycleFrac, ramFrac float64, sharedNodes int) 
 	if len(plans) == 0 {
 		return 0, 0, 0
 	}
-	var f, i float64
-	var mem int
-	if s.opts.DisableSharing {
-		for _, p := range plans {
-			pf, pi := p.TotalOpsPerSecond()
-			f += pf
-			i += pi
-			mem += p.TotalMemory()
-		}
-	} else {
-		f, i, mem = ir.Demand(ir.CompileOptions{}, plans...)
-		for _, p := range plans {
-			sharedNodes += len(p.Nodes)
-		}
-		sharedNodes -= distinctNodes(plans)
+	opts := s.pricing()
+	f, i, mem := ir.Demand(opts, plans...)
+	for _, p := range plans {
+		sharedNodes += len(p.Nodes)
 	}
-	if s.budget.CyclesPerSec > 0 {
-		cycleFrac = s.budget.Cycles(f, i) / s.budget.CyclesPerSec
+	for _, kd := range ir.DemandByKind(opts, plans...) {
+		sharedNodes -= kd.Nodes
 	}
-	if s.budget.RAMBytes > 0 {
-		ramFrac = float64(mem) / float64(s.budget.RAMBytes)
+	if budget := s.dev.CycleBudget(); budget > 0 {
+		cycleFrac = s.dev.Cycles(f, i) / budget
+	}
+	if s.dev.RAMBytes > 0 {
+		ramFrac = float64(mem) / float64(s.dev.RAMBytes)
 	}
 	return cycleFrac, ramFrac, sharedNodes
-}
-
-// distinctNodes counts the instances the compiled shared graph keeps
-// across the plans, via the per-kind demand breakdown.
-func distinctNodes(plans []*core.Plan) int {
-	n := 0
-	for _, sd := range ir.DemandByKind(ir.CompileOptions{}, plans...) {
-		n += sd.Nodes
-	}
-	return n
 }
 
 // recompute rebuilds the placement map greedily and diffs it against the
@@ -286,31 +251,15 @@ func (s *Scheduler) recompute(changed uint16) Delta {
 	})
 
 	next := make(map[uint16]Placement, len(order))
-	if s.opts.DisableSharing {
-		// CSE-off ablation: every condition is billed standalone.
-		var f, i float64
-		var mem int
-		for _, c := range order {
-			mf, mi := c.plan.TotalOpsPerSecond()
-			mmem := c.plan.TotalMemory()
-			if s.budget.Fits(f+mf, i+mi, mem+mmem) {
-				f, i, mem = f+mf, i+mi, mem+mmem
-				next[c.id] = PlacedHub
-			} else {
-				next[c.id] = PlacedFallback
-			}
-		}
-	} else {
-		acc := ir.NewDemandAccumulator(ir.CompileOptions{})
-		for _, c := range order {
-			mf, mi, mmem := acc.Marginal(c.plan)
-			f, i, mem := acc.Total()
-			if s.budget.Fits(f+mf, i+mi, mem+mmem) {
-				acc.Commit(c.plan)
-				next[c.id] = PlacedHub
-			} else {
-				next[c.id] = PlacedFallback
-			}
+	acc := ir.NewDemandAccumulator(s.pricing())
+	for _, c := range order {
+		mf, mi, mmem := acc.Marginal(c.plan)
+		f, i, mem := acc.Total()
+		if s.dev.Fits(f+mf, i+mi, mem+mmem) {
+			acc.Commit(c.plan)
+			next[c.id] = PlacedHub
+		} else {
+			next[c.id] = PlacedFallback
 		}
 	}
 

@@ -45,11 +45,24 @@ func sirenPlan(t *testing.T, cutoff float64) *core.Plan {
 	return plan
 }
 
+// planTotals is the naive bill: every plan node's cost × rate and
+// memory, nothing shared.
+func planTotals(plans []*core.Plan) (floatOps, intOps float64, memory int) {
+	for _, p := range plans {
+		for _, n := range p.Nodes {
+			floatOps += n.Cost.FloatOps * n.Rate
+			intOps += n.Cost.IntOps * n.Rate
+			memory += n.Memory
+		}
+	}
+	return floatOps, intOps, memory
+}
+
 func TestBudgetFromDeviceConstants(t *testing.T) {
 	for _, d := range hub.Devices() {
 		b := BudgetFor(d)
-		if b.CyclesPerSec != d.ClockHz*d.MaxUtilization {
-			t.Errorf("%s cycle budget = %g, want %g", d.Name, b.CyclesPerSec, d.ClockHz*d.MaxUtilization)
+		if b.CycleBudget() != d.ClockHz*d.MaxUtilization {
+			t.Errorf("%s cycle budget = %g, want %g", d.Name, b.CycleBudget(), d.ClockHz*d.MaxUtilization)
 		}
 		if b.RAMBytes != d.RAMBytes {
 			t.Errorf("%s RAM budget = %d, want %d", d.Name, b.RAMBytes, d.RAMBytes)
@@ -202,7 +215,6 @@ func TestPropertyAdmittedSetNeverExceedsBudget(t *testing.T) {
 	for _, dev := range hub.Devices() {
 		rng := rand.New(rand.NewSource(7))
 		s := New(dev)
-		b := s.Budget()
 		live := make(map[uint16]int) // id -> priority
 		nextID := uint16(1)
 		for op := 0; op < 300; op++ {
@@ -231,9 +243,9 @@ func TestPropertyAdmittedSetNeverExceedsBudget(t *testing.T) {
 					op, dev.Name, len(hubIDs)+len(fbIDs), len(live))
 			}
 			f, i, mem := ir.Demand(ir.CompileOptions{}, s.HubPlans()...)
-			if len(hubIDs) > 0 && !b.Fits(f, i, mem) {
+			if len(hubIDs) > 0 && !dev.Fits(f, i, mem) {
 				t.Fatalf("op %d on %s: admitted set exceeds budget: %.2f Mcycles/s of %.2f, %d B of %d",
-					op, dev.Name, b.Cycles(f, i)/1e6, b.CyclesPerSec/1e6, mem, b.RAMBytes)
+					op, dev.Name, dev.Cycles(f, i)/1e6, dev.CycleBudget()/1e6, mem, dev.RAMBytes)
 			}
 		}
 	}
@@ -319,6 +331,10 @@ func TestDisableSharingBillsNaively(t *testing.T) {
 	if naiveShared != 0 {
 		t.Fatalf("naive utilization reported %d shared nodes", naiveShared)
 	}
+	dev := hub.LM4F120()
+	if nf, ni, _ := planTotals(naive.HubPlans()); cycOff != dev.Cycles(nf, ni)/dev.CycleBudget() {
+		t.Fatalf("naive cycle fraction %g is not the per-plan sum's %g", cycOff, dev.Cycles(nf, ni)/dev.CycleBudget())
+	}
 	perCond := cycOn // all n shared conditions cost one pipeline
 	if cycOff < perCond*float64(len(naive.HubSet()))-1e-9 {
 		t.Fatalf("naive cycle fraction %g below %d standalone pipelines (%g each)",
@@ -348,20 +364,12 @@ func TestPropertyNaiveBillingNeverCheaper(t *testing.T) {
 			continue
 		}
 		mf, mi, mm := ir.Demand(ir.CompileOptions{}, plans...)
-		var nf, ni float64
-		var nm int
-		for _, p := range plans {
-			f, i := p.TotalOpsPerSecond()
-			nf += f
-			ni += i
-			nm += p.TotalMemory()
-		}
+		nf, ni, nm := planTotals(plans)
 		if mf > nf+1e-9 || mi > ni+1e-9 || mm > nm {
 			t.Fatalf("trial %d: merged demand %g/%g/%d exceeds naive %g/%g/%d",
 				trial, mf, mi, mm, nf, ni, nm)
 		}
-		b := s.Budget()
-		if !b.Fits(mf, mi, mm) {
+		if !hub.LM4F120().Fits(mf, mi, mm) {
 			t.Fatalf("trial %d: admitted set does not fit its own budget", trial)
 		}
 	}

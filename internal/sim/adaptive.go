@@ -8,7 +8,6 @@ import (
 	"sidewinder/internal/interp"
 	"sidewinder/internal/ir"
 	"sidewinder/internal/power"
-	"sidewinder/internal/sched"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/telemetry"
 )
@@ -145,13 +144,12 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	budget := sched.BudgetFor(dev)
 	// The static counterfactual: the pushed program at the developer's
 	// precision, billed load-proportionally. Adaptation is only allowed
 	// to move demand DOWN from here, so savings are non-negative and
 	// AdaptedMJ + SavingsMJ == StaticMJ is exact.
 	baseF, baseI, _ := adapt.Demand(base, interp.Float64)
-	baseCycles := budget.Cycles(baseF, baseI)
+	baseCycles := dev.Cycles(baseF, baseI)
 	staticMW := dev.LoadPowerMW(baseF, baseI)
 
 	engine := adapt.NewEngine(cfg)
@@ -167,7 +165,7 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 			return nil, err
 		}
 		f, i, mem := adapt.Demand(plan, k.Precision)
-		if !budget.Fits(f, i, mem) || budget.Cycles(f, i) > baseCycles {
+		if !dev.Fits(f, i, mem) || dev.Cycles(f, i) > baseCycles {
 			return nil, fmt.Errorf("sim: knobs %+v exceed the admitted demand", k)
 		}
 		exec, _, err := ir.CompilePlan(cat, ir.CompileOptions{}, plan)
@@ -304,7 +302,7 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		depositPhoneEnergy(led, ph)
 		led.AddEnergyMJ(telemetry.HubDevice, hubMJ)
 		led.AddEnergyMJ(telemetry.AdaptSavings, staticMJ-hubMJ)
-		profile.DepositCycles(led, dev.CyclesPerFloatOp, dev.CyclesPerIntOp)
+		profile.DepositCycles(led, dev.Cycles)
 		emitStageSpans(hubStream, profile, dev)
 	}
 

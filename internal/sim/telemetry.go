@@ -38,7 +38,7 @@ func depositPhoneEnergy(l *telemetry.Ledger, ph *power.Phone) {
 // into device cycles on the ledger.
 func depositHubEnergy(l *telemetry.Ledger, dev hub.Device, durSec float64, prof *telemetry.InterpProfile) {
 	l.AddEnergyMJ(telemetry.HubDevice, dev.ActivePowerMW*durSec)
-	prof.DepositCycles(l, dev.CyclesPerFloatOp, dev.CyclesPerIntOp)
+	prof.DepositCycles(l, dev.Cycles)
 }
 
 // emitStageSpans lays the profile's per-stage execution time out as
@@ -51,8 +51,7 @@ func emitStageSpans(s *telemetry.Stream, prof *telemetry.InterpProfile, dev hub.
 	}
 	at := 0.0
 	for _, st := range prof.Stages() {
-		cycles := st.FloatOps*dev.CyclesPerFloatOp + st.IntOps*dev.CyclesPerIntOp
-		dur := cycles / dev.ClockHz
+		dur := dev.Cycles(st.FloatOps, st.IntOps) / dev.ClockHz
 		if dur <= 0 {
 			continue
 		}

@@ -98,13 +98,13 @@ func (p *InterpProfile) TotalOps() (floatOps, intOps float64) {
 }
 
 // DepositCycles converts the profile's per-stage work into device cycles
-// (cyclesPerFloatOp/cyclesPerIntOp are the hub device's conversion rates)
-// and attributes them to the ledger. No-op when either side is nil.
-func (p *InterpProfile) DepositCycles(l *Ledger, cyclesPerFloatOp, cyclesPerIntOp float64) {
+// with the hub device's conversion (hub.Device.Cycles) and attributes them
+// to the ledger. No-op when either side is nil.
+func (p *InterpProfile) DepositCycles(l *Ledger, cycles func(floatOps, intOps float64) float64) {
 	if p == nil || l == nil {
 		return
 	}
 	for _, s := range p.order {
-		l.AddStageCycles(s.Kind, s.FloatOps*cyclesPerFloatOp+s.IntOps*cyclesPerIntOp)
+		l.AddStageCycles(s.Kind, cycles(s.FloatOps, s.IntOps))
 	}
 }

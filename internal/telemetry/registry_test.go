@@ -215,7 +215,7 @@ func TestInterpProfile(t *testing.T) {
 	}
 
 	l := NewLedger()
-	p.DepositCycles(l, 3, 1) // LM4F120-style rates
+	p.DepositCycles(l, func(f, i float64) float64 { return f*3 + i }) // LM4F120-style rates
 	if got := l.StageCycles("fft"); got != 300 {
 		t.Errorf("fft cycles = %g, want 300", got)
 	}
