@@ -45,15 +45,18 @@ func sirenPlan(t *testing.T, cutoff float64) *core.Plan {
 	return plan
 }
 
-// planTotals is the naive bill: every plan node's cost × rate and
-// memory, nothing shared.
+// planTotals is the naive bill: every node's cost × rate and memory,
+// summed per plan, then across plans; nothing shared.
 func planTotals(plans []*core.Plan) (floatOps, intOps float64, memory int) {
 	for _, p := range plans {
+		var pf, pi float64
 		for _, n := range p.Nodes {
-			floatOps += n.Cost.FloatOps * n.Rate
-			intOps += n.Cost.IntOps * n.Rate
+			pf += n.Cost.FloatOps * n.Rate
+			pi += n.Cost.IntOps * n.Rate
 			memory += n.Memory
 		}
+		floatOps += pf
+		intOps += pi
 	}
 	return floatOps, intOps, memory
 }
