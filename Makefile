@@ -20,7 +20,7 @@ COVER_FLOOR ?= 83.5
 PKG_FLOORS = sidewinder/internal/ir=85.0 sidewinder/internal/adapt=85.0
 # BENCH_PKGS are the packages whose benchmarks carry allocs/op contracts
 # (hot paths that must not regress).
-BENCH_PKGS = . ./internal/interp ./internal/telemetry ./internal/dsp
+BENCH_PKGS = . ./internal/interp ./internal/telemetry ./internal/dsp ./internal/sim
 
 .PHONY: verify fmt build vet staticcheck test race bench bench-telemetry \
 	bench-baseline bench-check cover cover-check fuzz soak chaos swbench-check \

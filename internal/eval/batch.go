@@ -19,11 +19,13 @@ import (
 // table therefore sees exactly the sequence a serial run would have
 // produced, making tables byte-identical across worker counts.
 
-// cellJob is one (strategy, app, trace) simulation cell.
+// cellJob is one (strategy, app, trace) simulation cell, or a result that
+// already ran (done), which run hands back as it is.
 type cellJob struct {
-	s   sim.Strategy
-	tr  *sensor.Trace
-	app *apps.App
+	s    sim.Strategy
+	tr   *sensor.Trace
+	app  *apps.App
+	done *sim.Result
 }
 
 // cellOutcome is a completed cell: its result or its error. Errors stay
@@ -62,6 +64,16 @@ func (b *runBatch) addOne(s sim.Strategy, tr *sensor.Trace, app *apps.App) cellR
 	return b.add(s, []*sensor.Trace{tr}, app)
 }
 
+// reuse enqueues results that already ran, so they read back like any
+// other range without running again.
+func (b *runBatch) reuse(results []*sim.Result) cellRange {
+	start := len(b.jobs)
+	for _, res := range results {
+		b.jobs = append(b.jobs, cellJob{done: res})
+	}
+	return cellRange{b: b, start: start, end: len(b.jobs)}
+}
+
 // run executes every enqueued cell through the pool. Outcomes land in
 // submission order regardless of the schedule. Telemetry (when enabled)
 // and the interpreter precision are injected into every Sidewinder cell
@@ -72,6 +84,9 @@ func (b *runBatch) run(workers int, tele telemetry.Set, prec interp.Precision) {
 	// Map's fn never errors: each cell's error is part of its outcome.
 	b.out, _ = parallel.Map(workers, len(b.jobs), func(i int) (cellOutcome, error) {
 		j := b.jobs[i]
+		if j.done != nil {
+			return cellOutcome{res: j.done}, nil
+		}
 		s := j.s
 		if sw, ok := s.(sim.Sidewinder); ok {
 			sw.Precision = prec

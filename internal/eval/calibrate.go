@@ -3,11 +3,14 @@ package eval
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"sidewinder/internal/apps"
+	"sidewinder/internal/interp"
 	"sidewinder/internal/parallel"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/sim"
+	"sidewinder/internal/telemetry"
 )
 
 // CalibratePA finds the predefined-activity threshold that minimizes power
@@ -21,45 +24,109 @@ import (
 // a coarse descending scan over a geometric grid suffices and stays
 // deterministic.
 func CalibratePA(workers int, kind sim.PAKind, traces []*sensor.Trace, appList []*apps.App, truths map[string][]sensor.Event) (float64, error) {
-	// "100% recall" means recalling everything the main-CPU classifier
-	// can detect at all: the Always-Awake run is the per-(trace, app)
-	// ceiling no wake-up mechanism can exceed. The pairs are independent,
-	// so they fan through the pool.
-	pairs := calibrationPairs(traces, appList)
-	recalls, err := parallel.Map(workers, len(pairs), func(i int) (float64, error) {
-		tr, app := pairs[i].tr, pairs[i].app
-		res, err := (sim.AlwaysAwake{}).Run(tr, app)
-		if err != nil {
-			return 0, err
-		}
-		if truth, ok := truths[truthKey(tr, app)]; ok {
-			res.RescoreAgainst(truth, int(app.MatchTolSec*tr.RateHz))
-		}
-		return res.Recall, nil
-	})
+	cal, err := calibratePA(workers, kind, traces, appList, truths, nil)
 	if err != nil {
 		return 0, err
 	}
-	ceilings := make(map[string]float64, len(pairs))
-	for i, p := range pairs {
-		ceilings[truthKey(p.tr, p.app)] = recalls[i]
+	return cal.pa.Threshold, nil
+}
+
+// paCalibration is what a calibration scan simulated, keyed by truthKey:
+// the Always-Awake ceilings and the predefined-activity runs at the chosen
+// threshold, both rescored against truths where the scan was given them.
+// Experiments read these back as their own cells instead of re-running
+// them (add).
+type paCalibration struct {
+	pa           sim.PredefinedActivity
+	aaRes, paRes map[string]*sim.Result
+}
+
+// calibratePA is CalibratePA returning what it ran. aa, when non-nil,
+// holds Always-Awake results for every (trace, app) pair that already ran
+// (Figure 7 needs them first, for its pseudo ground truth); otherwise the
+// ceilings run here.
+func calibratePA(workers int, kind sim.PAKind, traces []*sensor.Trace, appList []*apps.App, truths map[string][]sensor.Event, aa map[string]*sim.Result) (*paCalibration, error) {
+	// "100% recall" means recalling everything the main-CPU classifier
+	// can detect at all: the Always-Awake run is the per-(trace, app)
+	// ceiling no wake-up mechanism can exceed.
+	pairs := calibrationPairs(traces, appList)
+	if aa == nil {
+		var err error
+		if aa, err = alwaysAwake(workers, pairs); err != nil {
+			return nil, err
+		}
+	}
+	for _, p := range pairs {
+		if truth, ok := truths[truthKey(p.tr, p.app)]; ok {
+			aa[truthKey(p.tr, p.app)].RescoreAgainst(truth, int(p.app.MatchTolSec*p.tr.RateHz))
+		}
 	}
 
 	grid := motionGrid
 	if kind == sim.SignificantSound {
 		grid = soundGrid
 	}
+	// Each step first checks the pair that fell short at the step before:
+	// it is the likeliest to fall short again, and the verdict does not
+	// depend on the order.
+	binding := 0
 	for i := len(grid) - 1; i >= 0; i-- {
-		threshold := grid[i]
-		ok, err := paRecallsAll(workers, kind, threshold, pairs, truths, ceilings)
+		pa := sim.PredefinedActivity{Kind: kind, Threshold: grid[i]}
+		ran, short, err := paRecallsAll(workers, pa, pairs, binding, truths, aa)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		if ok {
-			return threshold, nil
+		if ran != nil {
+			return &paCalibration{pa: pa, aaRes: aa, paRes: ran}, nil
+		}
+		binding = short
+	}
+	return nil, fmt.Errorf("eval: no predefined-activity threshold achieves full recall")
+}
+
+// alwaysAwake runs the Always-Awake baseline on every pair through the
+// pool, keyed by truthKey.
+func alwaysAwake(workers int, pairs []calibrationPair) (map[string]*sim.Result, error) {
+	var b runBatch
+	cells := make([]cellRange, len(pairs))
+	for i, p := range pairs {
+		cells[i] = b.addOne(sim.AlwaysAwake{}, p.tr, p.app)
+	}
+	b.run(workers, telemetry.Set{}, interp.Float64)
+	out := make(map[string]*sim.Result, len(pairs))
+	for i, p := range pairs {
+		res, err := cells[i].first()
+		if err != nil {
+			return nil, err
+		}
+		out[truthKey(p.tr, p.app)] = res
+	}
+	return out, nil
+}
+
+// add enqueues s over traces for app on b, reusing what the calibration
+// ran when s is Always-Awake or the calibrated predefined activity: those
+// cells are bit-identical to a fresh run, rescoring included, because
+// RescoreAgainst is a pure function of the truth it is given.
+func (c *paCalibration) add(b *runBatch, s sim.Strategy, traces []*sensor.Trace, app *apps.App) cellRange {
+	var ran map[string]*sim.Result
+	switch st := s.(type) {
+	case sim.AlwaysAwake:
+		ran = c.aaRes
+	case sim.PredefinedActivity:
+		if st == c.pa {
+			ran = c.paRes
 		}
 	}
-	return 0, fmt.Errorf("eval: no predefined-activity threshold achieves full recall")
+	results := make([]*sim.Result, 0, len(traces))
+	for _, tr := range traces {
+		res, ok := ran[truthKey(tr, app)]
+		if !ok {
+			return b.add(s, traces, app)
+		}
+		results = append(results, res)
+	}
+	return b.reuse(results)
 }
 
 // calibrationPair is one (trace, app) recall measurement.
@@ -97,25 +164,43 @@ func geometric(lo, hi float64, n int) []float64 {
 	return out
 }
 
-// paRecallsAll reports whether the PA configuration with the given
-// threshold achieves full recall on every (trace, app) pair. For traces
-// listed in truths, recall is measured against that baseline instead of
-// trace labels (human traces, §5.5). Pairs fan through the pool and stop
-// early once any pair falls short; the verdict is deterministic even
-// though the set of pairs actually simulated is not.
-func paRecallsAll(workers int, kind sim.PAKind, threshold float64, pairs []calibrationPair, truths map[string][]sensor.Event, ceilings map[string]float64) (bool, error) {
-	pa := sim.PredefinedActivity{Kind: kind, Threshold: threshold}
-	return parallel.All(workers, len(pairs), func(i int) (bool, error) {
+// paRecallsAll runs pa on every (trace, app) pair, starting with
+// pairs[first], and returns the results keyed by truthKey when every pair
+// recalls as much as its Always-Awake ceiling in aa; otherwise it returns
+// nil and the index of a pair that fell short. For traces listed in truths, recall is measured against
+// that baseline instead of trace labels (human traces, §5.5). Pairs fan
+// through the pool and stop early once any pair falls short; the verdict
+// is deterministic even though the set of pairs actually simulated is not,
+// and when every pair passes, every pair ran.
+func paRecallsAll(workers int, pa sim.PredefinedActivity, pairs []calibrationPair, first int, truths map[string][]sensor.Event, aa map[string]*sim.Result) (map[string]*sim.Result, int, error) {
+	results := make([]*sim.Result, len(pairs))
+	var short atomic.Int64
+	ok, err := parallel.All(workers, len(pairs), func(j int) (bool, error) {
+		i := (first + j) % len(pairs)
 		tr, app := pairs[i].tr, pairs[i].app
 		res, err := pa.Run(tr, app)
 		if err != nil {
 			return false, err
 		}
-		if truth, ok := truths[truthKey(tr, app)]; ok {
+		key := truthKey(tr, app)
+		if truth, ok := truths[key]; ok {
 			res.RescoreAgainst(truth, int(app.MatchTolSec*tr.RateHz))
 		}
-		return res.Recall >= ceilings[truthKey(tr, app)]-1e-9, nil
+		results[i] = res
+		if res.Recall < aa[key].Recall-1e-9 {
+			short.Store(int64(i))
+			return false, nil
+		}
+		return true, nil
 	})
+	if err != nil || !ok {
+		return nil, int(short.Load()), err
+	}
+	ran := make(map[string]*sim.Result, len(pairs))
+	for i, p := range pairs {
+		ran[truthKey(p.tr, p.app)] = results[i]
+	}
+	return ran, 0, nil
 }
 
 // truthKey identifies a (trace, app) baseline in the truths map.

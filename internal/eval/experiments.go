@@ -69,7 +69,7 @@ type Table2Result struct {
 // Sidewinder, averaged over the three audio environments.
 func Table2(w *Workload) (*Table2Result, error) {
 	audioApps := apps.AudioApps()
-	paThreshold, err := CalibratePA(w.Workers, sim.SignificantSound, w.Audio, audioApps, nil)
+	cal, err := calibratePA(w.Workers, sim.SignificantSound, w.Audio, audioApps, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -79,18 +79,18 @@ func Table2(w *Workload) (*Table2Result, error) {
 		s    sim.Strategy
 	}{
 		{"Oracle", sim.Oracle{}},
-		{"Predefined Activity", sim.PredefinedActivity{Kind: sim.SignificantSound, Threshold: paThreshold}},
+		{"Predefined Activity", cal.pa},
 		{"Sidewinder", sim.Sidewinder{}},
 	}
 
-	// Fan every (mechanism, app, trace) cell through the pool, then
-	// aggregate in enqueue order.
+	// Fan every (mechanism, app, trace) cell calibration did not already
+	// run through the pool, then aggregate in enqueue order.
 	var b runBatch
 	cells := make([][]cellRange, len(mechanisms))
 	for mi, mech := range mechanisms {
 		cells[mi] = make([]cellRange, len(audioApps))
 		for ai, app := range audioApps {
-			cells[mi][ai] = b.add(mech.s, w.Audio, app)
+			cells[mi][ai] = cal.add(&b, mech.s, w.Audio, app)
 		}
 	}
 	b.run(w.Workers, w.Telemetry, w.Precision)
@@ -98,7 +98,7 @@ func Table2(w *Workload) (*Table2Result, error) {
 	res := &Table2Result{
 		PowerMW:     make(map[string]map[string]float64),
 		Recall:      make(map[string]map[string]float64),
-		PAThreshold: paThreshold,
+		PAThreshold: cal.pa.Threshold,
 		Devices:     make(map[string]string),
 	}
 	table := &Table{
@@ -152,7 +152,7 @@ func Figure5(o Options, w *Workload) (*Figure5Result, error) {
 	o = o.withDefaults()
 	accelApps := apps.AccelApps()
 
-	paThreshold, err := CalibratePA(w.Workers, sim.SignificantMotion, w.RobotRuns, accelApps, nil)
+	cal, err := calibratePA(w.Workers, sim.SignificantMotion, w.RobotRuns, accelApps, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func Figure5(o Options, w *Workload) (*Figure5Result, error) {
 		struct {
 			label string
 			s     sim.Strategy
-		}{"PA", sim.PredefinedActivity{Kind: sim.SignificantMotion, Threshold: paThreshold}},
+		}{"PA", cal.pa},
 		struct {
 			label string
 			s     sim.Strategy
@@ -188,11 +188,12 @@ func Figure5(o Options, w *Workload) (*Figure5Result, error) {
 		Relative:    make(map[string]map[int]map[string]float64),
 		Recall:      make(map[string]map[int]map[string]float64),
 		Precision:   make(map[string]float64),
-		PAThreshold: paThreshold,
+		PAThreshold: cal.pa.Threshold,
 	}
 
 	// Enqueue the full (app, config, group, trace) matrix — plus the
-	// per-group Oracle references — then run it through one pool.
+	// per-group Oracle references — then run what calibration did not
+	// already run through one pool.
 	var b runBatch
 	oracleCells := make([][3]cellRange, len(accelApps))
 	cfgCells := make([][][3]cellRange, len(accelApps))
@@ -203,7 +204,7 @@ func Figure5(o Options, w *Workload) (*Figure5Result, error) {
 		cfgCells[ai] = make([][3]cellRange, len(configs))
 		for ci, cfg := range configs {
 			for group := 1; group <= 3; group++ {
-				cfgCells[ai][ci][group-1] = b.add(cfg.s, w.RobotGroup(group), app)
+				cfgCells[ai][ci][group-1] = cal.add(&b, cfg.s, w.RobotGroup(group), app)
 			}
 		}
 	}
@@ -327,27 +328,20 @@ func Figure7(o Options, w *Workload) (*Figure7Result, error) {
 	o = o.withDefaults()
 	app := apps.Steps()
 
-	// Always-Awake provides the pseudo ground truth; the per-trace runs
-	// are independent, so they fan through the pool first.
-	var aaBatch runBatch
-	aaCells := make([]cellRange, len(w.Human))
-	for ti, tr := range w.Human {
-		aaCells[ti] = aaBatch.addOne(sim.AlwaysAwake{}, tr, app)
+	// Always-Awake provides the pseudo ground truth. The same runs are
+	// calibration's recall ceilings and the table's AA row, so they run
+	// once, first.
+	stepsOnly := []*apps.App{app}
+	aaResults, err := alwaysAwake(w.Workers, calibrationPairs(w.Human, stepsOnly))
+	if err != nil {
+		return nil, err
 	}
-	aaBatch.run(w.Workers, w.Telemetry, w.Precision)
-
 	truths := make(map[string][]sensor.Event)
-	aaResults := make(map[string]*sim.Result)
-	for ti, tr := range w.Human {
-		res, err := aaCells[ti].first()
-		if err != nil {
-			return nil, err
-		}
-		aaResults[tr.Name] = res
-		truths[truthKey(tr, app)] = res.Detections
+	for _, tr := range w.Human {
+		truths[truthKey(tr, app)] = aaResults[truthKey(tr, app)].Detections
 	}
 
-	paThreshold, err := CalibratePA(w.Workers, sim.SignificantMotion, w.Human, []*apps.App{app}, truths)
+	cal, err := calibratePA(w.Workers, sim.SignificantMotion, w.Human, stepsOnly, truths, aaResults)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +353,7 @@ func Figure7(o Options, w *Workload) (*Figure7Result, error) {
 		{"AA", sim.AlwaysAwake{}},
 		{"DC-10s", sim.DutyCycling{SleepSec: 10}},
 		{"Ba-10s", sim.Batching{SleepSec: 10}},
-		{"PA", sim.PredefinedActivity{Kind: sim.SignificantMotion, Threshold: paThreshold}},
+		{"PA", cal.pa},
 		{"Sw", sim.Sidewinder{}},
 	}
 
@@ -389,7 +383,7 @@ func Figure7(o Options, w *Workload) (*Figure7Result, error) {
 	for ci, cfg := range configs {
 		cfgCells[ci] = make([]cellRange, len(w.Human))
 		for ti, tr := range w.Human {
-			cfgCells[ci][ti] = b.addOne(cfg.s, tr, app)
+			cfgCells[ci][ti] = cal.add(&b, cfg.s, []*sensor.Trace{tr}, app)
 		}
 	}
 	b.run(w.Workers, w.Telemetry, w.Precision)
@@ -419,7 +413,7 @@ func Figure7(o Options, w *Workload) (*Figure7Result, error) {
 			out.Relative[tr.Name][cfg.label] = rel
 			out.Recall[tr.Name][cfg.label] = res.Recall
 			if cfg.label == "Sw" {
-				aa := aaResults[tr.Name].Power.TotalAvgMW
+				aa := aaResults[truthKey(tr, app)].Power.TotalAvgMW
 				out.SidewinderSavings[tr.Name] = (aa - res.Power.TotalAvgMW) / (aa - oraclePower[tr.Name])
 			}
 			row = append(row, fmt.Sprintf("%.2fx (%.0f%%)", rel, res.Recall*100))

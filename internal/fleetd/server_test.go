@@ -258,6 +258,19 @@ func TestFullQueueWaitsBeforeShedding(t *testing.T) {
 	}
 }
 
+// waitUntil polls cond, which reads server state, until it holds; it
+// fails the test if that takes more than 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // rawSession is a minimal hand-rolled client for the drain test: it
 // pumps frames and records, per sequence number, which were acked
 // accepted — tolerating the connection dying mid-stream when the server
@@ -379,7 +392,16 @@ func TestDrainLosesNoAckedEvents(t *testing.T) {
 			r.run(s.Addr(), 400)
 		}(&sessions[i])
 	}
-	time.Sleep(20 * time.Millisecond) // let the stream get going, then yank it
+	// Let the stream get going, then yank it.
+	waitUntil(t, "the server applied a frame from every session", func() bool {
+		applied := 0
+		for _, d := range s.Registry().Snapshot() {
+			if d.LastSeq > 0 {
+				applied++
+			}
+		}
+		return applied == devices
+	})
 	rep, err := s.Drain()
 	if err != nil {
 		t.Fatalf("Drain: %v", err)
@@ -577,7 +599,8 @@ func TestByeWaitReleasedByKill(t *testing.T) {
 	go func() {
 		done <- s.handleFrame(link.Frame{Type: MsgBye, Payload: Bye{Seq: 9}.Encode()}, sess)
 	}()
-	time.Sleep(20 * time.Millisecond) // let the bye enqueue and park on the reply
+	// Let the bye enqueue and park on the reply.
+	waitUntil(t, "the bye sits in shard 0's queue", func() bool { return len(s.queues[0]) == 1 })
 	s.Kill()
 	select {
 	case err := <-done:

@@ -185,6 +185,24 @@ func (p *Phone) Advance(dt float64) {
 	}
 }
 
+// AdvanceSteps moves simulated time forward by k steps of dt seconds. It
+// equals k successive Advance(dt) calls bit for bit: the same additions in
+// the same order, with the steps after a transition completes folded into
+// one tight loop over the settled state's dwell.
+func (p *Phone) AdvanceSteps(dt float64, k int) {
+	if !(dt > 0) {
+		return // Advance(dt) is a no-op, so k of them are too
+	}
+	for ; k > 0 && (p.state == WakingUp || p.state == FallingAsleep); k-- {
+		p.Advance(dt)
+	}
+	d := p.dwell[p.state]
+	for ; k > 0; k-- {
+		d += dt
+	}
+	p.dwell[p.state] = d
+}
+
 // Dwell returns the accumulated seconds spent in state s.
 func (p *Phone) Dwell(s State) float64 { return p.dwell[s] }
 

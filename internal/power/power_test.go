@@ -312,3 +312,55 @@ func TestStateEnergySumsToTotal(t *testing.T) {
 		t.Errorf("asleep energy = %g, want %g", got, 16.25*9.7)
 	}
 }
+
+// TestAdvanceStepsMatchesAdvance pins AdvanceSteps(dt, k) to k successive
+// Advance(dt) calls bit for bit, from every state including partway
+// through each transition, over step sizes that do and do not divide the
+// transition, and over non-positive and NaN steps (no-ops for both).
+func TestAdvanceStepsMatchesAdvance(t *testing.T) {
+	starts := map[string]func() *Phone{
+		"asleep": func() *Phone { return NewPhone(Nexus4()) },
+		"awake":  func() *Phone { return NewPhoneAwake(Nexus4()) },
+		"waking": func() *Phone { p := NewPhone(Nexus4()); p.RequestWake(); return p },
+		"mid-waking": func() *Phone {
+			p := NewPhone(Nexus4())
+			p.RequestWake()
+			p.Advance(0.37)
+			return p
+		},
+		"falling": func() *Phone { p := NewPhoneAwake(Nexus4()); p.RequestSleep(); return p },
+		"mid-falling": func() *Phone {
+			p := NewPhoneAwake(Nexus4())
+			p.Advance(2.5)
+			p.RequestSleep()
+			p.Advance(0.61)
+			return p
+		},
+	}
+	steps := []float64{1.0 / 50, 1.0 / 3, 0.3, 1.0 / 8000, 1, 2.5, 0, -0.1, math.NaN()}
+	counts := []int{0, 1, 2, 7, 49, 50, 51, 1000}
+	for name, start := range starts {
+		for _, dt := range steps {
+			for _, k := range counts {
+				want, got := start(), start()
+				var wantHooks, gotHooks int
+				want.SetTransitionHook(func(State, State) { wantHooks++ })
+				got.SetTransitionHook(func(State, State) { gotHooks++ })
+				for j := 0; j < k; j++ {
+					want.Advance(dt)
+				}
+				got.AdvanceSteps(dt, k)
+				if got.state != want.state || got.wakeUps != want.wakeUps || gotHooks != wantHooks ||
+					math.Float64bits(got.transitionLeft) != math.Float64bits(want.transitionLeft) {
+					t.Fatalf("%s dt=%g k=%d: state %s/%s, transition left %v/%v, hooks %d/%d",
+						name, dt, k, got.state, want.state, got.transitionLeft, want.transitionLeft, gotHooks, wantHooks)
+				}
+				for s := State(0); int(s) < numStates; s++ {
+					if math.Float64bits(got.Dwell(s)) != math.Float64bits(want.Dwell(s)) {
+						t.Fatalf("%s dt=%g k=%d: %s dwell %v, want %v", name, dt, k, s, got.Dwell(s), want.Dwell(s))
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"sidewinder/internal/adapt"
 	"sidewinder/internal/apps"
@@ -128,6 +129,15 @@ func (t *truthTracker) expire(i int, phoneOpen bool) int {
 	return missed
 }
 
+// nextExpiry returns the first sample at which expire can report a miss:
+// one past the earliest unexpired deadline, or never once all expired.
+func (t *truthTracker) nextExpiry() int {
+	if t.next == len(t.order) {
+		return math.MaxInt
+	}
+	return t.truth[t.order[t.next]].End + t.tol + 1
+}
+
 // adaptiveProgram is one compiled, admitted hub configuration.
 type adaptiveProgram struct {
 	feed    *hubFeed
@@ -194,12 +204,12 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 
 	n := tr.Len()
 	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: n}
 	dt := 1 / tr.RateHz
 	hold := int(swIdleHoldSec * tr.RateHz)
 	tol := int(app.MatchTolSec * tr.RateHz)
 	tracker := newTruthTracker(tr.EventsLabeled(app.Label), tol)
-	hubStream := c.trace(s.Telemetry, s.TraceLabel)
+	w := newWakeWindow(ph, tr.RateHz, int(app.PreBufferSec*tr.RateHz), hold)
+	hubStream := w.c.trace(s.Telemetry, s.TraceLabel)
 
 	// pending holds a re-admitted program awaiting the next block boundary;
 	// swapping only there keeps each block's wake offsets internally
@@ -230,7 +240,6 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		pending = nil // proposal settled back to the resident program
 	}
 
-	w := newWakeWindow(ph, int(app.PreBufferSec*tr.RateHz), hold)
 	hubMJ, staticMJ := 0.0, 0.0
 	frozenTally := adapt.Stats{}
 	// lastVerdict rate-limits awake-phase re-confirmations: a wake-up
@@ -240,6 +249,26 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	// would produce one verdict per run and starve the policy.
 	lastVerdict := -(hold + 1)
 
+	visit := func(i int, hit bool) {
+		if hit {
+			trueWake := tracker.markFired(i)
+			hubStream.Instant1("wake.sent", "hub", "sample", float64(i))
+			if w.fire(i) || i-lastVerdict > hold {
+				lastVerdict = i
+				if trueWake {
+					frozenTally.TrueWakes++
+					observe(adapt.TrueWake)
+				} else {
+					frozenTally.FalseWakes++
+					observe(adapt.FalseWake)
+				}
+			}
+		}
+		for m := tracker.expire(i, w.open()); m > 0; m-- {
+			frozenTally.MissedWakes++
+			observe(adapt.MissedWake)
+		}
+	}
 	fired := make([]bool, simBlock)
 	for blockStart := 0; blockStart < n; blockStart += simBlock {
 		if pending != nil {
@@ -249,29 +278,7 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		cur.feed.fire(f, blockStart)
 		hubMJ += cur.powerMW * float64(len(f)) * dt
 		staticMJ += staticMW * float64(len(f)) * dt
-		for k := range f {
-			i := blockStart + k
-			if f[k] {
-				hit := tracker.markFired(i)
-				hubStream.Instant1("wake.sent", "hub", "sample", float64(i))
-				if w.fire(i) || i-lastVerdict > hold {
-					lastVerdict = i
-					if hit {
-						frozenTally.TrueWakes++
-						observe(adapt.TrueWake)
-					} else {
-						frozenTally.FalseWakes++
-						observe(adapt.FalseWake)
-					}
-				}
-			}
-			for m := tracker.expire(i, w.open()); m > 0; m-- {
-				frozenTally.MissedWakes++
-				observe(adapt.MissedWake)
-			}
-			w.idle(i)
-			c.advance(dt)
-		}
+		w.replay(f, blockStart, visit, tracker.nextExpiry)
 	}
 	intervals := w.close(n)
 	// Score (but no longer act on) events whose window ran off the trace.

@@ -287,20 +287,18 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand, sleepSec float64) (FleetCell,
 		}
 
 		n := tr.Len()
-		w := newWakeWindow(ph, 0, int(swIdleHoldSec*tr.RateHz))
+		w := newWakeWindow(ph, tr.RateHz, 0, int(swIdleHoldSec*tr.RateHz))
+		visit := func(i int, hit bool) {
+			if hit {
+				cell.Wakes++
+				w.fire(i)
+			}
+		}
 		fired := make([]bool, simBlock)
 		for base := 0; base < n; base += simBlock {
 			f := fired[:min(simBlock, n-base)]
 			feed.fire(f, base)
-			for k, hit := range f {
-				i := base + k
-				if hit {
-					cell.Wakes++
-					w.fire(i)
-				}
-				w.idle(i)
-				ph.Advance(dt)
-			}
+			w.replay(f, base, visit, nil)
 		}
 		cell.HubEnergyMJ = dev.ActivePowerMW * cell.DurationSec
 	} else {

@@ -46,6 +46,19 @@ func (c *clock) advance(dt float64) {
 	c.tclk.SetSec(c.t)
 }
 
+// advanceSteps equals k successive advance(dt) calls on a phone that is
+// asleep or awake: it cannot change state, so no transition hook reads the
+// telemetry clock in between, and the clock is set once at the end.
+func (c *clock) advanceSteps(dt float64, k int) {
+	c.ph.AdvanceSteps(dt, k)
+	t := c.t
+	for ; k > 0; k-- {
+		t += dt
+	}
+	c.t = t
+	c.tclk.SetSec(t)
+}
+
 // sampleAt converts a time to a clamped sample index.
 func (c *clock) sampleAt(t float64) int {
 	i := int(t * c.rate)
@@ -303,15 +316,14 @@ func (p PredefinedActivity) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	}
 	n := tr.Len() // hoisted: Len ranges over the channel map
 	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: n}
-	dt := 1 / tr.RateHz
-	w := newWakeWindow(ph, int(app.PreBufferSec*tr.RateHz), int(paHoldSec*tr.RateHz))
-	for i := 0; i < n; i++ {
-		if sig.significant(i, p.Threshold) {
-			w.fire(i)
+	w := newWakeWindow(ph, tr.RateHz, int(app.PreBufferSec*tr.RateHz), int(paHoldSec*tr.RateHz))
+	fired := make([]bool, simBlock)
+	for base := 0; base < n; base += simBlock {
+		f := fired[:min(simBlock, n-base)]
+		for k := range f {
+			f[k] = sig.significant(base+k, p.Threshold)
 		}
-		w.idle(i)
-		c.advance(dt)
+		w.replay(f, base, nil, nil)
 	}
 	return finish(p.Name(), tr, app, ph, hub.MSP430().ActivePowerMW, w.close(n), nil), nil
 }
@@ -446,29 +458,25 @@ func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 
 	n := tr.Len()
 	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: n}
-	dt := 1 / tr.RateHz
-	hubStream := c.trace(s.Telemetry, s.TraceLabel)
+	w := newWakeWindow(ph, tr.RateHz, int(app.PreBufferSec*tr.RateHz), int(swIdleHoldSec*tr.RateHz))
+	hubStream := w.c.trace(s.Telemetry, s.TraceLabel)
 	var profile *telemetry.InterpProfile
 	if s.Telemetry.Enabled() {
 		profile = telemetry.NewInterpProfile()
 		m.SetProfile(profile)
 	}
 
-	w := newWakeWindow(ph, int(app.PreBufferSec*tr.RateHz), int(swIdleHoldSec*tr.RateHz))
+	visit := func(i int, hit bool) {
+		if hit {
+			hubStream.Instant1("wake.sent", "hub", "sample", float64(i))
+			w.fire(i)
+		}
+	}
 	fired := make([]bool, simBlock)
 	for base := 0; base < n; base += simBlock {
 		f := fired[:min(simBlock, n-base)]
 		feed.fire(f, base)
-		for k, hit := range f {
-			i := base + k
-			if hit {
-				hubStream.Instant1("wake.sent", "hub", "sample", float64(i))
-				w.fire(i)
-			}
-			w.idle(i)
-			c.advance(dt)
-		}
+		w.replay(f, base, visit, nil)
 	}
 
 	if s.Telemetry.Enabled() {

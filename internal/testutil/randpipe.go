@@ -5,6 +5,7 @@ package testutil
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"sidewinder/internal/core"
@@ -46,7 +47,7 @@ func RandomPipeline(rng *rand.Rand) *core.Pipeline {
 		}
 		if nBranches > 1 {
 			// Pre-aggregator branches must end scalar; they already do.
-			branch.Add(core.MinThreshold(rng.NormFloat64()))
+			branch.Add(core.MinThreshold(normal(rng)))
 		}
 		p.AddBranch(branch)
 	}
@@ -62,14 +63,28 @@ func RandomPipeline(rng *rand.Rand) *core.Pipeline {
 	// Final admission control.
 	switch rng.Intn(3) {
 	case 0:
-		p.Add(core.MinThresholdSustained(rng.NormFloat64()*5, 1+rng.Intn(3)))
+		p.Add(core.MinThresholdSustained(normal(rng)*5, 1+rng.Intn(3)))
 	case 1:
-		p.Add(core.MaxThreshold(rng.NormFloat64() * 5))
+		p.Add(core.MaxThreshold(normal(rng) * 5))
 	default:
-		lo := rng.NormFloat64() * 3
+		lo := normal(rng) * 3
 		p.Add(core.BandThreshold(lo, lo+rng.Float64()*5))
 	}
 	return p
+}
+
+// normal draws a standard normal threshold. NormFloat64's tail takes the
+// log of a Float64 draw, so a source that yields a zero Float64 (a fuzz
+// input can) gives an infinite value; only such a draw is redrawn, so every
+// seed that drew finite values still generates the same pipeline. A source
+// stuck on non-finite draws gets 0.
+func normal(rng *rand.Rand) float64 {
+	for range 16 {
+		if v := rng.NormFloat64(); math.Abs(v) <= math.MaxFloat64 {
+			return v
+		}
+	}
+	return 0
 }
 
 // randScalarStage returns a scalar-to-scalar stage.
