@@ -126,14 +126,7 @@ func run(irPath, tracePath, deviceName string, verbose bool, metricsFile, traceO
 	// Opt-in telemetry: counters + ledger behind -metrics, execution trace
 	// behind -traceout. All handles are nil-safe, so the replay loop below
 	// is identical with and without them.
-	var set telemetry.Set
-	if metricsFile != "" {
-		set.Metrics = telemetry.NewRegistry()
-		set.Ledger = telemetry.NewLedger()
-	}
-	if traceOutFile != "" {
-		set.Tracer = telemetry.NewTracer()
-	}
+	set := telemetry.NewSet(metricsFile, traceOutFile)
 	var (
 		clk     *telemetry.Clock
 		stream  *telemetry.Stream
@@ -263,20 +256,9 @@ func finishRun(tr *sensor.Trace, dev hub.Device, machine *interp.Machine,
 	}
 
 	if set.Enabled() {
-		if led := set.LedgerSink(); led != nil {
-			led.AddEnergyMJ(telemetry.HubDevice, dev.ActivePowerMW*seconds)
-			profile.DepositCycles(led, dev.Cycles)
-		}
-		// Per-stage execution spans: consecutive spans whose durations are
-		// the stages' cycle counts on this device's clock.
-		at := 0.0
-		for _, st := range profile.Stages() {
-			if dur := dev.Cycles(st.FloatOps, st.IntOps) / dev.ClockHz; dur > 0 {
-				stream.Span(st.Kind, "stage", at, dur)
-				at += dur
-			}
-		}
-		if err := writeTelemetry(set, metricsFile, traceOutFile); err != nil {
+		profile.DepositHub(set.Ledger, dev.ActivePowerMW, seconds, dev.Cycles)
+		profile.EmitStageSpans(stream, dev.Cycles, dev.ClockHz)
+		if err := set.WriteFiles(metricsFile, traceOutFile); err != nil {
 			return err
 		}
 	}
@@ -298,61 +280,6 @@ func printStaticDemand(w io.Writer, plan *core.Plan, dev hub.Device) {
 	}
 	fmt.Fprintf(w, "  %-16s     %10.0f cycles/s  %6d B  (budget %.0f cycles/s, %d B)\n",
 		"total", totalCycles, totalMem, dev.CycleBudget(), dev.RAMBytes)
-}
-
-// writeTelemetry exports the collected sinks: the metrics file carries the
-// registry and ledger (one JSON object for .json names, aligned text
-// otherwise); the trace file is Chrome trace_event JSON.
-func writeTelemetry(set telemetry.Set, metricsFile, traceFile string) error {
-	if metricsFile != "" {
-		f, err := os.Create(metricsFile)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(metricsFile, ".json") {
-			_, err = io.WriteString(f, `{"metrics":`)
-			if err == nil {
-				err = set.Metrics.WriteJSON(f)
-			}
-			if err == nil {
-				_, err = io.WriteString(f, `,"ledger":`)
-			}
-			if err == nil {
-				err = set.Ledger.WriteJSON(f)
-			}
-			if err == nil {
-				_, err = io.WriteString(f, "}\n")
-			}
-		} else {
-			err = set.Metrics.WriteText(f)
-			if err == nil {
-				_, err = io.WriteString(f, "\n")
-			}
-			if err == nil {
-				err = set.Ledger.WriteText(f)
-			}
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing metrics: %w", err)
-		}
-	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		err = set.Tracer.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing trace: %w", err)
-		}
-	}
-	return nil
 }
 
 // parseCrashProfile parses the -crash-profile spec: comma-separated

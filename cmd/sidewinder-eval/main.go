@@ -67,7 +67,7 @@ func main() {
 		AudioDuration:    time.Duration(*audioMin) * time.Minute,
 		HumanDuration:    time.Duration(*humanMin) * time.Minute,
 		Workers:          *workers,
-		Telemetry:        telemetrySet(*metricsFile, *traceFile),
+		Telemetry:        telemetry.NewSet(*metricsFile, *traceFile),
 		Precision:        prec,
 		DisableCSE:       !*cse,
 	}
@@ -98,7 +98,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "completed %s with %d workers in %v\n",
 		*experiment, effective, elapsed.Round(time.Millisecond))
 
-	if err := writeTelemetry(opts.Telemetry, *metricsFile, *traceFile); err != nil {
+	if err := opts.Telemetry.WriteFiles(*metricsFile, *traceFile); err != nil {
 		fmt.Fprintln(os.Stderr, "sidewinder-eval:", err)
 		os.Exit(1)
 	}
@@ -136,77 +136,6 @@ func validExperiment(name string) bool {
 		}
 	}
 	return false
-}
-
-// telemetrySet builds the run's telemetry sinks from the output flags: a
-// registry plus ledger when -metrics is set, a tracer when -trace is set.
-// With neither flag the zero Set disables telemetry entirely.
-func telemetrySet(metricsFile, traceFile string) telemetry.Set {
-	var set telemetry.Set
-	if metricsFile != "" {
-		set.Metrics = telemetry.NewRegistry()
-		set.Ledger = telemetry.NewLedger()
-	}
-	if traceFile != "" {
-		set.Tracer = telemetry.NewTracer()
-	}
-	return set
-}
-
-// writeTelemetry exports the collected sinks to the requested files. The
-// metrics file carries both the counter registry and the energy ledger —
-// as one JSON object when the filename ends in .json, as aligned text
-// otherwise. The trace file is always Chrome trace_event JSON.
-func writeTelemetry(set telemetry.Set, metricsFile, traceFile string) error {
-	if metricsFile != "" {
-		f, err := os.Create(metricsFile)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(metricsFile, ".json") {
-			_, err = io.WriteString(f, `{"metrics":`)
-			if err == nil {
-				err = set.Metrics.WriteJSON(f)
-			}
-			if err == nil {
-				_, err = io.WriteString(f, `,"ledger":`)
-			}
-			if err == nil {
-				err = set.Ledger.WriteJSON(f)
-			}
-			if err == nil {
-				_, err = io.WriteString(f, "}\n")
-			}
-		} else {
-			err = set.Metrics.WriteText(f)
-			if err == nil {
-				_, err = io.WriteString(f, "\n")
-			}
-			if err == nil {
-				err = set.Ledger.WriteText(f)
-			}
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing metrics: %w", err)
-		}
-	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		err = set.Tracer.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing trace: %w", err)
-		}
-	}
-	return nil
 }
 
 // run executes one experiment, writing tables to out and progress notes to

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"sidewinder/internal/eval"
+	"sidewinder/internal/telemetry"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -62,12 +65,12 @@ func TestTelemetryFlagsWriteFiles(t *testing.T) {
 		RobotRunDuration: time.Minute,
 		AudioDuration:    30 * time.Second,
 		HumanDuration:    time.Minute,
-		Telemetry:        telemetrySet(metricsFile, traceFile),
+		Telemetry:        telemetry.NewSet(metricsFile, traceFile),
 	}
 	if err := run(io.Discard, io.Discard, "link", opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeTelemetry(opts.Telemetry, metricsFile, traceFile); err != nil {
+	if err := opts.Telemetry.WriteFiles(metricsFile, traceFile); err != nil {
 		t.Fatal(err)
 	}
 
@@ -101,6 +104,53 @@ func TestTelemetryFlagsWriteFiles(t *testing.T) {
 	}
 	if len(trace.TraceEvents) == 0 {
 		t.Error("trace file has no events")
+	}
+}
+
+// TestTelemetryWorkerInvariance pins the telemetry files to the worker
+// count: every cell records into sinks of its own, merged in cell order
+// after the fan-out, so the -metrics registry order and ledger sums and
+// the -trace stream ids and names must be byte-identical serially and on
+// a wide pool.
+func TestTelemetryWorkerInvariance(t *testing.T) {
+	dir := t.TempDir()
+	write := func(experiment string, workers int) (metrics, trace []byte) {
+		t.Helper()
+		prefix := filepath.Join(dir, fmt.Sprintf("%s-%d", experiment, workers))
+		metricsFile, traceFile := prefix+".metrics.json", prefix+".trace.json"
+		opts := eval.Options{
+			Seed:             1,
+			RobotRunDuration: time.Minute,
+			AudioDuration:    30 * time.Second,
+			HumanDuration:    time.Minute,
+			SleepIntervals:   []float64{2, 10},
+			Workers:          workers,
+			Telemetry:        telemetry.NewSet(metricsFile, traceFile),
+		}
+		if err := run(io.Discard, io.Discard, experiment, opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := opts.Telemetry.WriteFiles(metricsFile, traceFile); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if metrics, err = os.ReadFile(metricsFile); err != nil {
+			t.Fatal(err)
+		}
+		if trace, err = os.ReadFile(traceFile); err != nil {
+			t.Fatal(err)
+		}
+		return metrics, trace
+	}
+	for _, experiment := range []string{"all", "crash"} {
+		m1, t1 := write(experiment, 1)
+		m4, t4 := write(experiment, 4)
+		if !bytes.Equal(m1, m4) {
+			t.Errorf("%s: metrics differ between 1 and 4 workers", experiment)
+		}
+		if !bytes.Equal(t1, t4) {
+			t.Errorf("%s: traces differ between 1 and 4 workers", experiment)
+		}
 	}
 }
 

@@ -28,12 +28,14 @@ type cellJob struct {
 	done *sim.Result
 }
 
-// cellOutcome is a completed cell: its result or its error. Errors stay
-// attached to their cell so callers with expected failures (e.g. the
-// device sweep probing infeasible placements) can handle them per handle.
+// cellOutcome is a completed cell: its result or its error, and the
+// telemetry sinks it recorded into. Errors stay attached to their cell so
+// callers with expected failures (e.g. the device sweep probing
+// infeasible placements) can handle them per handle.
 type cellOutcome struct {
-	res *sim.Result
-	err error
+	res  *sim.Result
+	err  error
+	tele telemetry.Set
 }
 
 // runBatch accumulates cells and their outcomes.
@@ -77,9 +79,10 @@ func (b *runBatch) reuse(results []*sim.Result) cellRange {
 // run executes every enqueued cell through the pool. Outcomes land in
 // submission order regardless of the schedule. Telemetry (when enabled)
 // and the interpreter precision are injected into every Sidewinder cell
-// here — the one place all experiments funnel through — with a per-cell
-// trace label so parallel cells land on distinct streams while sharing
-// the registry and ledger.
+// here — the one place all experiments funnel through. Each cell records
+// into sinks of its own (telemetry.Set.Cell), merged into tele after the
+// fan-out in cell order under a per-cell stream label, so the run's
+// telemetry is identical at any worker count.
 func (b *runBatch) run(workers int, tele telemetry.Set, prec interp.Precision) {
 	// Map's fn never errors: each cell's error is part of its outcome.
 	b.out, _ = parallel.Map(workers, len(b.jobs), func(i int) (cellOutcome, error) {
@@ -87,28 +90,32 @@ func (b *runBatch) run(workers int, tele telemetry.Set, prec interp.Precision) {
 		if j.done != nil {
 			return cellOutcome{res: j.done}, nil
 		}
+		var cell telemetry.Set
 		s := j.s
 		if sw, ok := s.(sim.Sidewinder); ok {
 			sw.Precision = prec
-			if tele.Enabled() {
-				sw.Telemetry = tele
-				sw.TraceLabel = fmt.Sprintf("%s/%s/%s/", sw.Name(), j.app.Name, j.tr.Name)
-			}
+			cell = tele.Cell()
+			sw.Telemetry = cell
 			s = sw
 		}
 		// Adaptive cells take telemetry but NOT the precision override:
 		// precision is one of the axes the policy engine drives.
-		if sw, ok := s.(sim.AdaptiveSidewinder); ok && tele.Enabled() {
-			sw.Telemetry = tele
-			sw.TraceLabel = fmt.Sprintf("%s/%s/%s/", sw.Name(), j.app.Name, j.tr.Name)
+		if sw, ok := s.(sim.AdaptiveSidewinder); ok {
+			cell = tele.Cell()
+			sw.Telemetry = cell
 			s = sw
 		}
 		r, err := s.Run(j.tr, j.app)
 		if err != nil {
 			err = fmt.Errorf("eval: %s/%s on %s: %w", j.s.Name(), j.app.Name, j.tr.Name, err)
 		}
-		return cellOutcome{res: r, err: err}, nil
+		return cellOutcome{res: r, err: err, tele: cell}, nil
 	})
+	for i, oc := range b.out {
+		if j := b.jobs[i]; oc.tele.Enabled() {
+			tele.Merge(fmt.Sprintf("%s/%s/%s/", j.s.Name(), j.app.Name, j.tr.Name), oc.tele)
+		}
+	}
 }
 
 // first returns the single result of a one-cell range, or its error.

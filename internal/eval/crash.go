@@ -7,6 +7,7 @@ import (
 	"sidewinder/internal/parallel"
 	"sidewinder/internal/resilience"
 	"sidewinder/internal/sim"
+	"sidewinder/internal/telemetry"
 )
 
 // CrashResilienceResult reports the hub-failure sweep: how many wake-ups
@@ -83,13 +84,13 @@ func CrashResilience(w *Workload) (*CrashResilienceResult, error) {
 		}
 	}
 
+	teles := make([]telemetry.Set, len(cells))
 	outcomes, err := parallel.Map(w.Workers, len(cells), func(i int) (*sim.CrashResult, error) {
 		c := cells[i]
+		teles[i] = w.Telemetry.Cell()
 		rc := sim.CrashRunConfig{
 			Fallback:  c.cfg.fallback,
-			Telemetry: w.Telemetry,
-			TraceLabel: fmt.Sprintf("crash[mtbf=%.0fs,%s]/%s/",
-				c.mtbfSec, c.cfg.name, tr.Name),
+			Telemetry: teles[i],
 		}
 		if c.mtbfSec > 0 {
 			rc.Crash = resilience.CrashProfile{
@@ -126,6 +127,7 @@ func CrashResilience(w *Workload) (*CrashResilienceResult, error) {
 
 	baseMW := outcomes[0].TotalAvgMW
 	for i, c := range cells {
+		w.Telemetry.Merge(fmt.Sprintf("crash[mtbf=%.0fs,%s]/%s/", c.mtbfSec, c.cfg.name, tr.Name), teles[i])
 		r := outcomes[i]
 		label := c.cfg.name
 		if c.mtbfSec == 0 {

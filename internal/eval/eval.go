@@ -50,11 +50,12 @@ type Options struct {
 	// merged interpreter executes duplicated subgraphs separately. The
 	// default (false) compiles resident apps into one shared DAG.
 	DisableCSE bool
-	// Telemetry, when any sink is set, is shared by every simulation cell
-	// of the run: counters aggregate across cells (the registry interns by
-	// name), the ledger accumulates the whole run's energy, and trace
-	// streams are disambiguated per cell. The zero Set disables telemetry
-	// and leaves the harness byte-identical to an uninstrumented run.
+	// Telemetry, when any sink is set, collects every simulation cell of
+	// the run: each cell records into sinks of its own, merged into these
+	// in cell order after its fan-out, so counters, the ledger's energy
+	// and the trace (streams prefixed per cell) are identical at any
+	// worker count. The zero Set disables telemetry and leaves the
+	// harness byte-identical to an uninstrumented run.
 	Telemetry telemetry.Set
 }
 

@@ -7,6 +7,7 @@ import (
 	"sidewinder/internal/link"
 	"sidewinder/internal/parallel"
 	"sidewinder/internal/sim"
+	"sidewinder/internal/telemetry"
 )
 
 // LinkReliabilityResult reports the lossy-link sweep: what an unprotected
@@ -62,13 +63,13 @@ func LinkReliability(w *Workload) (*LinkReliabilityResult, error) {
 	for _, r := range linkErrorRates {
 		cells = append(cells, cell{r, false}, cell{r, true})
 	}
+	teles := make([]telemetry.Set, len(cells))
 	outcomes, err := parallel.Map(w.Workers, len(cells), func(i int) (*sim.LossyLinkResult, error) {
 		c := cells[i]
+		teles[i] = w.Telemetry.Cell()
 		cfg := sim.LossyLinkConfig{
 			Fault:     linkFaultFor(c.rate, 0x51DE+int64(i)),
-			Telemetry: w.Telemetry,
-			TraceLabel: fmt.Sprintf("link[rate=%.0f%%,arq=%t]/%s/",
-				c.rate*100, c.arq, tr.Name),
+			Telemetry: teles[i],
 		}
 		if c.arq {
 			cfg.ARQ = &link.ARQConfig{}
@@ -77,6 +78,9 @@ func LinkReliability(w *Workload) (*LinkReliabilityResult, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	for i, c := range cells {
+		w.Telemetry.Merge(fmt.Sprintf("link[rate=%.0f%%,arq=%t]/%s/", c.rate*100, c.arq, tr.Name), teles[i])
 	}
 
 	out := &LinkReliabilityResult{

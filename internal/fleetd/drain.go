@@ -21,6 +21,7 @@ type Drainer struct {
 	ch       chan struct{}
 	sigc     chan os.Signal
 	quit     chan struct{}
+	done     chan struct{} // closed when the watcher goroutine returns
 	stopOnce sync.Once
 	hardExit func(int) // os.Exit, stubbed in tests
 }
@@ -42,6 +43,7 @@ func watchSignalsWithExit(exit func(int), sigs ...os.Signal) *Drainer {
 		ch:       make(chan struct{}),
 		sigc:     make(chan os.Signal, 2),
 		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
 		hardExit: exit,
 	}
 	signal.Notify(d.sigc, sigs...)
@@ -50,6 +52,7 @@ func watchSignalsWithExit(exit func(int), sigs ...os.Signal) *Drainer {
 }
 
 func (d *Drainer) watch() {
+	defer close(d.done)
 	select {
 	case <-d.sigc:
 		d.Request()
@@ -96,9 +99,9 @@ func (d *Drainer) Requested() bool {
 	}
 }
 
-// Stop detaches the signal handler and releases the watcher goroutine.
-// After Stop the drainer keeps its current state but no longer reacts to
-// signals.
+// Stop detaches the signal handler and waits for the watcher goroutine to
+// return. After Stop the drainer keeps its current state but no longer
+// reacts to signals.
 func (d *Drainer) Stop() {
 	if d == nil {
 		return
@@ -107,4 +110,5 @@ func (d *Drainer) Stop() {
 		signal.Stop(d.sigc)
 		close(d.quit)
 	})
+	<-d.done
 }

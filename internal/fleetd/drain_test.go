@@ -1,6 +1,8 @@
 package fleetd
 
 import (
+	"os"
+	"os/signal"
 	"syscall"
 	"testing"
 	"time"
@@ -98,13 +100,23 @@ func TestDrainerRequestThenSignalsHardExit(t *testing.T) {
 }
 
 func TestDrainerStopDetaches(t *testing.T) {
+	// The witness keeps SIGUSR2 caught after the drainer lets go of it and
+	// shows when the signal has been delivered.
+	witness := make(chan os.Signal, 1)
+	signal.Notify(witness, syscall.SIGUSR2)
+	defer signal.Stop(witness)
+
 	d := WatchSignals(syscall.SIGUSR2)
 	d.Stop()
 	d.Stop() // idempotent
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGUSR2); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-witness:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the witness never received SIGUSR2")
+	}
 	if d.Requested() {
 		t.Fatal("stopped drainer must ignore signals")
 	}

@@ -42,12 +42,14 @@ func (t *Testbed) Streams() (phone, hub, wire *telemetry.Stream) {
 // telemetry).
 func (t *Testbed) Profile() *telemetry.InterpProfile { return t.profile }
 
+// Baud is the testbed's serial rate in bits per second. Ten bits cross
+// the wire per byte, so it also prices link traffic in wire time.
+const Baud = 115200
+
 // TestbedConfig tunes the testbed; zero values take defaults.
 type TestbedConfig struct {
-	Catalog    *core.Catalog // platform catalog shared by both sides
-	Devices    []hub.Device  // hub device ladder
-	Baud       int           // serial rate (default 115200)
-	BufSamples int           // hub raw-data ring per channel (default 256)
+	Devices    []hub.Device // hub device ladder
+	BufSamples int          // hub raw-data ring per channel (default 256)
 
 	// Fault, when non-nil, installs deterministic fault injectors on
 	// both transmit directions. The hub-to-phone direction uses
@@ -61,15 +63,10 @@ type TestbedConfig struct {
 	// injected faults. nil runs raw frames (the legacy behavior).
 	ARQ *link.ARQConfig
 
-	// Crash, when non-nil and enabled, installs a randomized crash
-	// injector on the hub: each Hub.Service pass may begin or end an
-	// outage. nil (or a disabled profile) leaves the hub immortal —
-	// byte-identical to the pre-crash-model behavior.
-	Crash *resilience.CrashProfile
-
 	// CrashSchedule, when non-empty, installs a scripted injector firing
-	// exactly these outages (tick = Hub.Service pass). Takes precedence
-	// over Crash; meant for tests that need a crash at a precise moment.
+	// exactly these outages (tick = Hub.Service pass); meant for tests
+	// that need a crash at a precise moment. Empty leaves the hub
+	// immortal.
 	CrashSchedule []resilience.ScheduledCrash
 
 	// Supervisor, when non-nil, attaches the hub liveness watchdog to the
@@ -88,19 +85,11 @@ type TestbedConfig struct {
 	// Telemetry carries a tracer; the driving loop (strategy, experiment)
 	// advances it.
 	Clock *telemetry.Clock
-
-	// TraceLabel prefixes the trace stream names ("phone", "hub", "wire")
-	// so parallel evaluation cells stay distinguishable in one trace.
-	TraceLabel string
 }
 
 // NewTestbed builds the full phone+hub assembly.
 func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
-	baud := cfg.Baud
-	if baud == 0 {
-		baud = 115200
-	}
-	phoneEnd, hubEnd, err := link.Pipe(baud)
+	phoneEnd, hubEnd, err := link.Pipe(Baud)
 	if err != nil {
 		return nil, err
 	}
@@ -120,22 +109,16 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		phonePort = link.NewARQ(phoneEnd, *cfg.ARQ)
 		hubPort = link.NewARQ(hubEnd, *cfg.ARQ)
 	}
-	m, err := New(phonePort, cfg.Catalog)
+	m, err := New(phonePort, nil)
 	if err != nil {
 		return nil, err
 	}
-	h, err := NewHubNode(hubPort, cfg.Catalog, cfg.Devices, cfg.BufSamples)
+	h, err := NewHubNode(hubPort, nil, cfg.Devices, cfg.BufSamples)
 	if err != nil {
 		return nil, err
 	}
 	if len(cfg.CrashSchedule) > 0 {
 		h.SetCrash(resilience.NewScheduledCrashInjector(cfg.CrashSchedule))
-	} else if cfg.Crash != nil {
-		inj, err := resilience.NewCrashInjector(*cfg.Crash)
-		if err != nil {
-			return nil, err
-		}
-		h.SetCrash(inj)
 	}
 	if cfg.Supervisor != nil {
 		m.AttachSupervisor(resilience.NewSupervisor(*cfg.Supervisor))
@@ -150,9 +133,9 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	}
 	if cfg.Telemetry.Enabled() {
 		reg := cfg.Telemetry.Metrics
-		t.phoneStream = cfg.Telemetry.Tracer.Stream(cfg.TraceLabel+"phone", cfg.Clock)
-		t.hubStream = cfg.Telemetry.Tracer.Stream(cfg.TraceLabel+"hub", cfg.Clock)
-		t.wireStream = cfg.Telemetry.Tracer.Stream(cfg.TraceLabel+"wire", cfg.Clock)
+		t.phoneStream = cfg.Telemetry.Tracer.Stream("phone", cfg.Clock)
+		t.hubStream = cfg.Telemetry.Tracer.Stream("hub", cfg.Clock)
+		t.wireStream = cfg.Telemetry.Tracer.Stream("wire", cfg.Clock)
 		t.profile = telemetry.NewInterpProfile()
 		phoneEnd.SetTelemetry(reg, "link.phone", t.wireStream)
 		hubEnd.SetTelemetry(reg, "link.hub", t.wireStream)

@@ -51,9 +51,8 @@ type AdaptiveSidewinder struct {
 	// zero savings by construction.
 	Frozen bool
 
-	// Telemetry and TraceLabel behave exactly as on Sidewinder.
-	Telemetry  telemetry.Set
-	TraceLabel string
+	// Telemetry behaves exactly as on Sidewinder.
+	Telemetry telemetry.Set
 }
 
 // Name implements Strategy.
@@ -209,7 +208,7 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	tol := int(app.MatchTolSec * tr.RateHz)
 	tracker := newTruthTracker(tr.EventsLabeled(app.Label), tol)
 	w := newWakeWindow(ph, tr.RateHz, int(app.PreBufferSec*tr.RateHz), hold)
-	hubStream := w.c.trace(s.Telemetry, s.TraceLabel)
+	hubStream := w.c.trace(s.Telemetry)
 
 	// pending holds a re-admitted program awaiting the next block boundary;
 	// swapping only there keeps each block's wake offsets internally
@@ -305,12 +304,12 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	}
 
 	if s.Telemetry.Enabled() {
-		led := s.Telemetry.LedgerSink()
+		led := s.Telemetry.Ledger
 		depositPhoneEnergy(led, ph)
 		led.AddEnergyMJ(telemetry.HubDevice, hubMJ)
 		led.AddEnergyMJ(telemetry.AdaptSavings, staticMJ-hubMJ)
 		profile.DepositCycles(led, dev.Cycles)
-		emitStageSpans(hubStream, profile, dev)
+		profile.EmitStageSpans(hubStream, dev.Cycles, dev.ClockHz)
 	}
 
 	hubMW := 0.0

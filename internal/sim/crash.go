@@ -23,7 +23,6 @@ package sim
 //                     must be zero.
 
 import (
-	"errors"
 	"fmt"
 
 	"sidewinder/internal/apps"
@@ -75,21 +74,11 @@ type CrashRunConfig struct {
 	// Fallback selects the phone's degraded sensing mode during detected
 	// outages. Only meaningful with a supervisor.
 	Fallback FallbackMode
-	// FallbackSleepSec is the duty-cycle fallback's sleep interval
-	// (default 10 s).
-	FallbackSleepSec float64
-	// ARQ protects the wire (default: enabled with zero config — the
-	// supervised protocol assumes reliable config pushes).
-	ARQ *link.ARQConfig
-	// BufSamples is the hub's per-channel raw-data ring (default 32).
-	BufSamples int
 
 	// Telemetry, when enabled, instruments the run: supervisor counters
 	// and state instants, crash/recovery events, outage spans, and an
 	// energy ledger with the fallback draw as its own component.
 	Telemetry telemetry.Set
-	// TraceLabel prefixes the run's trace stream names.
-	TraceLabel string
 }
 
 // CrashResult reports wake attribution, resilience accounting and energy
@@ -124,15 +113,20 @@ type CrashResult struct {
 	Stats manager.LinkStats
 }
 
+// fallbackSleepSec is the sleep interval of duty-cycled fallback sensing,
+// both during a detected hub outage and for conditions the fleet's
+// admission controller degraded off an overloaded hub.
+const fallbackSleepSec = 10
+
 // fallbackAvgMW prices one second of fallback sensing.
-func fallbackAvgMW(mode FallbackMode, sleepSec float64, p power.Profile) float64 {
+func fallbackAvgMW(mode FallbackMode, p power.Profile) float64 {
 	switch mode {
 	case FallbackDutyCycle:
 		// One duty period: wake transition, 4 s collecting, sleep
 		// transition, then the sleep interval.
-		period := 2*p.TransitionSeconds + dutyAwakeSec + sleepSec
+		period := 2*p.TransitionSeconds + dutyAwakeSec + fallbackSleepSec
 		energy := p.TransitionSeconds*(p.WakeTransitionMW+p.SleepTransition) +
-			dutyAwakeSec*p.AwakeMW + sleepSec*p.AsleepMW
+			dutyAwakeSec*p.AwakeMW + fallbackSleepSec*p.AsleepMW
 		return energy / period
 	default:
 		return p.AwakeMW
@@ -149,30 +143,17 @@ func fallbackAvgMW(mode FallbackMode, sleepSec float64, p power.Profile) float64
 // supervisor and injector ticks are samples and latencies convert to
 // seconds by dividing by the trace rate.
 func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult, error) {
-	bufSamples := cfg.BufSamples
-	if bufSamples <= 0 {
-		bufSamples = 32
-	}
-	arq := cfg.ARQ
-	if arq == nil {
-		arq = &link.ARQConfig{}
-	}
-	sleepSec := cfg.FallbackSleepSec
-	if sleepSec <= 0 {
-		sleepSec = 10
-	}
-	clk := &telemetry.Clock{}
-	bed, err := manager.NewTestbed(manager.TestbedConfig{
-		BufSamples: bufSamples,
-		ARQ:        arq,
+	// The supervised protocol assumes reliable config pushes, so the wire
+	// always runs the default ARQ.
+	r, err := startTestbed(tr, app, manager.TestbedConfig{
+		ARQ:        &link.ARQConfig{},
 		Supervisor: cfg.Supervisor,
 		Telemetry:  cfg.Telemetry,
-		Clock:      clk,
-		TraceLabel: cfg.TraceLabel,
 	})
 	if err != nil {
 		return nil, err
 	}
+	bed := r.bed
 
 	// The oracle interpreter replays the same condition continuously,
 	// outside the failing stack: its wakes are what SHOULD happen.
@@ -184,49 +165,7 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 	if err != nil {
 		return nil, err
 	}
-	feed, err := newHubFeed(oracle, tr, app.Channels, app.Name)
-	if err != nil {
-		return nil, err
-	}
-	channels := feed.channels
-
-	profile := power.Nexus4()
-	ph := power.NewPhone(profile)
-	phoneStream, _, _ := bed.Streams()
-	tracePhoneTransitions(ph, phoneStream)
-
-	res := &CrashResult{}
-	lastDelivery := -1
-	curSample := 0
-	id, err := bed.Manager.Push(app.Wake, manager.ListenerFunc(func(e manager.Event) {
-		res.DeliveredWakes++
-		lastDelivery = curSample
-		ph.RequestWake()
-	}))
-	if err != nil {
-		return nil, err
-	}
-	loaded := false
-	for attempt := 0; attempt < maxPushAttempts; attempt++ {
-		res.PushAttempts++
-		if err := bed.Pump(); err != nil {
-			return nil, err
-		}
-		_, ready, serr := bed.Manager.Status(id)
-		if ready && serr == nil {
-			loaded = true
-			break
-		}
-		if ready && serr != nil && !errors.Is(serr, link.ErrLinkDown) {
-			return nil, serr
-		}
-		if err := bed.Manager.Repush(id); err != nil {
-			return nil, err
-		}
-	}
-	if !loaded {
-		return nil, fmt.Errorf("sim: condition never loaded after %d push attempts", maxPushAttempts)
-	}
+	feed := &hubFeed{m: oracle, names: r.names, channels: r.channels}
 
 	// Install the injector only after initial provisioning: the sweep
 	// measures steady-state resilience, and crash-during-push is covered
@@ -238,10 +177,10 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 	bed.Hub.SetCrash(inj)
 	sup := bed.Manager.Supervisor()
 
-	fbMW := fallbackAvgMW(cfg.Fallback, sleepSec, profile)
+	res := &CrashResult{}
+	fbMW := fallbackAvgMW(cfg.Fallback, power.Nexus4())
 	n := tr.Len()
-	dt := 1 / tr.RateHz
-	hold := int(swIdleHoldSec * tr.RateHz)
+	dt := r.dt
 
 	// The oracle runs outside the failing stack, so its whole-trace fired
 	// bitmap can be precomputed on the interpreter's block fast path; the
@@ -254,6 +193,7 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 	}
 
 	// Outage span tracing: one span per contiguous non-Up stretch.
+	phoneStream, _, _ := bed.Streams()
 	spanState := resilience.Up
 	spanStart := 0.0
 	emitSpan := func(endSec float64) {
@@ -263,7 +203,7 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 	}
 
 	for s := 0; s < n; s++ {
-		curSample = s
+		r.cur = s
 		nowSec := float64(s) * dt
 
 		// One service pass per side per sample: the supervisor's tick IS
@@ -285,13 +225,8 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 		// Feed the live hub (it drops samples internally while down); the
 		// oracle's precomputed bitmap attributes this sample's wakes to
 		// their timeline window.
-		for i, ch := range app.Channels {
-			if s >= len(channels[i]) {
-				continue
-			}
-			if err := bed.Hub.Feed(ch, channels[i][s]); err != nil {
-				return nil, err
-			}
+		if err := r.feed(s, bed.Hub.Feed); err != nil {
+			return nil, err
 		}
 		if oracleFired[s] {
 			res.OracleWakes++
@@ -327,53 +262,32 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 			res.FallbackSec += dt
 			res.FallbackEnergyMJ += fbMW * dt
 		} else {
-			if ph.UsableAwake() && lastDelivery >= 0 && s-lastDelivery > hold {
-				ph.RequestSleep()
-			}
-			ph.Advance(dt)
+			r.settle(s)
 		}
-		clk.SetSec(float64(s+1) * dt)
+		r.tick(s)
 	}
 	emitSpan(float64(n) * dt)
-	if err := bed.Pump(); err != nil {
+	if err := r.finish(res.HubUpSec); err != nil {
 		return nil, err
 	}
+	cfg.Telemetry.Ledger.AddEnergyMJ(telemetry.PhoneFallback, res.FallbackEnergyMJ)
 
 	res.HubWakes = bed.Hub.WakesSent()
+	res.DeliveredWakes = r.delivered
+	res.PushAttempts = r.pushAttempts
 	res.Crash = inj.Stats()
 	res.Supervisor = sup.Stats()
 	res.Reprovision = bed.Manager.ReprovisionStats()
 	if tr.RateHz > 0 {
 		res.DetectionLatencySec = res.Supervisor.MeanDetectionTicks() / tr.RateHz
 	}
-
-	res.Stats = bed.LinkStats()
-	res.LinkEnergyMJ = res.Stats.BusySeconds * link.UARTActiveMW
-	res.PhoneEnergyMJ = ph.EnergyMJ()
-	dev, placed := bed.Hub.Device()
-	if placed {
-		res.HubEnergyMJ = dev.ActivePowerMW * res.HubUpSec
-	}
+	res.Stats = r.stats
+	res.LinkEnergyMJ = r.linkMJ
+	res.PhoneEnergyMJ = r.ph.EnergyMJ()
+	res.HubEnergyMJ = r.hubMJ
 	res.TotalMJ = res.PhoneEnergyMJ + res.FallbackEnergyMJ + res.HubEnergyMJ + res.LinkEnergyMJ
 	if dur := tr.Duration().Seconds(); dur > 0 {
 		res.TotalAvgMW = res.TotalMJ / dur
-	}
-
-	if cfg.Telemetry.Enabled() {
-		led := cfg.Telemetry.LedgerSink()
-		depositPhoneEnergy(led, ph)
-		led.AddEnergyMJ(telemetry.PhoneFallback, res.FallbackEnergyMJ)
-		if placed {
-			depositHubEnergy(led, dev, res.HubUpSec, bed.Profile())
-		}
-		overhead := res.Stats.PhoneARQ.OverheadBytes + res.Stats.HubARQ.OverheadBytes
-		retransMJ := float64(overhead*10) / lossyLinkBaud * link.UARTActiveMW
-		led.AddEnergyMJ(telemetry.LinkRetransmit, retransMJ)
-		led.AddEnergyMJ(telemetry.LinkWire, res.LinkEnergyMJ-retransMJ)
-		_, hubStream, _ := bed.Streams()
-		if placed {
-			emitStageSpans(hubStream, bed.Profile(), dev)
-		}
 	}
 	return res, nil
 }

@@ -106,8 +106,8 @@ func TestCrashRunWindowPartitionProperty(t *testing.T) {
 // draw.
 func TestCrashRunFallbackModesPrice(t *testing.T) {
 	p := power.Nexus4()
-	aa := fallbackAvgMW(FallbackAlwaysAwake, 10, p)
-	dc := fallbackAvgMW(FallbackDutyCycle, 10, p)
+	aa := fallbackAvgMW(FallbackAlwaysAwake, p)
+	dc := fallbackAvgMW(FallbackDutyCycle, p)
 	if dc >= aa {
 		t.Errorf("duty-cycle fallback %.1f mW >= always-awake %.1f mW", dc, aa)
 	}

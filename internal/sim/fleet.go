@@ -52,10 +52,6 @@ type FleetRunConfig struct {
 	Accel []*sensor.Trace
 	Audio []*sensor.Trace
 
-	// FallbackSleepSec is the duty-cycle sleep interval billed to
-	// degraded conditions (default 10 s).
-	FallbackSleepSec float64
-
 	// Precision selects the hub interpreter's numeric substrate for every
 	// cell (default float64).
 	Precision interp.Precision
@@ -161,22 +157,16 @@ func FleetRun(cfg FleetRunConfig) (*FleetResult, error) {
 	if len(cfg.Accel) == 0 && len(cfg.Audio) == 0 {
 		return nil, fmt.Errorf("sim: fleet needs at least one candidate trace")
 	}
-	sleepSec := cfg.FallbackSleepSec
-	if sleepSec <= 0 {
-		sleepSec = 10
-	}
-
 	outs, err := parallel.Map(cfg.Workers, cfg.Devices, func(i int) (FleetCell, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*fleetCellSeed))
-		cell, err := fleetCell(cfg, rng, sleepSec)
-		return cell, err
+		return fleetCell(cfg, rng)
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &FleetResult{Cells: make([]FleetCell, 0, len(outs))}
-	led := cfg.Telemetry.LedgerSink()
+	led := cfg.Telemetry.Ledger
 	var totalMW []float64
 	for _, cell := range outs {
 		res.Cells = append(res.Cells, cell)
@@ -198,7 +188,7 @@ func FleetRun(cfg FleetRunConfig) (*FleetResult, error) {
 }
 
 // fleetCell draws and replays one phone of the population.
-func fleetCell(cfg FleetRunConfig, rng *rand.Rand, sleepSec float64) (FleetCell, error) {
+func fleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, error) {
 	var cell FleetCell
 
 	// Draw the modality first: traces are single-modality, so the app mix
@@ -312,7 +302,7 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand, sleepSec float64) (FleetCell,
 		// phone: every wake window examines every degraded condition's
 		// buffered data. Billed as the draw ABOVE the asleep baseline the
 		// phone machine already accounts, so nothing is double-counted.
-		cell.FallbackEnergyMJ = (fallbackAvgMW(FallbackDutyCycle, sleepSec, profile) - profile.AsleepMW) * cell.DurationSec
+		cell.FallbackEnergyMJ = (fallbackAvgMW(FallbackDutyCycle, profile) - profile.AsleepMW) * cell.DurationSec
 	}
 
 	cell.PhoneStateMJ = [4]float64{

@@ -74,15 +74,15 @@ func (c *clock) sampleAt(t float64) int {
 func (c *clock) endSec() float64 { return float64(c.n) / c.rate }
 
 // trace attaches a telemetry clock when set is enabled, traces the
-// phone's state transitions on a label+"phone" stream, and returns the
-// label+"hub" stream (nil when disabled).
-func (c *clock) trace(set telemetry.Set, label string) *telemetry.Stream {
+// phone's state transitions on a "phone" stream, and returns the "hub"
+// stream (nil when disabled).
+func (c *clock) trace(set telemetry.Set) *telemetry.Stream {
 	if !set.Enabled() {
 		return nil
 	}
 	c.tclk = &telemetry.Clock{}
-	phoneStream := set.Tracer.Stream(label+"phone", c.tclk)
-	hubStream := set.Tracer.Stream(label+"hub", c.tclk)
+	phoneStream := set.Tracer.Stream("phone", c.tclk)
+	hubStream := set.Tracer.Stream("hub", c.tclk)
 	tracePhoneTransitions(c.ph, phoneStream)
 	return hubStream
 }
@@ -186,21 +186,40 @@ func (d DutyCycling) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 		return nil, fmt.Errorf("sim: duty cycling needs a positive sleep interval")
 	}
 	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: tr.Len()}
-	end := c.endSec()
-	var intervals []Interval
-	var deliveries []Delivery
+	var s dutySchedule
+	s.run(&clock{ph: ph, rate: tr.RateHz, n: tr.Len()}, d.SleepSec, tr, app,
+		func(_, start, end int) Interval { return Interval{start, end} })
+	res := finish(d.Name(), tr, app, ph, 0, s.intervals, nil)
+	res.Deliveries = s.deliveries
+	return res, nil
+}
 
+// dutySchedule is the schedule duty cycling and batching share: wake,
+// deliver data after every dutyAwakeSec chunk for as long as the
+// application detects something in it, then sleep, until the trace ends.
+// It records what reached the application.
+type dutySchedule struct {
+	intervals  []Interval
+	deliveries []Delivery
+	delivered  int // end of the last delivery
+}
+
+// run drives c's phone through the schedule with sleepSec between
+// wake-ups. After each awake chunk, samples [start, end), it delivers
+// pick(s.delivered, start, end) and keeps the phone awake for another
+// chunk while the application detects something in that interval.
+func (s *dutySchedule) run(c *clock, sleepSec float64, tr *sensor.Trace, app *apps.App,
+	pick func(delivered, start, end int) Interval) {
+	end := c.endSec()
+	transition := power.Nexus4().TransitionSeconds
 	for c.t < end {
-		ph.RequestWake()
-		c.advance(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
-		// Awake chunks of 4 s; extend while the app detects something.
+		c.ph.RequestWake()
+		c.advance(math.Min(transition, end-c.t))
 		for c.t < end {
 			chunkStart := c.t
 			c.advance(math.Min(dutyAwakeSec, end-c.t))
-			iv := Interval{c.sampleAt(chunkStart), c.sampleAt(c.t)}
-			intervals = append(intervals, iv)
-			deliveries = append(deliveries, Delivery{Start: iv.Start, End: iv.End, At: iv.End})
+			iv := pick(s.delivered, c.sampleAt(chunkStart), c.sampleAt(c.t))
+			s.deliver(iv)
 			if len(app.Detector.Detect(tr, iv.Start, iv.End)) == 0 {
 				break
 			}
@@ -208,13 +227,17 @@ func (d DutyCycling) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 		if c.t >= end {
 			break
 		}
-		ph.RequestSleep()
-		c.advance(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
-		c.advance(math.Min(d.SleepSec, end-c.t))
+		c.ph.RequestSleep()
+		c.advance(math.Min(transition, end-c.t))
+		c.advance(math.Min(sleepSec, end-c.t))
 	}
-	res := finish(d.Name(), tr, app, ph, 0, intervals, nil)
-	res.Deliveries = deliveries
-	return res, nil
+}
+
+// deliver records that iv reached the application at its end.
+func (s *dutySchedule) deliver(iv Interval) {
+	s.intervals = append(s.intervals, iv)
+	s.deliveries = append(s.deliveries, Delivery{Start: iv.Start, End: iv.End, At: iv.End})
+	s.delivered = iv.End
 }
 
 // --------------------------------------------------------------- Batching
@@ -236,39 +259,15 @@ func (b Batching) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 		return nil, fmt.Errorf("sim: batching needs a positive sleep interval")
 	}
 	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: tr.Len()}
-	end := c.endSec()
-	var intervals []Interval
-	var deliveries []Delivery
-	delivered := 0
-
-	for c.t < end {
-		ph.RequestWake()
-		c.advance(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
-		for c.t < end {
-			c.advance(math.Min(dutyAwakeSec, end-c.t))
-			iv := Interval{delivered, c.sampleAt(c.t)}
-			delivered = iv.End
-			intervals = append(intervals, iv)
-			deliveries = append(deliveries, Delivery{Start: iv.Start, End: iv.End, At: iv.End})
-			if len(app.Detector.Detect(tr, iv.Start, iv.End)) == 0 {
-				break
-			}
-		}
-		if c.t >= end {
-			break
-		}
-		ph.RequestSleep()
-		c.advance(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
-		c.advance(math.Min(b.SleepSec, end-c.t))
-	}
+	var s dutySchedule
+	s.run(&clock{ph: ph, rate: tr.RateHz, n: tr.Len()}, b.SleepSec, tr, app,
+		func(delivered, _, end int) Interval { return Interval{delivered, end} })
 	// Whatever remains in the cache is delivered at trace end.
-	if delivered < tr.Len() {
-		intervals = append(intervals, Interval{delivered, tr.Len()})
-		deliveries = append(deliveries, Delivery{Start: delivered, End: tr.Len(), At: tr.Len()})
+	if s.delivered < tr.Len() {
+		s.deliver(Interval{s.delivered, tr.Len()})
 	}
-	res := finish(b.Name(), tr, app, ph, hub.MSP430().ActivePowerMW, intervals, nil)
-	res.Deliveries = deliveries
+	res := finish(b.Name(), tr, app, ph, hub.MSP430().ActivePowerMW, s.intervals, nil)
+	res.Deliveries = s.deliveries
 	return res, nil
 }
 
@@ -404,9 +403,6 @@ type Sidewinder struct {
 	// profiles the hub interpreter per stage, and traces wake events and
 	// phone state transitions. The zero Set changes nothing.
 	Telemetry telemetry.Set
-	// TraceLabel prefixes the run's trace stream names so parallel
-	// evaluation cells stay distinguishable in one trace.
-	TraceLabel string
 }
 
 // Name implements Strategy.
@@ -459,7 +455,7 @@ func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 	n := tr.Len()
 	ph := power.NewPhone(power.Nexus4())
 	w := newWakeWindow(ph, tr.RateHz, int(app.PreBufferSec*tr.RateHz), int(swIdleHoldSec*tr.RateHz))
-	hubStream := w.c.trace(s.Telemetry, s.TraceLabel)
+	hubStream := w.c.trace(s.Telemetry)
 	var profile *telemetry.InterpProfile
 	if s.Telemetry.Enabled() {
 		profile = telemetry.NewInterpProfile()
@@ -480,10 +476,10 @@ func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 	}
 
 	if s.Telemetry.Enabled() {
-		led := s.Telemetry.LedgerSink()
+		led := s.Telemetry.Ledger
 		depositPhoneEnergy(led, ph)
-		depositHubEnergy(led, dev, ph.TotalSeconds(), profile)
-		emitStageSpans(hubStream, profile, dev)
+		profile.DepositHub(led, dev.ActivePowerMW, ph.TotalSeconds(), dev.Cycles)
+		profile.EmitStageSpans(hubStream, dev.Cycles, dev.ClockHz)
 	}
 
 	res := finish(s.Name(), tr, app, ph, dev.ActivePowerMW, w.close(n), nil)

@@ -108,3 +108,29 @@ func (p *InterpProfile) DepositCycles(l *Ledger, cycles func(floatOps, intOps fl
 		l.AddStageCycles(s.Kind, cycles(s.FloatOps, s.IntOps))
 	}
 }
+
+// DepositHub attributes a hub device's constant active draw over durSec
+// to the ledger, then the profile's per-stage work as device cycles
+// (DepositCycles). The ledger may be nil.
+func (p *InterpProfile) DepositHub(l *Ledger, activeMW, durSec float64, cycles func(floatOps, intOps float64) float64) {
+	l.AddEnergyMJ(HubDevice, activeMW*durSec)
+	p.DepositCycles(l, cycles)
+}
+
+// EmitStageSpans lays the per-stage execution time out as consecutive
+// spans on s, converting each stage's work into seconds on a device with
+// the given cycle conversion and clock. The track reads as "where the
+// hub's busy time went"; span order follows kind-sorted stage names.
+// No-op on a nil stream or profile, or without a clock rate.
+func (p *InterpProfile) EmitStageSpans(s *Stream, cycles func(floatOps, intOps float64) float64, clockHz float64) {
+	if s == nil || p == nil || clockHz <= 0 {
+		return
+	}
+	at := 0.0
+	for _, st := range p.Stages() {
+		if dur := cycles(st.FloatOps, st.IntOps) / clockHz; dur > 0 {
+			s.Span(st.Kind, "stage", at, dur)
+			at += dur
+		}
+	}
+}

@@ -80,9 +80,11 @@ func Components() []Component {
 }
 
 // Ledger attributes simulated millijoules to components and hub cycles to
-// pipeline stages. It is mutex-protected so the parallel evaluation pool
-// can share one ledger across cells; per-run simulation code typically
-// deposits once at the end of the run, so the lock is never hot.
+// pipeline stages. It is mutex-protected, so goroutines may share one;
+// the parallel evaluation pool still gives each cell its own (Set.Cell),
+// because float sums depend on the order of their terms. Per-run
+// simulation code typically deposits once at the end of the run, so the
+// lock is never hot.
 type Ledger struct {
 	mu     sync.Mutex
 	mj     [numComponents]float64
@@ -113,6 +115,24 @@ func (l *Ledger) AddStageCycles(kind string, cycles float64) {
 	l.mu.Lock()
 	l.cycles[kind] += cycles
 	l.mu.Unlock()
+}
+
+// Merge adds every component and stage of o into l. No-op when either
+// side is nil.
+func (l *Ledger) Merge(o *Ledger) {
+	if l == nil || o == nil {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for c, v := range o.mj {
+		l.mj[c] += v
+	}
+	for k, v := range o.cycles {
+		l.cycles[k] += v
+	}
 }
 
 // EnergyMJ returns the energy attributed to one component (0 on nil).

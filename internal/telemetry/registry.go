@@ -93,6 +93,23 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
+// Merge adds o's counters into r, interning the names r lacks in o's
+// registration order, so merging the registries of a fan-out's cells in
+// cell order exports what a serial run would. Gauges and histograms are
+// not merged: no pool cell records them. No-op when either side is nil.
+func (r *Registry) Merge(o *Registry) {
+	if r == nil || o == nil {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, name := range o.order {
+		if c := o.counts[name]; c != nil {
+			r.Counter(name).Add(c.Value())
+		}
+	}
+}
+
 // Counter is a monotonically increasing count. The zero value of the
 // pointer (nil) is a disabled counter.
 type Counter struct {

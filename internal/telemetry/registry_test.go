@@ -113,7 +113,8 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 		t.Error("nil tracer must buffer nothing")
 	}
 	var set *Set
-	if set.Enabled() || set.MetricsSink() != nil || set.LedgerSink() != nil || set.TracerSink() != nil {
+	set.Merge("cell/", Set{Ledger: NewLedger(), Tracer: NewTracer()})
+	if cell := set.Cell(); set.Enabled() || cell.Enabled() {
 		t.Error("nil set must be fully disabled")
 	}
 }

@@ -34,30 +34,6 @@ func (s *Set) Enabled() bool {
 	return s != nil && (s.Metrics != nil || s.Ledger != nil || s.Tracer != nil)
 }
 
-// MetricsSink returns the registry, nil-safe on a nil set.
-func (s *Set) MetricsSink() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.Metrics
-}
-
-// LedgerSink returns the ledger, nil-safe on a nil set.
-func (s *Set) LedgerSink() *Ledger {
-	if s == nil {
-		return nil
-	}
-	return s.Ledger
-}
-
-// TracerSink returns the tracer, nil-safe on a nil set.
-func (s *Set) TracerSink() *Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.Tracer
-}
-
 // Clock is a simulated-time source shared by the streams of one run. The
 // driver (a simulation loop that knows the sample rate) advances it; every
 // stream stamping an event reads it. One writer, many readers, all on the
@@ -84,3 +60,40 @@ func (c *Clock) NowUS() float64 {
 
 // NowSec returns the current time in seconds (0 on a nil clock).
 func (c *Clock) NowSec() float64 { return c.NowUS() / 1e6 }
+
+// Cell returns the sinks for one cell of a parallel fan-out: a fresh
+// registry, ledger and tracer (each present only when s has one), so the
+// cell's registration order, float sums and stream ids do not depend on
+// the schedule. Merge folds it back into s; the zero Set stays disabled.
+func (s *Set) Cell() Set {
+	var c Set
+	if s == nil {
+		return c
+	}
+	if s.Metrics != nil {
+		c.Metrics = NewRegistry()
+	}
+	if s.Ledger != nil {
+		c.Ledger = NewLedger()
+	}
+	if t := s.Tracer; t != nil {
+		t.mu.Lock()
+		c.Tracer = &Tracer{max: t.max}
+		t.mu.Unlock()
+	}
+	return c
+}
+
+// Merge folds a cell's sinks (see Cell) into s, prefixing label onto the
+// cell's stream names. Merging the cells of a fan-out in cell order
+// writes exactly what running them one after another on s would,
+// provided each cell deposits each ledger component and stage kind at
+// most once and records no gauge or histogram.
+func (s *Set) Merge(label string, cell Set) {
+	if s == nil {
+		return
+	}
+	s.Metrics.Merge(cell.Metrics)
+	s.Ledger.Merge(cell.Ledger)
+	s.Tracer.Merge(label, cell.Tracer)
+}

@@ -18,8 +18,10 @@ import (
 // interpreter counts samples) emit correctly-placed events without
 // carrying a clock themselves.
 //
-// The tracer is mutex-protected: parallel evaluation cells append to one
-// tracer through their own streams. A nil *Tracer — and the nil *Stream it
+// The tracer is mutex-protected, so goroutines may append to one tracer
+// through their own streams; parallel evaluation cells record into
+// tracers of their own instead (Set.Cell), merged in cell order, so
+// stream ids do not follow the schedule. A nil *Tracer — and the nil *Stream it
 // hands out — disables tracing with no allocation at any call site.
 type Tracer struct {
 	mu      sync.Mutex
@@ -60,6 +62,30 @@ func (t *Tracer) SetMaxEvents(n int) {
 	t.mu.Lock()
 	t.max = n
 	t.mu.Unlock()
+}
+
+// Merge appends o's events to t as if o's streams had been registered on
+// t: stream ids continue t's numbering, label prefixes each stream name,
+// and t's event cap applies, with o's dropped events added to t's count.
+// No-op when either side is nil.
+func (t *Tracer) Merge(label string, o *Tracer) {
+	if t == nil || o == nil {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	base := t.nextTID
+	t.nextTID += o.nextTID
+	t.dropped += o.dropped
+	for _, e := range o.events {
+		e.TID += base
+		if e.Ph == "M" {
+			e.Args = map[string]any{"name": label + e.Args["name"].(string)}
+		}
+		t.push(e)
+	}
 }
 
 // Stream registers a named timeline bound to a clock and returns its
@@ -107,12 +133,17 @@ const tracePID = 1
 
 func (t *Tracer) append(e traceEvent) {
 	t.mu.Lock()
+	t.push(e)
+	t.mu.Unlock()
+}
+
+// push buffers e, or counts it dropped at the cap. t.mu must be held.
+func (t *Tracer) push(e traceEvent) {
 	if t.max > 0 && len(t.events) >= t.max {
 		t.dropped++
 	} else {
 		t.events = append(t.events, e)
 	}
-	t.mu.Unlock()
 }
 
 // WriteJSON exports the trace in the Chrome trace_event JSON Object

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -119,5 +120,56 @@ func TestClock(t *testing.T) {
 	nilC.SetSec(5)
 	if nilC.NowUS() != 0 || nilC.NowSec() != 0 {
 		t.Error("nil clock must read zero")
+	}
+}
+
+// TestSetMergeMatchesSerial: cells that record into sinks of their own
+// (Set.Cell) and are merged in cell order export exactly what recording
+// them one after another into one set exports — registry order and
+// values, ledger sums, stream ids and names, the event cap and the
+// dropped count.
+func TestSetMergeMatchesSerial(t *testing.T) {
+	record := func(set Set, prefix string, i int) {
+		clk := &Clock{}
+		s := set.Tracer.Stream(prefix+"phone", clk)
+		if i > 0 {
+			set.Metrics.Counter("late").Add(int64(i))
+		}
+		set.Metrics.Counter("wakes").Inc()
+		clk.SetSec(float64(i) + 0.1)
+		s.Instant1("wake", "hub", "v", float64(i))
+		set.Ledger.AddEnergyMJ(PhoneAwake, 0.1*float64(i+1))
+		set.Ledger.AddStageCycles("fft", 0.3*float64(i+1))
+	}
+	serial := Set{Metrics: NewRegistry(), Ledger: NewLedger(), Tracer: NewTracer()}
+	merged := Set{Metrics: NewRegistry(), Ledger: NewLedger(), Tracer: NewTracer()}
+	serial.Tracer.SetMaxEvents(5)
+	merged.Tracer.SetMaxEvents(5)
+	for i, label := range []string{"a/", "b/", "c/"} {
+		record(serial, label, i)
+		cell := merged.Cell()
+		record(cell, "", i)
+		merged.Merge(label, cell)
+	}
+	export := func(set Set) string {
+		var b strings.Builder
+		if err := set.Metrics.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Ledger.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Tracer.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "dropped %d\n", set.Tracer.Dropped())
+		return b.String()
+	}
+	want, got := export(serial), export(merged)
+	if got != want {
+		t.Errorf("merged cells differ from a serial run:\nserial:\n%s\nmerged:\n%s", want, got)
+	}
+	if serial.Tracer.Dropped() == 0 {
+		t.Error("the cap should have dropped events")
 	}
 }
