@@ -27,10 +27,14 @@ import (
 	"sidewinder/internal/interp"
 )
 
-// benchOptions keeps per-iteration work around a few seconds.
+// benchOptions keeps per-iteration work around a few seconds. One
+// worker makes each benchmark's allocs/op reproducible: calibration's
+// early-stopping scan simulates a schedule-dependent set of cells on a
+// pool. BenchmarkParallelEval sets its own worker counts.
 func benchOptions() eval.Options {
 	return eval.Options{
 		Seed:             1,
+		Workers:          1,
 		RobotRunDuration: 4 * time.Minute,
 		AudioDuration:    5 * time.Minute,
 		HumanDuration:    20 * time.Minute,

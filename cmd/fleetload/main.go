@@ -11,14 +11,14 @@
 // the bye handshake cross-checks the server's per-device totals against
 // what the client saw acknowledged, bit for bit.
 //
-// With -reconnect N (the default), sessions open with a resume handshake
-// and ride through connection resets, cuts, stalls and partitions: each
-// device retries with capped exponential backoff and gives up only after
-// N consecutive attempts without progress. The exit status is non-zero
-// only on unrecovered devices or summary mismatches — transient
-// connection errors that the resume protocol absorbed are reported as
-// counts, not failures. -reconnect 0 restores the legacy single-shot
-// session where any connection error is fatal for its device.
+// Every connection opens with a resume handshake, and sessions ride
+// through connection resets, cuts, stalls and partitions: each device
+// redials with capped exponential backoff and gives up only after
+// -reconnect N (default 8) consecutive attempts without progress. The
+// exit status is non-zero only on unrecovered devices or summary
+// mismatches — transient connection errors that the resume protocol
+// absorbed are reported as counts, not failures. -reconnect 0 gives each
+// device one connection, and any connection error is fatal for it.
 //
 // The bitwise check assumes the daemon holds no prior state for the
 // population's device IDs (1..devices): replaying into a daemon that
@@ -65,11 +65,11 @@ func main() {
 	flag.IntVar(&o.hbEvery, "hb-every", 25, "heartbeat per this many wake frames")
 	flag.IntVar(&o.concurrency, "concurrency", 0, "max simultaneous sessions (0: whole population)")
 	flag.IntVar(&o.reconnect, "reconnect", 8,
-		"max consecutive no-progress reconnects per device before giving up (0: legacy single-shot sessions)")
+		"max consecutive no-progress reconnects per device before giving up (0: one connection per device)")
 	flag.DurationVar(&o.backoffBase, "backoff-base", 25*time.Millisecond, "initial reconnect backoff")
 	flag.DurationVar(&o.backoffCap, "backoff-cap", time.Second, "reconnect backoff ceiling")
 	flag.DurationVar(&o.ackTimeout, "ack-timeout", 10*time.Second,
-		"per-read/write socket deadline in reconnect mode (a stalled server becomes a reconnect)")
+		"per-read/write socket deadline (a stalled server becomes a reconnect)")
 	flag.DurationVar(&o.pace, "pace", 0,
 		"per-device delay between frame sends (0: full blast; set to stretch a soak over wall-clock time)")
 	flag.Parse()

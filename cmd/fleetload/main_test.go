@@ -64,9 +64,10 @@ func TestRunAgainstLiveDaemon(t *testing.T) {
 	}
 }
 
-// TestRunLegacyMode: reconnect 0 keeps the single-shot Hello session
-// working against a live daemon.
-func TestRunLegacyMode(t *testing.T) {
+// TestRunSingleConnection: -reconnect 0 gives each device one resumed
+// connection, which replays the whole population against a live daemon
+// without a redial.
+func TestRunSingleConnection(t *testing.T) {
 	s, err := fleetd.NewServer(fleetd.Config{
 		Addr:      "127.0.0.1:0",
 		Telemetry: telemetry.Set{Ledger: telemetry.NewLedger()},
@@ -83,7 +84,13 @@ func TestRunLegacyMode(t *testing.T) {
 	o.devices, o.reconnect = 6, 0
 	var out strings.Builder
 	if err := run(o, &out); err != nil {
-		t.Fatalf("run (legacy): %v\n%s", err, out.String())
+		t.Fatalf("run (single connection): %v\n%s", err, out.String())
+	}
+	for _, marker := range []string{"mismatches=0", "reconnects=0", "unrecovered=0",
+		"fleetload: summaries verified"} {
+		if !strings.Contains(out.String(), marker) {
+			t.Fatalf("output missing %q:\n%s", marker, out.String())
+		}
 	}
 }
 

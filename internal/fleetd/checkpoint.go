@@ -101,7 +101,7 @@ func WriteCheckpoint(path string, cp Checkpoint) error {
 	// the whole chain corrupt. A damaged newest file is deleted instead,
 	// so at every instant the chain holds at least one intact snapshot; a
 	// crash between the two renames leaves .bak as the newest intact
-	// snapshot, which LoadCheckpoint accepts cleanly.
+	// snapshot, which LoadCheckpointDetail accepts cleanly.
 	if _, err := readCheckpointFile(path); err == nil {
 		if err := os.Rename(path, path+BakSuffix); err != nil {
 			os.Remove(tmpName)
@@ -117,38 +117,31 @@ func WriteCheckpoint(path string, cp Checkpoint) error {
 	return nil
 }
 
-// readCheckpointFile loads and verifies one file of the chain. It accepts
-// both the CRC-enveloped format and the legacy bare-JSON layout (from
-// checkpoints written before the envelope existed).
+// readCheckpointFile loads and verifies one file of the chain. Anything
+// but a CRC-valid envelope — torn JSON, bit damage, a file without the
+// envelope — is ErrCheckpointCorrupt.
 func readCheckpointFile(path string) (Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Checkpoint{}, err
 	}
 	var env checkpointEnvelope
-	if jerr := json.Unmarshal(data, &env); jerr == nil && len(env.Data) > 0 {
-		if env.Format != checkpointFormat {
-			return Checkpoint{}, fmt.Errorf("%w: %s: unknown format %d", ErrCheckpointCorrupt, path, env.Format)
-		}
-		got, cerr := checkpointCRC(env.Data)
-		if cerr != nil {
-			return Checkpoint{}, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, path, cerr)
-		}
-		if got != env.CRC32 {
-			return Checkpoint{}, fmt.Errorf("%w: %s: crc32 %08x, want %08x", ErrCheckpointCorrupt, path, got, env.CRC32)
-		}
-		var cp Checkpoint
-		if err := json.Unmarshal(env.Data, &cp); err != nil {
-			return Checkpoint{}, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, path, err)
-		}
-		return cp.canonical(), nil
+	if err := json.Unmarshal(data, &env); err != nil || len(env.Data) == 0 {
+		return Checkpoint{}, fmt.Errorf("%w: %s: no checkpoint envelope (torn write or bit damage)", ErrCheckpointCorrupt, path)
 	}
-	// Legacy layout: the checkpoint object at the top level, no CRC. A
-	// valid legacy file always carries a non-zero epoch; anything else is
-	// damage, not an empty fleet.
+	if env.Format != checkpointFormat {
+		return Checkpoint{}, fmt.Errorf("%w: %s: unknown format %d", ErrCheckpointCorrupt, path, env.Format)
+	}
+	got, cerr := checkpointCRC(env.Data)
+	if cerr != nil {
+		return Checkpoint{}, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, path, cerr)
+	}
+	if got != env.CRC32 {
+		return Checkpoint{}, fmt.Errorf("%w: %s: crc32 %08x, want %08x", ErrCheckpointCorrupt, path, got, env.CRC32)
+	}
 	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil || cp.Epoch == 0 {
-		return Checkpoint{}, fmt.Errorf("%w: %s: not a checkpoint (torn write or bit damage)", ErrCheckpointCorrupt, path)
+	if err := json.Unmarshal(env.Data, &cp); err != nil {
+		return Checkpoint{}, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, path, err)
 	}
 	return cp.canonical(), nil
 }
@@ -179,18 +172,13 @@ type CheckpointLoadInfo struct {
 	MainErr error
 }
 
-// LoadCheckpoint reads the checkpoint chain: the newest file first, then
-// <path>.bak when the newest is corrupt or torn. A missing chain is not
-// an error (fresh daemon): it returns ok=false. A chain where every
-// present file is corrupt returns the error — a daemon must never
-// silently reset totals that were supposed to be durable.
-func LoadCheckpoint(path string) (Checkpoint, bool, error) {
-	cp, info, err := LoadCheckpointDetail(path)
-	return cp, info.Source != "", err
-}
-
-// LoadCheckpointDetail is LoadCheckpoint with provenance: which file of
-// the chain the snapshot came from and whether the newest was rejected.
+// LoadCheckpointDetail reads the checkpoint chain: the newest file first,
+// then <path>.bak when the newest is corrupt or torn. The info reports
+// which file the snapshot came from and whether the newest was rejected.
+// A missing chain is not an error (fresh daemon): it returns an empty
+// info.Source. A chain where every present file is corrupt returns the
+// error — a daemon must never silently reset totals that were supposed
+// to be durable.
 func LoadCheckpointDetail(path string) (Checkpoint, CheckpointLoadInfo, error) {
 	cp, mainErr := readCheckpointFile(path)
 	if mainErr == nil {

@@ -36,9 +36,9 @@ func TestCheckpointRoundTripAndRotation(t *testing.T) {
 		t.Fatalf("WriteCheckpoint #2: %v", err)
 	}
 
-	cp, ok, err := LoadCheckpoint(path)
-	if err != nil || !ok {
-		t.Fatalf("LoadCheckpoint: ok=%v err=%v", ok, err)
+	cp, info, err := LoadCheckpointDetail(path)
+	if err != nil || info.Source != path {
+		t.Fatalf("LoadCheckpointDetail: %+v err=%v", info, err)
 	}
 	if cp.Epoch != 2 || cp.Devices[0].Wakes != 20 {
 		t.Fatalf("newest checkpoint = epoch %d wakes %d, want 2/20", cp.Epoch, cp.Devices[0].Wakes)
@@ -56,9 +56,9 @@ func TestCheckpointRoundTripAndRotation(t *testing.T) {
 }
 
 func TestLoadCheckpointMissingChain(t *testing.T) {
-	cp, ok, err := LoadCheckpoint(filepath.Join(t.TempDir(), "nope.checkpoint"))
-	if err != nil || ok {
-		t.Fatalf("missing chain: ok=%v err=%v", ok, err)
+	cp, info, err := LoadCheckpointDetail(filepath.Join(t.TempDir(), "nope.checkpoint"))
+	if err != nil || info.Source != "" {
+		t.Fatalf("missing chain: %+v err=%v", info, err)
 	}
 	if cp.Epoch != 0 {
 		t.Fatalf("missing chain returned a checkpoint: %+v", cp)
@@ -138,9 +138,9 @@ func TestWriteCheckpointDoesNotRotateCorruptNewest(t *testing.T) {
 	if bak.Epoch != 1 {
 		t.Fatalf(".bak epoch = %d, want 1 (the last good snapshot, not the damage)", bak.Epoch)
 	}
-	cp, ok, err := LoadCheckpoint(path)
-	if err != nil || !ok || cp.Epoch != 3 {
-		t.Fatalf("newest after write = ok=%v err=%v epoch=%d, want true/nil/3", ok, err, cp.Epoch)
+	cp, info, err := LoadCheckpointDetail(path)
+	if err != nil || info.Source != path || cp.Epoch != 3 {
+		t.Fatalf("newest after write = %+v err=%v epoch=%d, want newest/nil/3", info, err, cp.Epoch)
 	}
 }
 
@@ -153,9 +153,9 @@ func TestLoadCheckpointWholeChainCorruptIsAnError(t *testing.T) {
 	if err := os.WriteFile(path+BakSuffix, []byte("{\"torn\":"), 0o644); err != nil {
 		t.Fatalf("write bak: %v", err)
 	}
-	_, ok, err := LoadCheckpoint(path)
+	_, info, err := LoadCheckpointDetail(path)
 	if err == nil {
-		t.Fatalf("whole chain corrupt must be an error (ok=%v) — a daemon must not silently reset totals", ok)
+		t.Fatalf("whole chain corrupt must be an error (%+v) — a daemon must not silently reset totals", info)
 	}
 	if !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("error should wrap ErrCheckpointCorrupt: %v", err)
@@ -182,12 +182,18 @@ func TestLoadCheckpointBakOnlyIsClean(t *testing.T) {
 	}
 }
 
-func TestLoadCheckpointLegacyBareJSON(t *testing.T) {
-	// Checkpoints written before the CRC envelope: bare Checkpoint JSON at
-	// the top level. Still loadable — but only with a non-zero epoch, the
-	// marker that distinguishes a real legacy file from damage.
+// TestLoadCheckpointBareJSONFallsBackToBak: the CRC envelope is the only
+// checkpoint format, so a newest file holding bare Checkpoint JSON is
+// damage like any other and the chain falls back to the intact .bak.
+func TestLoadCheckpointBareJSONFallsBackToBak(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fleet.checkpoint")
+	if err := WriteCheckpoint(path, testCheckpoint(1, 10)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := WriteCheckpoint(path, testCheckpoint(2, 20)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
 	data, err := json.Marshal(testCheckpoint(5, 50))
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -195,16 +201,14 @@ func TestLoadCheckpointLegacyBareJSON(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	cp, ok, err := LoadCheckpoint(path)
-	if err != nil || !ok || cp.Epoch != 5 {
-		t.Fatalf("legacy load: ok=%v err=%v epoch=%d, want true/nil/5", ok, err, cp.Epoch)
+	cp, info, err := LoadCheckpointDetail(path)
+	if err != nil {
+		t.Fatalf("chain with intact .bak must load: %v", err)
 	}
-
-	// Zero-epoch "legacy" content is damage, not an empty fleet.
-	if err := os.WriteFile(path, []byte(`{"epoch":0,"devices":null}`), 0o644); err != nil {
-		t.Fatalf("write: %v", err)
+	if !info.FellBack || info.Source != path+BakSuffix || cp.Epoch != 1 {
+		t.Fatalf("loaded %+v epoch %d, want the .bak fallback at epoch 1", info, cp.Epoch)
 	}
-	if _, _, err := LoadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("zero-epoch bare JSON should be corrupt, got %v", err)
+	if !errors.Is(info.MainErr, ErrCheckpointCorrupt) {
+		t.Fatalf("bare JSON newest should be corrupt, got %v", info.MainErr)
 	}
 }

@@ -65,28 +65,22 @@ type LoadConfig struct {
 	// HeartbeatEvery inserts one heartbeat per this many wake frames
 	// (default 25).
 	HeartbeatEvery int
-	// Epoch is the device boot epoch carried in heartbeats (default 1).
-	Epoch uint32
 	// Concurrency bounds simultaneously connected devices (default: the
 	// whole population at once — concurrent load is the point).
 	Concurrency int
-	// Telemetry receives the client-side ingest latency histogram
-	// (fleetload.ack_latency_ms). Nil metrics get a fresh registry.
-	Telemetry telemetry.Set
-	// Reconnect enables the resilient session mode: sessions open with a
-	// resume handshake and survive up to this many consecutive
-	// no-progress connection failures before giving up. Zero keeps the
-	// legacy single-shot Hello session (any error is fatal for the
-	// device).
+	// Reconnect is each device's redial budget: a session survives up to
+	// this many consecutive no-progress connection failures before giving
+	// up. Zero means one connection, and any failure on it is fatal for
+	// the device.
 	Reconnect int
 	// BackoffBase/BackoffCap bound the capped exponential reconnect
 	// backoff (defaults 25ms / 1s). Progress on a connection resets the
 	// backoff to its base.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// AckTimeout bounds every socket read and flush in resilient mode
-	// (default 10s): a stalled or blackholed server turns into a
-	// reconnect instead of a hung device.
+	// AckTimeout bounds every socket read and flush (default: none): a
+	// stalled or blackholed server turns into a reconnect instead of a
+	// hung device.
 	AckTimeout time.Duration
 	// Pace inserts this delay between consecutive frame sends on each
 	// device session (default: none — full blast). Pacing stretches a
@@ -115,8 +109,7 @@ type LoadReport struct {
 	// Mismatches counts devices whose bye-ack disagreed with the
 	// client-side record of accepted frames — must be zero.
 	Mismatches int
-	// Reconnects counts session re-dials across all devices (resilient
-	// mode only).
+	// Reconnects counts session re-dials across all devices.
 	Reconnects uint64
 	// DupAcks counts retransmitted frames the server answered with
 	// AckDup — proof the dedup path, not a re-apply, absorbed them.
@@ -125,9 +118,8 @@ type LoadReport struct {
 	// of an individually observed ack (the ack was lost with the old
 	// connection).
 	Resumed uint64
-	// Unrecovered counts devices that exhausted their reconnect budget
-	// (or, in legacy mode, hit any session error). Only these make the
-	// run fail.
+	// Unrecovered counts devices that exhausted their reconnect budget.
+	// Only these make the run fail.
 	Unrecovered int
 }
 
@@ -150,17 +142,16 @@ type deviceOutcome struct {
 	reconnects                uint64
 	dup                       uint64
 	resumed                   uint64
-	gaveUp                    bool
 	summary                   DeviceSummary
 	mismatch                  string // non-empty: bye-ack disagreed with us
 	err                       error
 }
 
 // schedule builds a cell's frame sequence: wakes with interleaved
-// heartbeats, then the six-component energy split in the exact order
-// batch FleetRun deposits it (DepositEnergy), then nothing — the bye is
-// written by the session after the last ack.
-func schedule(cell *sim.FleetCell, hbEvery int, epoch uint32) []outFrame {
+// heartbeats (boot epoch 1), then the six-component energy split in the
+// exact order batch FleetRun deposits it (DepositEnergy), then nothing —
+// the bye is written by the session after the last ack.
+func schedule(cell *sim.FleetCell, hbEvery int) []outFrame {
 	if hbEvery <= 0 {
 		hbEvery = 25
 	}
@@ -170,7 +161,7 @@ func schedule(cell *sim.FleetCell, hbEvery int, epoch uint32) []outFrame {
 	for w := 0; w < cell.Wakes; w++ {
 		if w%hbEvery == 0 {
 			s := next()
-			hb := Heartbeat{Seq: s, Epoch: epoch}
+			hb := Heartbeat{Seq: s, Epoch: 1}
 			frames = append(frames, outFrame{kind: frameHeartbeat, seq: s, wire: mustFrame(MsgDeviceHeartbeat, hb.Encode())})
 		}
 		s := next()
@@ -261,6 +252,7 @@ type devSession struct {
 	shed           uint64
 	dup            uint64
 	resumed        uint64
+	reconnects     uint64
 	energyAccepted []float64 // client-side mirror of server accumulation
 	summary        DeviceSummary
 	mismatch       string
@@ -349,12 +341,12 @@ func (st *devSession) unsentAbove(watermark uint32) []int {
 	return toSend
 }
 
-// attempt runs one connection's worth of the session: handshake, send
-// everything unresolved past the server's watermark, read acks, and —
-// when every frame is resolved — the bye exchange. Returns done=true
+// attempt runs one connection's worth of the session: resume handshake,
+// send everything unresolved past the server's watermark, read acks, and
+// — when every frame is resolved — the bye exchange. Returns done=true
 // only after a verified bye-ack; any error leaves the session state
 // ready for the next attempt.
-func (st *devSession) attempt(cfg LoadConfig, id uint64, lat *telemetry.Histogram, resume bool) (done bool, err error) {
+func (st *devSession) attempt(cfg LoadConfig, id uint64, lat *telemetry.Histogram) (done bool, err error) {
 	var conn net.Conn
 	if cfg.AckTimeout > 0 {
 		conn, err = net.DialTimeout("tcp", cfg.Addr, cfg.AckTimeout)
@@ -378,43 +370,28 @@ func (st *devSession) attempt(cfg LoadConfig, id uint64, lat *telemetry.Histogra
 		return werr
 	}
 
-	var watermark uint32
-	if resume {
-		if err := write(mustFrame(MsgResume, Resume{Version: ProtocolVersion, DeviceID: id, LastAcked: st.maxResolved}.Encode())); err != nil {
-			return false, fmt.Errorf("resume: %w", err)
-		}
-		f, err := fr.next()
-		if err != nil || f.Type != MsgResumeAck {
-			return false, fmt.Errorf("waiting for resume-ack (got %v): %v", f.Type, err)
-		}
-		ra, err := DecodeResumeAck(f.Payload)
-		if err != nil {
-			return false, err
-		}
-		watermark = ra.AckedSeq
-		// Everything at or below the server's contiguous watermark was
-		// accepted — including frames whose acks were lost with the old
-		// connection. Resolve them as accepted; never retransmit them.
-		for i := range st.frames {
-			if st.frames[i].seq <= watermark && !st.resolved[i] {
-				st.resolve(i, AckAccepted)
-				st.resumed++
-			}
-		}
-	} else {
-		if err := write(mustFrame(MsgHello, Hello{Version: ProtocolVersion, DeviceID: id}.Encode())); err != nil {
-			return false, fmt.Errorf("hello: %w", err)
-		}
-		f, err := fr.next()
-		if err != nil || f.Type != MsgHelloAck {
-			return false, fmt.Errorf("waiting for hello-ack (got %v): %v", f.Type, err)
-		}
-		if _, err := DecodeHelloAck(f.Payload); err != nil {
-			return false, err
+	if err := write(mustFrame(MsgResume, Resume{Version: ProtocolVersion, DeviceID: id, LastAcked: st.maxResolved}.Encode())); err != nil {
+		return false, fmt.Errorf("resume: %w", err)
+	}
+	f, err := fr.next()
+	if err != nil || f.Type != MsgResumeAck {
+		return false, fmt.Errorf("waiting for resume-ack (got %v): %v", f.Type, err)
+	}
+	ra, err := DecodeResumeAck(f.Payload)
+	if err != nil {
+		return false, err
+	}
+	// Everything at or below the server's contiguous watermark was
+	// accepted — including frames whose acks were lost with the old
+	// connection. Resolve them as accepted; never retransmit them.
+	for i := range st.frames {
+		if st.frames[i].seq <= ra.AckedSeq && !st.resolved[i] {
+			st.resolve(i, AckAccepted)
+			st.resumed++
 		}
 	}
 
-	toSend := st.unsentAbove(watermark)
+	toSend := st.unsentAbove(ra.AckedSeq)
 
 	window := cfg.Window
 	if window <= 0 {
@@ -502,7 +479,7 @@ func (st *devSession) attempt(cfg LoadConfig, id uint64, lat *telemetry.Histogra
 	if err := write(mustFrame(MsgBye, Bye{Seq: byeSeq}.Encode())); err != nil {
 		return false, fmt.Errorf("bye: %w", err)
 	}
-	f, err := fr.next()
+	f, err = fr.next()
 	if err != nil || f.Type != MsgByeAck {
 		return false, fmt.Errorf("waiting for bye-ack (got %v): %v", f.Type, err)
 	}
@@ -514,11 +491,11 @@ func (st *devSession) attempt(cfg LoadConfig, id uint64, lat *telemetry.Histogra
 
 	// The bye-ack is the no-side-channel proof that every acknowledged
 	// frame landed: counts must match exactly, energy bit for bit. One
-	// relaxation in resilient mode: the server may have shed the same
-	// retransmitted frame more than once (each one billed), so its shed
-	// count may exceed ours — it must never be lower.
+	// relaxation for a device that redialed: the server may have shed the
+	// same retransmitted frame more than once (each one billed), so its
+	// shed count may exceed ours — it must never be lower.
 	shedsDisagree := sum.Sheds != st.shed
-	if resume {
+	if st.reconnects > 0 {
 		shedsDisagree = sum.Sheds < st.shed
 	}
 	switch {
@@ -548,18 +525,14 @@ func (st *devSession) attempt(cfg LoadConfig, id uint64, lat *telemetry.Histogra
 	return true, nil
 }
 
-// runDevice replays one cell as a full device session. With
-// cfg.Reconnect == 0 it is the legacy single-shot Hello session; with a
-// reconnect budget it opens with a resume handshake and rides through
-// connection failures on capped exponential backoff, resetting the
-// budget whenever an attempt makes progress.
+// runDevice replays one cell as a full device session: every connection
+// opens with a resume handshake, and the session rides through connection
+// failures on capped exponential backoff, resetting its redial budget
+// whenever an attempt makes progress. A zero budget allows one
+// connection.
 func runDevice(cfg LoadConfig, id uint64, cell *sim.FleetCell, lat *telemetry.Histogram) deviceOutcome {
 	out := deviceOutcome{id: id}
-	epoch := cfg.Epoch
-	if epoch == 0 {
-		epoch = 1
-	}
-	frames := schedule(cell, cfg.HeartbeatEvery, epoch)
+	frames := schedule(cell, cfg.HeartbeatEvery)
 	st := &devSession{
 		frames:         frames,
 		resolved:       make([]bool, len(frames)),
@@ -567,50 +540,44 @@ func runDevice(cfg LoadConfig, id uint64, cell *sim.FleetCell, lat *telemetry.Hi
 		energyAccepted: make([]float64, len(telemetry.Components())),
 	}
 
-	if cfg.Reconnect <= 0 {
-		if _, err := st.attempt(cfg, id, lat, false); err != nil {
-			out.err = fmt.Errorf("device %d: %w", id, err)
+	base := cfg.BackoffBase
+	if base <= 0 {
+		base = 25 * time.Millisecond
+	}
+	capd := cfg.BackoffCap
+	if capd < base {
+		capd = time.Second
+	}
+	backoff := base
+	fails := 0
+	for {
+		before := st.nResolved
+		done, err := st.attempt(cfg, id, lat)
+		if done {
+			break
 		}
-	} else {
-		base := cfg.BackoffBase
-		if base <= 0 {
-			base = 25 * time.Millisecond
+		if st.nResolved > before && cfg.Reconnect > 0 {
+			// Progress: the fleet is alive, just rude. Reset the budget.
+			fails = 0
+			backoff = base
+		} else {
+			fails++
 		}
-		capd := cfg.BackoffCap
-		if capd < base {
-			capd = time.Second
+		if fails > cfg.Reconnect {
+			out.err = fmt.Errorf("device %d: giving up after %d consecutive failed attempts: %w", id, fails, err)
+			break
 		}
-		backoff := base
-		fails := 0
-		for {
-			before := st.nResolved
-			done, err := st.attempt(cfg, id, lat, true)
-			if done {
-				break
-			}
-			if st.nResolved > before {
-				// Progress: the fleet is alive, just rude. Reset the budget.
-				fails = 0
-				backoff = base
-			} else {
-				fails++
-			}
-			if fails > cfg.Reconnect {
-				out.gaveUp = true
-				out.err = fmt.Errorf("device %d: giving up after %d consecutive failed attempts: %w", id, fails, err)
-				break
-			}
-			out.reconnects++
-			time.Sleep(backoff)
-			backoff *= 2
-			if backoff > capd {
-				backoff = capd
-			}
+		st.reconnects++
+		time.Sleep(backoff)
+		backoff *= 2
+		if backoff > capd {
+			backoff = capd
 		}
 	}
 
 	out.wakes, out.heartbeats, out.energy = st.wakes, st.heartbeats, st.energy
 	out.shed, out.dup, out.resumed = st.shed, st.dup, st.resumed
+	out.reconnects = st.reconnects
 	out.summary, out.mismatch = st.summary, st.mismatch
 	return out
 }
@@ -625,11 +592,7 @@ func RunLoad(cfg LoadConfig, cells []sim.FleetCell) (*LoadReport, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("fleetd: load generator needs a population")
 	}
-	reg := cfg.Telemetry.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	lat := reg.Histogram("fleetload.ack_latency_ms",
+	lat := telemetry.NewRegistry().Histogram("fleetload.ack_latency_ms",
 		[]float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000})
 
 	conc := cfg.Concurrency

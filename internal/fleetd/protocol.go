@@ -40,17 +40,15 @@ import (
 )
 
 // ProtocolVersion is the fleet ingest wire protocol version, carried in
-// every hello so mismatched peers fail fast instead of misparsing.
+// every resume so mismatched peers fail fast instead of misparsing.
 const ProtocolVersion = 1
 
 // Fleet message types. They extend the manager-hub protocol's link.MsgType
 // space from 0x20 so the two vocabularies can never collide; the framing,
-// CRC and error taxonomy are link's, unchanged.
+// CRC and error taxonomy are link's, unchanged. 0x20 and 0x21 stay
+// unassigned: they were a session handshake that the resume replaced, so
+// a peer that still opens with one is closed rather than misparsed.
 const (
-	// MsgHello opens a device session: version + device ID.
-	MsgHello link.MsgType = 0x20
-	// MsgHelloAck confirms registration: server epoch + assigned shard.
-	MsgHelloAck link.MsgType = 0x21
 	// MsgDeviceWake reports one wake event (seq, emitting node, value).
 	MsgDeviceWake link.MsgType = 0x22
 	// MsgDeviceHeartbeat is the device liveness probe; its payload is the
@@ -100,59 +98,8 @@ func errTruncated(what string, got, want int) error {
 	return fmt.Errorf("fleetd: %s payload: %w: %d bytes, want %d", what, link.ErrLengthMismatch, got, want)
 }
 
-// Hello opens a device session.
-type Hello struct {
-	Version  byte
-	DeviceID uint64
-}
-
-const helloSize = 9
-
-// Encode serializes the hello (1 + 8 bytes, little-endian).
-func (h Hello) Encode() []byte {
-	out := make([]byte, helloSize)
-	out[0] = h.Version
-	binary.LittleEndian.PutUint64(out[1:], h.DeviceID)
-	return out
-}
-
-// DecodeHello parses a hello payload.
-func DecodeHello(p []byte) (Hello, error) {
-	if len(p) != helloSize {
-		return Hello{}, errTruncated("hello", len(p), helloSize)
-	}
-	return Hello{Version: p[0], DeviceID: binary.LittleEndian.Uint64(p[1:])}, nil
-}
-
-// HelloAck confirms a registration.
-type HelloAck struct {
-	Epoch uint32 // server boot epoch (bumps when restarted from a checkpoint)
-	Shard uint16 // registry shard the device hashed to
-}
-
-const helloAckSize = 6
-
-// Encode serializes the hello ack.
-func (h HelloAck) Encode() []byte {
-	out := make([]byte, helloAckSize)
-	binary.LittleEndian.PutUint32(out[0:4], h.Epoch)
-	binary.LittleEndian.PutUint16(out[4:6], h.Shard)
-	return out
-}
-
-// DecodeHelloAck parses a hello-ack payload.
-func DecodeHelloAck(p []byte) (HelloAck, error) {
-	if len(p) != helloAckSize {
-		return HelloAck{}, errTruncated("hello-ack", len(p), helloAckSize)
-	}
-	return HelloAck{
-		Epoch: binary.LittleEndian.Uint32(p[0:4]),
-		Shard: binary.LittleEndian.Uint16(p[4:6]),
-	}, nil
-}
-
-// Resume opens a device session carrying the client's resume state. A
-// first contact sends LastAcked 0; a reconnect after a cut sends the
+// Resume opens every device session, carrying the client's resume state.
+// A first contact sends LastAcked 0; a reconnect after a cut sends the
 // highest sequence number the device saw acknowledged, so the server can
 // report its own watermark back and retransmits stay idempotent.
 type Resume struct {

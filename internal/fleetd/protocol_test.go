@@ -9,13 +9,13 @@ import (
 )
 
 func TestProtocolRoundTrips(t *testing.T) {
-	hello := Hello{Version: ProtocolVersion, DeviceID: 0xDEADBEEFCAFE}
-	if got, err := DecodeHello(hello.Encode()); err != nil || got != hello {
-		t.Fatalf("hello roundtrip: got %+v, err %v", got, err)
+	r := Resume{Version: ProtocolVersion, DeviceID: 0xDEADBEEFCAFE, LastAcked: 41}
+	if got, err := DecodeResume(r.Encode()); err != nil || got != r {
+		t.Fatalf("resume roundtrip: got %+v, err %v", got, err)
 	}
-	ha := HelloAck{Epoch: 7, Shard: 12}
-	if got, err := DecodeHelloAck(ha.Encode()); err != nil || got != ha {
-		t.Fatalf("hello-ack roundtrip: got %+v, err %v", got, err)
+	ra := ResumeAck{Epoch: 7, Shard: 12, AckedSeq: 40}
+	if got, err := DecodeResumeAck(ra.Encode()); err != nil || got != ra {
+		t.Fatalf("resume-ack roundtrip: got %+v, err %v", got, err)
 	}
 	we := WakeEvent{Seq: 42, Node: 3, Value: -1.5}
 	if got, err := DecodeWakeEvent(we.Encode()); err != nil || got != we {
@@ -72,14 +72,14 @@ func TestDeviceSummaryRoundTrip(t *testing.T) {
 // to tear the connection down rather than skip and continue.
 func TestTruncatedPayloadsAreMalformed(t *testing.T) {
 	decoders := map[string]func([]byte) error{
-		"hello":     func(p []byte) error { _, err := DecodeHello(p); return err },
-		"hello-ack": func(p []byte) error { _, err := DecodeHelloAck(p); return err },
-		"wake":      func(p []byte) error { _, err := DecodeWakeEvent(p); return err },
-		"energy":    func(p []byte) error { _, err := DecodeEnergyEvent(p); return err },
-		"ack":       func(p []byte) error { _, err := DecodeEventAck(p); return err },
-		"bye":       func(p []byte) error { _, err := DecodeBye(p); return err },
-		"summary":   func(p []byte) error { _, err := DecodeDeviceSummary(p); return err },
-		"heartbeat": func(p []byte) error { _, err := DecodeHeartbeat(p); return err },
+		"resume":     func(p []byte) error { _, err := DecodeResume(p); return err },
+		"resume-ack": func(p []byte) error { _, err := DecodeResumeAck(p); return err },
+		"wake":       func(p []byte) error { _, err := DecodeWakeEvent(p); return err },
+		"energy":     func(p []byte) error { _, err := DecodeEnergyEvent(p); return err },
+		"ack":        func(p []byte) error { _, err := DecodeEventAck(p); return err },
+		"bye":        func(p []byte) error { _, err := DecodeBye(p); return err },
+		"summary":    func(p []byte) error { _, err := DecodeDeviceSummary(p); return err },
+		"heartbeat":  func(p []byte) error { _, err := DecodeHeartbeat(p); return err },
 	}
 	for name, dec := range decoders {
 		err := dec([]byte{0x01})

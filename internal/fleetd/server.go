@@ -422,17 +422,17 @@ func (s *Server) releaseSession(deviceID uint64, h *sessionHandle) {
 	s.sessMu.Unlock()
 }
 
-// errBeforeHello reports an event frame on a connection that never
-// introduced itself.
-var errBeforeHello = errors.New("fleetd: event frame before hello")
+// errBeforeResume reports an event frame on a connection that never
+// opened a session with a resume.
+var errBeforeResume = errors.New("fleetd: event frame before resume")
 
 // session is one connection's protocol state.
 type session struct {
-	conn    net.Conn
-	bw      *bufio.Writer
-	dev     uint64
-	helloed bool
-	handle  *sessionHandle
+	conn   net.Conn
+	bw     *bufio.Writer
+	dev    uint64
+	opened bool
+	handle *sessionHandle
 }
 
 // connBuf is a connection's read buffer and reply writer. Only the
@@ -477,7 +477,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	buf := cb.read
 	defer close(sess.handle.done) // after this, the reader ingests nothing more
 	defer func() {
-		if sess.helloed {
+		if sess.opened {
 			s.registry.Disconnect(sess.dev)
 			s.releaseSession(sess.dev, sess.handle)
 		}
@@ -547,43 +547,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// openSession runs the shared hello/resume bookkeeping: version check,
-// single-introduction check, registry connect and session takeover.
-func (s *Server) openSession(sess *session, version byte, deviceID uint64) error {
-	if version != ProtocolVersion {
-		return fmt.Errorf("fleetd: peer speaks protocol %d, want %d", version, ProtocolVersion)
-	}
-	if sess.helloed {
-		return fmt.Errorf("fleetd: duplicate hello from device %d", deviceID)
-	}
-	sess.dev, sess.helloed = deviceID, true
-	s.registry.Connect(deviceID)
-	s.adoptSession(deviceID, sess.handle)
-	return nil
-}
-
 func (s *Server) handleFrame(f link.Frame, sess *session) error {
 	s.cRxFrames.Inc()
 	bw := sess.bw
-	switch f.Type {
-	case MsgHello:
-		h, err := DecodeHello(f.Payload)
-		if err != nil {
-			return err
-		}
-		if err := s.openSession(sess, h.Version, h.DeviceID); err != nil {
-			return err
-		}
-		ack := HelloAck{Epoch: s.epoch, Shard: uint16(s.registry.ShardIndex(h.DeviceID))}
-		return writeFrame(bw, MsgHelloAck, ack.Encode())
-	case MsgResume:
+	if f.Type == MsgResume {
+		// A resume opens the session: version check, single-introduction
+		// check, registry connect and session takeover.
 		r, err := DecodeResume(f.Payload)
 		if err != nil {
 			return err
 		}
-		if err := s.openSession(sess, r.Version, r.DeviceID); err != nil {
-			return err
+		if r.Version != ProtocolVersion {
+			return fmt.Errorf("fleetd: peer speaks protocol %d, want %d", r.Version, ProtocolVersion)
 		}
+		if sess.opened {
+			return fmt.Errorf("fleetd: duplicate resume from device %d", r.DeviceID)
+		}
+		sess.dev, sess.opened = r.DeviceID, true
+		s.registry.Connect(r.DeviceID)
+		s.adoptSession(r.DeviceID, sess.handle)
 		s.cResumes.Inc()
 		ack := ResumeAck{
 			Epoch:    s.epoch,
@@ -592,8 +574,8 @@ func (s *Server) handleFrame(f link.Frame, sess *session) error {
 		}
 		return writeFrame(bw, MsgResumeAck, ack.Encode())
 	}
-	if !sess.helloed {
-		return fmt.Errorf("%w (type 0x%02x)", errBeforeHello, byte(f.Type))
+	if !sess.opened {
+		return fmt.Errorf("%w (type 0x%02x)", errBeforeResume, byte(f.Type))
 	}
 	switch f.Type {
 	case MsgDeviceHeartbeat:

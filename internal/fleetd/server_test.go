@@ -3,6 +3,7 @@ package fleetd
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -289,11 +290,11 @@ func (r *rawSession) run(addr string, frames int) error {
 	}
 	defer conn.Close()
 	fr := &frameReader{conn: conn, buf: make([]byte, 4096)}
-	if _, err := conn.Write(mustFrame(MsgHello, Hello{Version: ProtocolVersion, DeviceID: r.id}.Encode())); err != nil {
+	if _, err := conn.Write(mustFrame(MsgResume, Resume{Version: ProtocolVersion, DeviceID: r.id}.Encode())); err != nil {
 		return err
 	}
-	if f, err := fr.next(); err != nil || f.Type != MsgHelloAck {
-		return fmt.Errorf("no hello-ack: %v", err)
+	if f, err := fr.next(); err != nil || f.Type != MsgResumeAck {
+		return fmt.Errorf("no resume-ack: %v", err)
 	}
 	type sent struct {
 		wake bool
@@ -508,11 +509,13 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// TestBadPeersAreRejected: events before hello, version mismatches and
+// TestBadPeersAreRejected: events before resume, version mismatches and
 // malformed payloads all tear the connection down.
 func TestBadPeersAreRejected(t *testing.T) {
 	s := startTestServer(t, Config{})
-	expectClosed := func(name string, frames ...[]byte) {
+	// expectClosed writes frames and requires the server to hang up
+	// within 5s; it returns how many reply bytes arrived before that.
+	expectClosed := func(name string, frames ...[]byte) int {
 		t.Helper()
 		conn, err := net.Dial("tcp", s.Addr())
 		if err != nil {
@@ -521,33 +524,56 @@ func TestBadPeersAreRejected(t *testing.T) {
 		defer conn.Close()
 		for _, f := range frames {
 			if _, err := conn.Write(f); err != nil {
-				return // already closed on us: fine
+				return 0 // already closed on us: fine
 			}
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		buf := make([]byte, 256)
+		got := 0
 		for {
-			if _, err := conn.Read(buf); err != nil {
-				return // EOF/reset: the server hung up, as required
+			n, err := conn.Read(buf)
+			got += n
+			if err != nil {
+				var nerr net.Error
+				if errors.As(err, &nerr) && nerr.Timeout() {
+					t.Errorf("%s: connection still open after 5s", name)
+				}
+				return got // EOF/reset: the server hung up, as required
 			}
 		}
 	}
-	expectClosed("wake before hello",
+	expectClosed("wake before resume",
 		mustFrame(MsgDeviceWake, WakeEvent{Seq: 1}.Encode()))
 	expectClosed("version mismatch",
-		mustFrame(MsgHello, Hello{Version: 99, DeviceID: 1}.Encode()))
-	expectClosed("truncated hello",
-		mustFrame(MsgHello, []byte{1, 2, 3}))
-	expectClosed("unknown type after hello",
-		mustFrame(MsgHello, Hello{Version: ProtocolVersion, DeviceID: 5}.Encode()),
+		mustFrame(MsgResume, Resume{Version: 99, DeviceID: 1}.Encode()))
+	expectClosed("truncated resume",
+		mustFrame(MsgResume, []byte{1, 2, 3}))
+	expectClosed("duplicate resume",
+		mustFrame(MsgResume, Resume{Version: ProtocolVersion, DeviceID: 4}.Encode()),
+		mustFrame(MsgResume, Resume{Version: ProtocolVersion, DeviceID: 4}.Encode()))
+	expectClosed("unknown type after resume",
+		mustFrame(MsgResume, Resume{Version: ProtocolVersion, DeviceID: 5}.Encode()),
 		mustFrame(link.MsgType(0x7E), []byte{1}))
+	// 0x20 and 0x21 are unassigned: a peer that opens with either (the
+	// version + device ID layout of a retired handshake) is closed
+	// without a reply, never registered.
+	registered := s.Registry().Len()
+	for _, typ := range []link.MsgType{0x20, 0x21} {
+		opener := mustFrame(typ, []byte{ProtocolVersion, 6, 0, 0, 0, 0, 0, 0, 0})
+		if n := expectClosed(fmt.Sprintf("type 0x%02x opener", byte(typ)), opener); n != 0 {
+			t.Errorf("type 0x%02x opener got %d reply bytes, want none", byte(typ), n)
+		}
+	}
+	if got := s.Registry().Len(); got != registered {
+		t.Errorf("a rejected opener registered a device: %d devices, want %d", got, registered)
+	}
 }
 
 // TestScheduleMatchesDepositOrder pins the load generator's energy frame
 // order to FleetCell.DepositEnergy — the identity contract's other half.
 func TestScheduleMatchesDepositOrder(t *testing.T) {
 	cell := testCell(3)
-	frames := schedule(cell, 2, 1)
+	frames := schedule(cell, 2)
 	// 3 wakes with a heartbeat every 2 wakes -> hb,wake,wake,hb,wake.
 	var kinds []int
 	var comps []telemetry.Component
@@ -594,7 +620,7 @@ func TestByeWaitReleasedByKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
-	sess := &session{bw: bufio.NewWriter(io.Discard), dev: 5, helloed: true}
+	sess := &session{bw: bufio.NewWriter(io.Discard), dev: 5, opened: true}
 	done := make(chan error, 1)
 	go func() {
 		done <- s.handleFrame(link.Frame{Type: MsgBye, Payload: Bye{Seq: 9}.Encode()}, sess)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sidewinder/internal/link"
+	"sidewinder/internal/resilience"
 )
 
 // rawPair builds a manager and hub on a raw pipe, returning the loose
@@ -74,13 +75,47 @@ func TestManagerSkipsMalformedPayloads(t *testing.T) {
 	hubEnd.Send(link.Frame{Type: link.MsgConfigError, Payload: []byte{}})   // empty
 	hubEnd.Send(link.Frame{Type: link.MsgWake, Payload: []byte{1, 2, 3}})   // not 18 bytes
 	hubEnd.Send(link.Frame{Type: link.MsgData, Payload: []byte{0, 1, 9}})   // truncated header
+	hubEnd.Send(link.Frame{Type: link.MsgPong})                             // no heartbeat
 	hubEnd.Send(link.Frame{Type: 0x6F})                                     // unknown type
 
 	if err := m.Service(); err != nil {
 		t.Fatalf("manager service died on malformed input: %v", err)
 	}
-	if got := m.DroppedFrames(); got != 5 {
-		t.Fatalf("dropped = %d, want 5", got)
+	if got := m.DroppedFrames(); got != 6 {
+		t.Fatalf("dropped = %d, want 6", got)
+	}
+}
+
+// TestHubDropsEmptyPing: the heartbeat is the only liveness ping, so a
+// ping without one is a dropped frame and gets no pong, while a
+// heartbeat ping is answered with this hub's epoch.
+func TestHubDropsEmptyPing(t *testing.T) {
+	_, h, phoneEnd, _ := rawPair(t)
+
+	phoneEnd.Send(link.Frame{Type: link.MsgPing})
+	if err := h.Service(); err != nil {
+		t.Fatalf("hub service died on an empty ping: %v", err)
+	}
+	if got := h.DroppedFrames(); got != 1 {
+		t.Fatalf("dropped = %d, want 1", got)
+	}
+	if f, ok := phoneEnd.Receive(); ok {
+		t.Fatalf("empty ping answered with %v", f.Type)
+	}
+
+	phoneEnd.Send(link.Frame{Type: link.MsgPing, Payload: resilience.Heartbeat{Seq: 7, Epoch: 1}.Encode()})
+	if err := h.Service(); err != nil {
+		t.Fatal(err)
+	}
+	f, ok := phoneEnd.Receive()
+	if !ok || f.Type != link.MsgPong {
+		t.Fatalf("heartbeat ping got no pong (frame %v, ok %v)", f.Type, ok)
+	}
+	if hb, err := resilience.DecodeHeartbeat(f.Payload); err != nil || hb.Seq != 7 {
+		t.Fatalf("pong = %+v, err %v; want seq 7", hb, err)
+	}
+	if got := h.DroppedFrames(); got != 1 {
+		t.Fatalf("heartbeat ping counted as dropped: %d", got)
 	}
 }
 

@@ -249,18 +249,14 @@ func (h *HubNode) Service() error {
 			}
 		case link.MsgPing:
 			// A heartbeat ping gets its sequence echoed along with this
-			// hub's boot epoch; a legacy empty ping gets the legacy empty
-			// pong. Pongs ride outside the ARQ — liveness probes must not
-			// queue behind a retransmission backlog.
-			var pong link.Frame
-			if hb, err := resilience.DecodeHeartbeat(f.Payload); err == nil {
-				pong = link.Frame{Type: link.MsgPong, Payload: resilience.Heartbeat{Seq: hb.Seq, Epoch: h.epoch}.Encode()}
-			} else if len(f.Payload) == 0 {
-				pong = link.Frame{Type: link.MsgPong}
-			} else {
+			// hub's boot epoch. Pongs ride outside the ARQ — liveness
+			// probes must not queue behind a retransmission backlog.
+			hb, err := resilience.DecodeHeartbeat(f.Payload)
+			if err != nil {
 				h.dropFrame()
 				continue
 			}
+			pong := link.Frame{Type: link.MsgPong, Payload: resilience.Heartbeat{Seq: hb.Seq, Epoch: h.epoch}.Encode()}
 			if err := h.ep.SendLossy(pong); err != nil {
 				return err
 			}

@@ -296,7 +296,11 @@ func (m *Manager) Service() error {
 			st.listener.OnSensorEvent(ev)
 		case link.MsgPong:
 			hb, err := resilience.DecodeHeartbeat(f.Payload)
-			m.sup.ObservePong(hb, err == nil)
+			if err != nil {
+				m.dropFrame()
+				continue
+			}
+			m.sup.ObservePong(hb)
 		default:
 			m.dropFrame()
 		}

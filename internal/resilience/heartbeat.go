@@ -33,9 +33,8 @@ import (
 // Heartbeat is the liveness probe payload carried in MsgPing and MsgPong
 // frames. Seq matches a pong to the ping that solicited it; Epoch is the
 // hub's boot counter, echoed in every pong, so a reboot that happened
-// between probes is visible even though the hub answers pings again. An
-// empty ping/pong payload remains valid on the wire (the pre-supervision
-// liveness check), so old and new endpoints interoperate.
+// between probes is visible even though the hub answers pings again. A
+// ping or pong whose payload is not a heartbeat is a dropped frame.
 type Heartbeat struct {
 	Seq   uint32
 	Epoch uint32
@@ -44,8 +43,8 @@ type Heartbeat struct {
 // HeartbeatSize is the encoded size in bytes.
 const HeartbeatSize = 8
 
-// ErrBadHeartbeat reports a ping/pong payload that is neither empty nor a
-// well-formed heartbeat.
+// ErrBadHeartbeat reports a ping/pong payload that is not a well-formed
+// heartbeat.
 var ErrBadHeartbeat = errors.New("resilience: malformed heartbeat payload")
 
 // Encode serializes the heartbeat as 8 little-endian bytes.
@@ -57,8 +56,7 @@ func (h Heartbeat) Encode() []byte {
 }
 
 // DecodeHeartbeat parses a heartbeat payload. Anything but exactly
-// HeartbeatSize bytes is ErrBadHeartbeat; the caller decides whether an
-// empty payload means a legacy peer or line damage.
+// HeartbeatSize bytes is ErrBadHeartbeat.
 func DecodeHeartbeat(p []byte) (Heartbeat, error) {
 	if len(p) != HeartbeatSize {
 		return Heartbeat{}, fmt.Errorf("%w: %d bytes, want %d", ErrBadHeartbeat, len(p), HeartbeatSize)

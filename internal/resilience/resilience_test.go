@@ -242,7 +242,7 @@ func TestSupervisorNilSafe(t *testing.T) {
 		t.Fatalf("nil supervisor asked for a ping")
 	}
 	s.ObserveTraffic()
-	s.ObservePong(Heartbeat{}, true)
+	s.ObservePong(Heartbeat{})
 	s.ObserveReprovisioned()
 	s.SetTelemetry(nil, nil)
 	if s.TakeReprovision() {
@@ -272,7 +272,7 @@ func TestSupervisorDetection(t *testing.T) {
 		if !sawPing {
 			t.Fatalf("no ping on an idle line")
 		}
-		s.ObservePong(Heartbeat{Seq: uint32(round + 1), Epoch: 1}, true)
+		s.ObservePong(Heartbeat{Seq: uint32(round + 1), Epoch: 1})
 		if s.State() != Up {
 			t.Fatalf("state after pong = %v, want up", s.State())
 		}
@@ -324,7 +324,7 @@ func TestSupervisorDetection(t *testing.T) {
 	}
 
 	// Hub answers: Recovering, reprovision latched exactly once.
-	s.ObservePong(Heartbeat{Seq: 99, Epoch: 2}, true)
+	s.ObservePong(Heartbeat{Seq: 99, Epoch: 2})
 	if s.State() != Recovering {
 		t.Fatalf("state after pong while Down = %v, want recovering", s.State())
 	}
@@ -372,12 +372,12 @@ func TestSupervisorTrafficIsLife(t *testing.T) {
 func TestSupervisorEpochChange(t *testing.T) {
 	s := NewSupervisor(testConfig())
 	stepQuiet(s, s.Config().PingIntervalTicks)
-	s.ObservePong(Heartbeat{Seq: 1, Epoch: 1}, true)
+	s.ObservePong(Heartbeat{Seq: 1, Epoch: 1})
 	if s.State() != Up {
 		t.Fatalf("state = %v, want up", s.State())
 	}
 	stepQuiet(s, s.Config().PingIntervalTicks)
-	s.ObservePong(Heartbeat{Seq: 2, Epoch: 2}, true) // rebooted between probes
+	s.ObservePong(Heartbeat{Seq: 2, Epoch: 2}) // rebooted between probes
 	if s.State() != Recovering {
 		t.Fatalf("state after epoch change = %v, want recovering", s.State())
 	}
@@ -391,25 +391,9 @@ func TestSupervisorEpochChange(t *testing.T) {
 	// Same epoch again afterwards: no new detection.
 	s.ObserveReprovisioned()
 	stepQuiet(s, s.Config().PingIntervalTicks)
-	s.ObservePong(Heartbeat{Seq: 3, Epoch: 2}, true)
+	s.ObservePong(Heartbeat{Seq: 3, Epoch: 2})
 	if s.State() != Up || s.Stats().EpochChanges != 1 {
 		t.Fatalf("stable epoch treated as a reboot: state %v stats %+v", s.State(), s.Stats())
-	}
-}
-
-// TestSupervisorLegacyPong checks that an empty (pre-heartbeat) pong still
-// counts as life but never triggers epoch logic.
-func TestSupervisorLegacyPong(t *testing.T) {
-	s := NewSupervisor(testConfig())
-	for round := 0; round < 4; round++ {
-		stepQuiet(s, s.Config().PingIntervalTicks)
-		s.ObservePong(Heartbeat{}, false)
-		if s.State() != Up {
-			t.Fatalf("round %d: state = %v, want up", round, s.State())
-		}
-	}
-	if s.Stats().EpochChanges != 0 || s.Stats().Detections != 0 {
-		t.Fatalf("legacy pongs triggered detection: %+v", s.Stats())
 	}
 }
 

@@ -215,18 +215,14 @@ func (s *Supervisor) ObserveTraffic() {
 	}
 }
 
-// ObservePong records a liveness reply. hb carries the hub's boot epoch
-// when the payload decoded (ok); a legacy empty pong still counts as
-// life, it just cannot reveal a silent reboot. Nil-safe.
-func (s *Supervisor) ObservePong(hb Heartbeat, ok bool) {
+// ObservePong records a decoded liveness reply; hb carries the hub's
+// boot epoch. Nil-safe.
+func (s *Supervisor) ObservePong(hb Heartbeat) {
 	if s == nil {
 		return
 	}
 	s.stats.PongsHeard++
 	s.ObserveTraffic()
-	if !ok {
-		return
-	}
 	if s.epochKnown && hb.Epoch != s.epoch && (s.state == Up || s.state == Suspect) {
 		// The hub answers pings, but with a new boot epoch: it rebooted
 		// and lost its condition set without ever going quiet long
