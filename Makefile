@@ -3,10 +3,10 @@
 # harness fans simulation cells across goroutines, so -race is part of the
 # contract).
 # `make fuzz` runs the native fuzz targets (link deframer, IR parser,
-# DAG compiler, heartbeat codec, Q15 arithmetic, binary trace reader,
-# fleetd payload codecs, checkpoint envelope loader) for a short fixed
-# budget on top of their committed corpora; run it before shipping
-# protocol or parser changes.
+# DAG compiler, heartbeat codec, Q15 arithmetic, binary and JSON trace
+# readers, JSON spec parser, fleetd payload codecs, checkpoint envelope
+# loader) for a short fixed budget on top of their committed corpora; run
+# it before shipping protocol or parser changes.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -164,5 +164,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHeartbeat$$' -fuzztime $(FUZZTIME) ./internal/resilience
 	$(GO) test -run '^$$' -fuzz '^FuzzQ15Roundtrip$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/sensor
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME) ./internal/sensor
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecParse$$' -fuzztime $(FUZZTIME) ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime $(FUZZTIME) ./internal/fleetd
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/fleetd

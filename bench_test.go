@@ -15,6 +15,7 @@ package sidewinder_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -67,6 +68,28 @@ func printTable(name, rendered string) {
 	}
 }
 
+// evalLoop drives a whole-evaluation benchmark: one untimed warm-up
+// call, then b.N timed calls, each starting from a collected heap. These
+// benchmarks run at b.N = 1 or 2, and without the warm-up and the forced
+// GC their allocs/op would depend on what ran before them in the process
+// (each GC empties the standard library's sync.Pools), so a lone
+// `-bench <one>` would not repeat the full run's count.
+func evalLoop(b *testing.B, iter func(i int) error) {
+	b.Helper()
+	if err := iter(-1); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		if err := iter(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTable1PowerProfile regenerates the Nexus 4 power profile
 // (paper Table 1) from the power model.
 func BenchmarkTable1PowerProfile(b *testing.B) {
@@ -82,11 +105,10 @@ func BenchmarkTable1PowerProfile(b *testing.B) {
 // (paper Table 2): Oracle vs calibrated Predefined Activity vs Sidewinder.
 func BenchmarkTable2AudioPower(b *testing.B) {
 	w := workload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	evalLoop(b, func(i int) error {
 		res, err := eval.Table2(w)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		if i == 0 {
 			printTable("table2", res.Table.Render())
@@ -95,7 +117,8 @@ func BenchmarkTable2AudioPower(b *testing.B) {
 		b.ReportMetric(res.PowerMW["Sidewinder"]["music"], "sw-music-mW")
 		b.ReportMetric(res.PowerMW["Sidewinder"]["phrase"], "sw-phrase-mW")
 		b.ReportMetric(res.PowerMW["Predefined Activity"]["music"], "pa-mW")
-	}
+		return nil
+	})
 }
 
 // BenchmarkFigure5RobotPower regenerates the robot-trace configuration
@@ -104,11 +127,10 @@ func BenchmarkTable2AudioPower(b *testing.B) {
 func BenchmarkFigure5RobotPower(b *testing.B) {
 	o := benchOptions()
 	w := workload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	evalLoop(b, func(i int) error {
 		res, err := eval.Figure5(o, w)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		if i == 0 {
 			for _, tb := range res.Tables {
@@ -118,7 +140,8 @@ func BenchmarkFigure5RobotPower(b *testing.B) {
 		b.ReportMetric(res.Relative["steps"][1]["Sw"], "sw-steps-g1-x")
 		b.ReportMetric(res.Relative["headbutts"][1]["Sw"], "sw-headbutts-g1-x")
 		b.ReportMetric(res.Relative["headbutts"][1]["PA"], "pa-headbutts-g1-x")
-	}
+		return nil
+	})
 }
 
 // BenchmarkFigure6DutyCycleRecall regenerates duty-cycling recall vs sleep
@@ -126,18 +149,18 @@ func BenchmarkFigure5RobotPower(b *testing.B) {
 func BenchmarkFigure6DutyCycleRecall(b *testing.B) {
 	o := benchOptions()
 	w := workload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	evalLoop(b, func(i int) error {
 		res, err := eval.Figure6(o, w)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		if i == 0 {
 			printTable("fig6", res.Table.Render())
 		}
 		b.ReportMetric(res.Recall["steps"][10]*100, "dc10-steps-recall-%")
 		b.ReportMetric(res.Recall["transitions"][10]*100, "dc10-transitions-recall-%")
-	}
+		return nil
+	})
 }
 
 // BenchmarkFigure7HumanPower regenerates the human-trace step-detector
@@ -145,11 +168,10 @@ func BenchmarkFigure6DutyCycleRecall(b *testing.B) {
 func BenchmarkFigure7HumanPower(b *testing.B) {
 	o := benchOptions()
 	w := workload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	evalLoop(b, func(i int) error {
 		res, err := eval.Figure7(o, w)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		if i == 0 {
 			printTable("fig7", res.Table.Render())
@@ -161,7 +183,8 @@ func BenchmarkFigure7HumanPower(b *testing.B) {
 			}
 		}
 		b.ReportMetric(minSavings*100, "sw-min-savings-%")
-	}
+		return nil
+	})
 }
 
 // BenchmarkSavingsAnalysis regenerates the §5.1-5.2 headline numbers:
@@ -169,18 +192,18 @@ func BenchmarkFigure7HumanPower(b *testing.B) {
 func BenchmarkSavingsAnalysis(b *testing.B) {
 	o := benchOptions()
 	w := workload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	evalLoop(b, func(i int) error {
 		res, err := eval.Savings(o, w)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		if i == 0 {
 			printTable("savings", res.Table.Render())
 		}
 		b.ReportMetric(res.AccelSavings["steps"][1]*100, "steps-g1-%")
 		b.ReportMetric(res.AudioSavings["phrase"]*100, "phrase-%")
-	}
+		return nil
+	})
 }
 
 // BenchmarkParallelEval measures the Figure 5 experiment through the
@@ -200,11 +223,10 @@ func BenchmarkParallelEval(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			w := *base
 			w.Workers = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := eval.Figure5(o, &w); err != nil {
-					b.Fatal(err)
-				}
-			}
+			evalLoop(b, func(int) error {
+				_, err := eval.Figure5(o, &w)
+				return err
+			})
 		})
 	}
 }

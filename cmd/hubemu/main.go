@@ -58,18 +58,18 @@ func main() {
 		"interpreter numeric substrate: float64 or q15 (saturating fixed-point)")
 	flag.Parse()
 
-	// SIGINT/SIGTERM request a graceful stop: the replay breaks at the
-	// next sample, then flushes -metrics/-traceout like a completed run
-	// instead of dying mid-frame. A second signal hard-exits.
+	// SIGINT/SIGTERM request a graceful stop: the replay breaks within
+	// the next 4096 samples, then flushes -metrics/-traceout like a
+	// completed run instead of dying mid-frame. A second signal hard-exits.
 	d := fleetd.WatchSignals()
 	defer d.Stop()
-	if err := run(*irPath, *tracePath, *deviceName, *verbose, *metricsFile, *traceOutFile, *crashSpec, *precision, d); err != nil {
+	if err := run(os.Stdout, *irPath, *tracePath, *deviceName, *verbose, *metricsFile, *traceOutFile, *crashSpec, *precision, d); err != nil {
 		fmt.Fprintln(os.Stderr, "hubemu:", err)
 		os.Exit(1)
 	}
 }
 
-func run(irPath, tracePath, deviceName string, verbose bool, metricsFile, traceOutFile, crashSpec, precision string, d *fleetd.Drainer) error {
+func run(out io.Writer, irPath, tracePath, deviceName string, verbose bool, metricsFile, traceOutFile, crashSpec, precision string, d *fleetd.Drainer) error {
 	if irPath == "" || tracePath == "" {
 		return fmt.Errorf("-ir and -trace are required")
 	}
@@ -109,10 +109,10 @@ func run(irPath, tracePath, deviceName string, verbose bool, metricsFile, traceO
 	if err != nil {
 		return err
 	}
-	fmt.Printf("condition %q: %d nodes on %s (%.2f%% cycle budget)\n",
+	fmt.Fprintf(out, "condition %q: %d nodes on %s (%.2f%% cycle budget)\n",
 		plan.Name, len(plan.Nodes), dev.Name, dev.Utilization(plan)/dev.MaxUtilization*100)
 	if verbose {
-		printStaticDemand(os.Stdout, plan, dev)
+		printStaticDemand(out, plan, dev)
 	}
 
 	machine, err := interp.NewPrecision(plan, prec)
@@ -120,7 +120,7 @@ func run(irPath, tracePath, deviceName string, verbose bool, metricsFile, traceO
 		return err
 	}
 	if prec != interp.Float64 {
-		fmt.Printf("precision: %s\n", prec)
+		fmt.Fprintf(out, "precision: %s\n", prec)
 	}
 
 	// Opt-in telemetry: counters + ledger behind -metrics, execution trace
@@ -153,116 +153,91 @@ func run(irPath, tracePath, deviceName string, verbose bool, metricsFile, traceO
 		return err
 	}
 
+	// The one replay loop. The crash injector ticks once per sample (a nil
+	// injector never goes down). Each run of samples where the hub is up
+	// goes through the interpreter's block path, one channel after
+	// another, so a wake's offset in the run locates its trace sample. A
+	// crash onset or a down sample closes the run, and a run is capped at
+	// maxRun samples, so the drain request, checked as each run opens, is
+	// seen at least that often.
+	const maxRun = 4096
 	wakes, samplesLost, stateWipes := 0, 0, 0
 	n := tr.Len()
-	processed := n // samples actually replayed; fewer if interrupted
-
-	interruptNote := func() {
-		fmt.Printf("interrupted at sample %d of %d: flushing telemetry\n", processed, n)
-	}
-
-	reportWake := func(i int, w interp.WakeEvent) {
-		wakes++
-		cWakes.Inc()
-		stream.Instant2("wake.sent", "hub", "node", float64(w.NodeID), "value", w.Value)
-		if verbose {
-			at := time.Duration(float64(i) / tr.RateHz * float64(time.Second))
-			fmt.Printf("wake #%d at %v (sample %d): node %d emitted %.4g\n",
-				wakes, at.Round(time.Millisecond), i, w.NodeID, w.Value)
-		}
-	}
-
-	// Single-channel replay with no fault injection takes the interpreter's
-	// block fast path; crash injection needs the per-sample loop so state
-	// wipes land mid-stream, and multi-channel replay needs the per-sample
-	// interleave.
-	if !crashProfile.Enabled() && len(channels) == 1 {
-		ch := channels[0]
-		samples := tr.Channels[ch]
-		const replayBlock = 4096
-		for base := 0; base < n; base += replayBlock {
-			if d.Requested() {
-				processed = base
-				interruptNote()
-				break
-			}
-			end := base + replayBlock
-			if end > n {
-				end = n
-			}
-			for _, w := range machine.PushBlock(ch, samples[base:end]) {
-				clk.SetSec(float64(base+w.Off) / tr.RateHz)
-				reportWake(base+w.Off, w.WakeEvent)
+	start := 0 // first sample of the open run
+	push := func(end int) {
+		for _, ch := range channels {
+			for _, w := range machine.PushBlock(ch, tr.Channels[ch][start:end]) {
+				sample := start + w.Off
+				sec := float64(sample) / tr.RateHz
+				wakes++
+				cWakes.Inc()
+				clk.SetSec(sec)
+				stream.Instant2("wake.sent", "hub", "node", float64(w.NodeID), "value", w.Value)
+				if verbose {
+					at := time.Duration(sec * float64(time.Second))
+					fmt.Fprintf(out, "wake #%d at %v (sample %d): node %d emitted %.4g\n",
+						wakes, at.Round(time.Millisecond), sample, w.NodeID, w.Value)
+				}
 			}
 		}
-		return finishRun(tr, dev, machine, inj, crashProfile, set, stream, profile,
-			metricsFile, traceOutFile, wakes, samplesLost, stateWipes, processed)
+		start = end
 	}
-
-	for i := 0; i < n; i++ {
-		if d.Requested() {
-			processed = i
-			interruptNote()
+	i := 0 // samples replayed; fewer than n if interrupted
+	for ; i < n; i++ {
+		if i-start == maxRun {
+			push(i)
+		}
+		if i == start && d.Requested() {
+			fmt.Fprintf(out, "interrupted at sample %d of %d: flushing telemetry\n", i, n)
 			break
 		}
-		clk.SetSec(float64(i) / tr.RateHz)
-		if ct := inj.Tick(); ct.Onset && ct.Kind.LosesState() {
+		ct := inj.Tick()
+		if !inj.Down() {
+			continue
+		}
+		push(i)
+		if ct.Onset && ct.Kind.LosesState() {
 			// A reset or brownout reboots the MCU: the interpreter's
 			// buffered window state does not survive. The work meter does —
 			// cycles already spent were really spent.
 			machine.Reset()
 			stateWipes++
 			if verbose {
-				fmt.Printf("crash (%s) at sample %d: interpreter state wiped\n", ct.Kind, i)
+				fmt.Fprintf(out, "crash (%s) at sample %d: interpreter state wiped\n", ct.Kind, i)
 			}
 		} else if verbose && ct.Onset {
-			fmt.Printf("crash (%s) at sample %d\n", ct.Kind, i)
+			fmt.Fprintf(out, "crash (%s) at sample %d\n", ct.Kind, i)
 		}
-		if inj.Down() {
-			samplesLost += len(channels)
-			continue
-		}
-		for _, ch := range channels {
-			for _, w := range machine.PushSample(ch, tr.Channels[ch][i]) {
-				reportWake(i, w)
-			}
-		}
+		samplesLost += len(channels)
+		start = i + 1
 	}
-	return finishRun(tr, dev, machine, inj, crashProfile, set, stream, profile,
-		metricsFile, traceOutFile, wakes, samplesLost, stateWipes, processed)
-}
+	push(i)
 
-// finishRun prints the replay report and exports opt-in telemetry.
-func finishRun(tr *sensor.Trace, dev hub.Device, machine *interp.Machine,
-	inj *resilience.CrashInjector, crashProfile resilience.CrashProfile,
-	set telemetry.Set, stream *telemetry.Stream, profile *telemetry.InterpProfile,
-	metricsFile, traceOutFile string, wakes, samplesLost, stateWipes, n int) error {
 	work := machine.Work()
 	cycles := dev.Cycles(work.FloatOps, work.IntOps)
-	seconds := float64(n) / tr.RateHz
+	seconds := float64(i) / tr.RateHz
 	wakesPerMin, budgetPct := 0.0, 0.0
 	if seconds > 0 {
 		wakesPerMin = float64(wakes) / (seconds / 60)
 		budgetPct = cycles / seconds / dev.CycleBudget() * 100
 	}
-	fmt.Printf("replayed %s: %d samples/channel over %v\n", tr.Name, n, tr.Duration().Round(time.Second))
-	fmt.Printf("wake-ups: %d (%.2f per minute)\n", wakes, wakesPerMin)
-	fmt.Printf("interpreter work: %.0f float ops, %.0f int ops (%.2f%% of %s cycle budget)\n",
+	replayed := time.Duration(seconds * float64(time.Second))
+	fmt.Fprintf(out, "replayed %s: %d samples/channel over %v\n", tr.Name, i, replayed.Round(time.Second))
+	fmt.Fprintf(out, "wake-ups: %d (%.2f per minute)\n", wakes, wakesPerMin)
+	fmt.Fprintf(out, "interpreter work: %.0f float ops, %.0f int ops (%.2f%% of %s cycle budget)\n",
 		work.FloatOps, work.IntOps, budgetPct, dev.Name)
 	if crashProfile.Enabled() {
 		st := inj.Stats()
-		fmt.Printf("crashes: %d (%d reset, %d hang, %d brownout); down %d of %d samples; %d samples dropped; %d state wipes\n",
-			st.Crashes, st.Resets, st.Hangs, st.Brownouts, st.DownTicks, n, samplesLost, stateWipes)
+		fmt.Fprintf(out, "crashes: %d (%d reset, %d hang, %d brownout); down %d of %d samples; %d samples dropped; %d state wipes\n",
+			st.Crashes, st.Resets, st.Hangs, st.Brownouts, st.DownTicks, i, samplesLost, stateWipes)
 	}
 
-	if set.Enabled() {
-		profile.DepositHub(set.Ledger, dev.ActivePowerMW, seconds, dev.Cycles)
-		profile.EmitStageSpans(stream, dev.Cycles, dev.ClockHz)
-		if err := set.WriteFiles(metricsFile, traceOutFile); err != nil {
-			return err
-		}
+	if !set.Enabled() {
+		return nil
 	}
-	return nil
+	profile.DepositHub(set.Ledger, dev.ActivePowerMW, seconds, dev.Cycles)
+	profile.EmitStageSpans(stream, dev.Cycles, dev.ClockHz)
+	return set.WriteFiles(metricsFile, traceOutFile)
 }
 
 // printStaticDemand writes the condition's per-stage static demand — the

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -33,16 +34,7 @@ func writeTrace(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "run.swtr")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := tr.WriteBinary(f); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return saveTrace(t, dir, "run.swtr", tr)
 }
 
 func TestReplayEndToEnd(t *testing.T) {
@@ -52,11 +44,11 @@ func TestReplayEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracePath := writeTrace(t, dir)
-	if err := run(irPath, tracePath, "", false, "", "", "", "", nil); err != nil {
+	if err := run(io.Discard, irPath, tracePath, "", false, "", "", "", "", nil); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	// Forcing the LM4F120 works; verbose path also exercised.
-	if err := run(irPath, tracePath, "LM4F120", true, "", "", "", "", nil); err != nil {
+	if err := run(io.Discard, irPath, tracePath, "LM4F120", true, "", "", "", "", nil); err != nil {
 		t.Fatalf("forced device: %v", err)
 	}
 }
@@ -67,13 +59,13 @@ func TestReplayErrors(t *testing.T) {
 	os.WriteFile(irPath, []byte(stepsIR), 0o644)
 	tracePath := writeTrace(t, dir)
 
-	if err := run("", tracePath, "", false, "", "", "", "", nil); err == nil {
+	if err := run(io.Discard, "", tracePath, "", false, "", "", "", "", nil); err == nil {
 		t.Error("missing -ir should fail")
 	}
-	if err := run(irPath, "", "", false, "", "", "", "", nil); err == nil {
+	if err := run(io.Discard, irPath, "", "", false, "", "", "", "", nil); err == nil {
 		t.Error("missing -trace should fail")
 	}
-	if err := run(irPath, tracePath, "Z80", false, "", "", "", "", nil); err == nil {
+	if err := run(io.Discard, irPath, tracePath, "Z80", false, "", "", "", "", nil); err == nil {
 		t.Error("unknown device should fail")
 	}
 
@@ -81,7 +73,7 @@ func TestReplayErrors(t *testing.T) {
 	audioIR := "MIC -> window(id=1, params={64, 0, rectangular});\n1 -> stat(id=2, params={rms});\n2 -> minThreshold(id=3, params={0.5, 1});\n3 -> OUT;\n"
 	audioPath := filepath.Join(dir, "audio.ir")
 	os.WriteFile(audioPath, []byte(audioIR), 0o644)
-	if err := run(audioPath, tracePath, "", false, "", "", "", "", nil); err == nil {
+	if err := run(io.Discard, audioPath, tracePath, "", false, "", "", "", "", nil); err == nil {
 		t.Error("missing channel should fail")
 	}
 
@@ -96,7 +88,7 @@ func TestReplayErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := run(irPath, jsonPath, "", false, "", "", "", "", nil); err != nil {
+	if err := run(io.Discard, irPath, jsonPath, "", false, "", "", "", "", nil); err != nil {
 		t.Errorf("json trace: %v", err)
 	}
 	_ = sensor.Event{} // keep the import for clarity of the test's domain
@@ -113,7 +105,7 @@ func TestReplayCrashProfile(t *testing.T) {
 	}
 	tracePath := writeTrace(t, dir)
 
-	if err := run(irPath, tracePath, "", true, "", "", "mtbf=500,down=100,seed=1,kind=reset", "", nil); err != nil {
+	if err := run(io.Discard, irPath, tracePath, "", true, "", "", "mtbf=500,down=100,seed=1,kind=reset", "", nil); err != nil {
 		t.Fatalf("crash replay: %v", err)
 	}
 
@@ -154,7 +146,7 @@ func TestReplayTelemetryFiles(t *testing.T) {
 	metricsFile := filepath.Join(dir, "metrics.json")
 	traceFile := filepath.Join(dir, "trace.json")
 
-	if err := run(irPath, tracePath, "", false, metricsFile, traceFile, "", "", nil); err != nil {
+	if err := run(io.Discard, irPath, tracePath, "", false, metricsFile, traceFile, "", "", nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -209,7 +201,8 @@ func TestReplayTelemetryFiles(t *testing.T) {
 
 // TestReplayInterruptedStillFlushesTelemetry: a drain requested before
 // the replay starts must still produce the -metrics file — the graceful
-// path flushes telemetry instead of dying mid-frame.
+// path flushes telemetry instead of dying mid-frame — and the report
+// gives the span actually replayed, not the trace's duration.
 func TestReplayInterruptedStillFlushesTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	irPath := filepath.Join(dir, "steps.ir")
@@ -222,8 +215,17 @@ func TestReplayInterruptedStillFlushesTelemetry(t *testing.T) {
 	d := fleetd.WatchSignals(syscall.SIGUSR1)
 	defer d.Stop()
 	d.Request() // interrupt before the first sample
-	if err := run(irPath, tracePath, "", false, metricsFile, "", "", "", d); err != nil {
+	var out bytes.Buffer
+	if err := run(&out, irPath, tracePath, "", false, metricsFile, "", "", "", d); err != nil {
 		t.Fatalf("interrupted replay: %v", err)
+	}
+	for _, want := range []string{
+		"interrupted at sample 0 of 3000: flushing telemetry\n",
+		": 0 samples/channel over 0s\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
 	}
 	data, err := os.ReadFile(metricsFile)
 	if err != nil {
@@ -240,17 +242,17 @@ func TestReplayInterruptedStillFlushesTelemetry(t *testing.T) {
 		t.Fatalf("metrics file incomplete: %s", data)
 	}
 
-	// Interrupting mid-run (crash-profile forces the per-sample loop)
-	// must flush too.
+	// A crash-injected replay interrupted the same way flushes its
+	// text-format metrics too.
 	d2 := fleetd.WatchSignals(syscall.SIGUSR1)
 	defer d2.Stop()
 	d2.Request()
 	metrics2 := filepath.Join(dir, "metrics2.txt")
-	if err := run(irPath, tracePath, "", false, metrics2, "", "mtbf=500,down=100,seed=1", "", d2); err != nil {
-		t.Fatalf("interrupted per-sample replay: %v", err)
+	if err := run(io.Discard, irPath, tracePath, "", false, metrics2, "", "mtbf=500,down=100,seed=1", "", d2); err != nil {
+		t.Fatalf("interrupted crash replay: %v", err)
 	}
 	if _, err := os.Stat(metrics2); err != nil {
-		t.Fatalf("metrics file missing after interrupted per-sample run: %v", err)
+		t.Fatalf("metrics file missing after interrupted crash run: %v", err)
 	}
 }
 

@@ -254,6 +254,11 @@ func (p *Pipeline) Validate(cat *Catalog) (*Plan, error) {
 	if len(p.branches) == 0 {
 		return nil, fmt.Errorf("core: pipeline %q has no branches", p.name)
 	}
+	// The IR carries the name on its "# pipeline:" comment line, so a line
+	// break would turn the rest of the name into IR statements.
+	if strings.Contains(p.name, "\n") {
+		return nil, fmt.Errorf("core: pipeline name %q contains a line break", p.name)
+	}
 	plan := &Plan{Name: p.name}
 	seen := make(map[SensorChannel]bool)
 

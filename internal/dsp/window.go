@@ -52,17 +52,6 @@ func HammingCoefficients(n int) []float64 {
 	return out
 }
 
-// ApplyWindow multiplies x in place by the taper for the given shape and
-// returns x. Rectangular is a no-op.
-func ApplyWindow(x []float64, shape WindowShape) []float64 {
-	if shape == Hamming {
-		for i, c := range HammingCoefficients(len(x)) {
-			x[i] *= c
-		}
-	}
-	return x
-}
-
 // Windower partitions a sample stream into fixed-size windows with optional
 // overlap and tapering (paper §3.6 "Windowing"). The zero value is not
 // usable; construct with NewWindower.

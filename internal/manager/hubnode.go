@@ -52,12 +52,9 @@ type HubNode struct {
 	bufSize int
 
 	// wakesSent counts wake frames handed to the link; dropped counts
-	// inbound frames discarded as undecodable or of an unknown type;
-	// dead counts outbound frames the link abandoned after its bounded
-	// retransmissions.
+	// inbound frames discarded as undecodable or of an unknown type.
 	wakesSent int
 	dropped   int
-	dead      int
 
 	// crash is the optional fault injector (nil = immortal hub). epoch is
 	// the boot counter echoed in heartbeat pongs; a state-losing crash
@@ -220,10 +217,9 @@ func (h *HubNode) Service() error {
 	}
 	h.ep.Tick()
 	if td, ok := h.ep.(interface{ TakeDead() []link.Frame }); ok {
-		// A dead wake/data frame cannot be un-fired; count it so tests
-		// and experiments can see undelivered events.
+		// A dead wake/data frame cannot be un-fired; count it so
+		// experiments can see undelivered events.
 		if n := len(td.TakeDead()); n > 0 {
-			h.dead += n
 			h.cDead.Add(int64(n))
 		}
 	}
@@ -414,60 +410,6 @@ func (h *HubNode) Feed(ch core.SensorChannel, v float64) error {
 	return nil
 }
 
-// FeedBlock delivers a whole block of raw samples from one channel on the
-// interpreter's block fast path. Observationally identical to calling Feed
-// once per sample: the raw-data ring is advanced incrementally up to each
-// wake's offset before its data/wake frames are emitted, so snapshots and
-// sample indices match the per-sample path exactly. Callers mixing several
-// channels must keep using Feed — block-feeding channels sequentially
-// would let one channel's ring run ahead of the others' inside a wake's
-// data snapshot.
-func (h *HubNode) FeedBlock(ch core.SensorChannel, samples []float64) error {
-	if h.crash.Down() {
-		// Crash state only changes inside Service, so it is constant
-		// across the block: a crashed hub loses the whole block.
-		h.samplesLost += len(samples)
-		return nil
-	}
-	r := h.rings[ch]
-	fed := 0
-	feedTo := func(end int) {
-		if r != nil {
-			for _, v := range samples[fed:end] {
-				r.push(v)
-			}
-		}
-		h.counts[ch] += int64(end - fed)
-		fed = end
-	}
-	if h.merged == nil {
-		feedTo(len(samples))
-		return nil
-	}
-	for _, wake := range h.merged.PushBlock(ch, samples) {
-		feedTo(wake.Off + 1)
-		id := h.mergedIDs[wake.Plan]
-		c := h.conds[id]
-		for _, pc := range c.plan.Channels {
-			if pr := h.rings[pc]; pr != nil {
-				payload := encodeData(c.id, pc, pr.snapshot())
-				if err := h.ep.Send(link.Frame{Type: link.MsgData, Payload: payload}); err != nil {
-					return err
-				}
-			}
-		}
-		payload := encodeWake(c.id, wake.Value, h.counts[ch]-1)
-		if err := h.ep.Send(link.Frame{Type: link.MsgWake, Payload: payload}); err != nil {
-			return err
-		}
-		h.wakesSent++
-		h.cWakesSent.Inc()
-		h.trace.Instant2("wake.sent", "hub", "cond", float64(c.id), "value", wake.Value)
-	}
-	feedTo(len(samples))
-	return nil
-}
-
 // WakesSent returns how many wake frames the hub has handed to the link.
 // Comparing it against listener callbacks measures delivery over a lossy
 // wire.
@@ -476,10 +418,6 @@ func (h *HubNode) WakesSent() int { return h.wakesSent }
 // DroppedFrames returns how many inbound frames this hub discarded as
 // undecodable or of an unknown type.
 func (h *HubNode) DroppedFrames() int { return h.dropped }
-
-// DeadFrames returns how many outbound frames the link abandoned after
-// exhausting its retransmission budget.
-func (h *HubNode) DeadFrames() int { return h.dead }
 
 // Work returns the interpreter work of the merged condition set.
 func (h *HubNode) Work() core.CostEstimate {

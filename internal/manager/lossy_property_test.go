@@ -117,8 +117,10 @@ func TestLossyARQEqualsLosslessRun(t *testing.T) {
 				// uniformly (both runs would fail identically).
 				return nil
 			}
-			if err := tb.FeedSlice(ch, stream); err != nil {
-				t.Fatal(err)
+			for _, v := range stream {
+				if err := tb.Feed(ch, v); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := tb.Pump(); err != nil {
 				t.Fatal(err)

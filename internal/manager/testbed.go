@@ -234,28 +234,6 @@ func (t *Testbed) Feed(ch core.SensorChannel, v float64) error {
 	return t.Pump()
 }
 
-// FeedBlock delivers a whole sample block for one channel on the hub's
-// block fast path and pumps any resulting wake callbacks.
-func (t *Testbed) FeedBlock(ch core.SensorChannel, samples []float64) error {
-	if err := t.Hub.FeedBlock(ch, samples); err != nil {
-		return err
-	}
-	if t.quiet() {
-		return nil
-	}
-	return t.Pump()
-}
-
-// FeedSlice delivers a whole sample stream for one channel.
-func (t *Testbed) FeedSlice(ch core.SensorChannel, samples []float64) error {
-	for _, v := range samples {
-		if err := t.Feed(ch, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // maxPumpRounds bounds Pump. ARQ backoff caps at 16 ticks and retries at
 // 8, so even a fully dead frame settles within ~130 rounds; the bound
 // only guards against a protocol bug livelocking the loop.
