@@ -119,6 +119,7 @@ func (e *engine) pushBlock(ch core.SensorChannel, samples []float64) {
 	}
 	seq0 := e.chanSeq[ch]
 	e.chanSeq[ch] = seq0 + int64(len(samples))
+	e.base = seq0
 	for _, tg := range e.byChan[ch] {
 		e.deliverBlock(tg, samples, seq0, 0)
 	}

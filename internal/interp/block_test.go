@@ -68,8 +68,9 @@ func compareWakes(t *testing.T, label string, want, got []wakeRec) {
 
 // blockTestPipelines covers every dispatch class: consumer chains
 // (window, block filter, goertzel), mapper chains (moving average, EMA,
-// IIR), fallback stages (delta, abs, thresholds), and a join fed by two
-// branches of one channel.
+// IIR), fallback stages (delta, abs, thresholds), and joins fed by two
+// branches of one channel, aligned and with the branches emitting each
+// sequence number at different samples.
 func blockTestPipelines() map[string]*core.Pipeline {
 	pipes := map[string]*core.Pipeline{}
 
@@ -96,6 +97,13 @@ func blockTestPipelines() map[string]*core.Pipeline {
 	p.Add(core.And())
 	p.Add(core.MinThreshold(0.001))
 	pipes["join-two-branches"] = p
+
+	p = core.NewPipeline("join-misaligned")
+	p.AddBranch(core.NewBranch(core.AccelX).Add(core.Window(25, 12, "")).Add(core.Stat("stddev")))
+	p.AddBranch(core.NewBranch(core.AccelX).Add(core.Window(12, 12, "")).Add(core.Stat("stddev")))
+	p.Add(core.VectorMagnitude())
+	p.Add(core.MinThreshold(3))
+	pipes["join-misaligned"] = p
 
 	p = core.NewPipeline("mapper-chain")
 	p.AddBranch(core.NewBranch(core.AccelY).
@@ -207,56 +215,60 @@ func TestMergedPushBlockMatchesPushSample(t *testing.T) {
 }
 
 // TestPushBlockMultiChannel checks that chunk-interleaved multi-channel
-// block pushes match the per-sample interleave on a joined accel plan.
+// block pushes match the per-sample interleave on joined accel plans: one
+// whose branches emit each sequence number at the same sample, and one
+// whose ACC_X branch emits each 13 samples after its ACC_Y branch, so the
+// join completes on a channel pushed before the one that arrives last.
 func TestPushBlockMultiChannel(t *testing.T) {
-	p := core.NewPipeline("sig-motion")
+	motion := core.NewPipeline("sig-motion")
 	for _, ch := range []core.SensorChannel{core.AccelX, core.AccelY, core.AccelZ} {
-		p.AddBranch(core.NewBranch(ch).Add(core.MovingAverage(10)))
+		motion.AddBranch(core.NewBranch(ch).Add(core.MovingAverage(10)))
 	}
-	p.Add(core.VectorMagnitude())
-	p.Add(core.MinThreshold(5))
-	plan := mustPlan(t, p)
+	motion.Add(core.VectorMagnitude())
+	motion.Add(core.MinThreshold(5))
 
-	sigs := [][]float64{blockSignal(2000, 1), blockSignal(2000, 2), blockSignal(2000, 3)}
-	chans := []core.SensorChannel{core.AccelX, core.AccelY, core.AccelZ}
+	lag := core.NewPipeline("lag")
+	lag.AddBranch(core.NewBranch(core.AccelX).Add(core.Window(25, 12, "")).Add(core.Stat("stddev")))
+	lag.AddBranch(core.NewBranch(core.AccelY).Add(core.Window(12, 12, "")).Add(core.Stat("stddev")))
+	lag.Add(core.VectorMagnitude())
+	lag.Add(core.MinThreshold(3))
 
-	ref := mustMachine(t, p)
-	var want []wakeRec
-	for i := 0; i < 2000; i++ {
-		for ci, ch := range chans {
-			for _, w := range ref.PushSample(ch, sigs[ci][i]) {
-				want = append(want, wakeRec{i, w.NodeID, math.Float64bits(w.Value), w.Seq})
-			}
-		}
+	sigs := map[core.SensorChannel][]float64{
+		core.AccelX: blockSignal(2000, 1), core.AccelY: blockSignal(2000, 2), core.AccelZ: blockSignal(2000, 3),
 	}
-
-	for _, chunk := range []int{1, 7, 256} {
-		m, err := New(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []wakeRec
-		for base := 0; base < 2000; base += chunk {
-			end := base + chunk
-			if end > 2000 {
-				end = 2000
-			}
-			// Within a chunk, wakes from different channels must be
-			// re-merged by absolute offset (stable in channel order) to
-			// reproduce the per-sample interleave.
-			var pend []wakeRec
-			for ci, ch := range chans {
-				for _, w := range m.PushBlock(ch, sigs[ci][base:end]) {
-					pend = append(pend, wakeRec{base + w.Off, w.NodeID, math.Float64bits(w.Value), w.Seq})
+	for _, p := range []*core.Pipeline{motion, lag} {
+		plan := mustPlan(t, p)
+		ref := mustMachine(t, p)
+		var want []wakeRec
+		for i := 0; i < 2000; i++ {
+			for _, ch := range plan.Channels {
+				for _, w := range ref.PushSample(ch, sigs[ch][i]) {
+					want = append(want, wakeRec{i, w.NodeID, math.Float64bits(w.Value), w.Seq})
 				}
 			}
-			for i := 1; i < len(pend); i++ {
-				for j := i; j > 0 && pend[j].At < pend[j-1].At; j-- {
-					pend[j], pend[j-1] = pend[j-1], pend[j]
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: no wakes; test is vacuous", plan.Name)
+		}
+
+		for _, chunk := range []int{1, 7, 256} {
+			m, err := New(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []wakeRec
+			for base := 0; base < 2000; base += chunk {
+				end := base + chunk
+				if end > 2000 {
+					end = 2000
+				}
+				for _, ch := range plan.Channels {
+					for _, w := range m.PushBlock(ch, sigs[ch][base:end]) {
+						got = append(got, wakeRec{base + w.Off, w.NodeID, math.Float64bits(w.Value), w.Seq})
+					}
 				}
 			}
-			got = append(got, pend...)
+			compareWakes(t, plan.Name, want, got)
 		}
-		compareWakes(t, "multi-channel", want, got)
 	}
 }

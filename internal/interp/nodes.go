@@ -670,6 +670,9 @@ func (absInst) Reset() {}
 // them) are pruned to bound memory, as a microcontroller implementation
 // must.
 //
+// Each slot also keeps the position of its latest arrival (see pushAt), so
+// the engine can report a completed join at the sample that completed it.
+//
 // Each port's sequence numbers are non-decreasing. Pending slots live in a
 // slice sorted by Seq, so the per-push work stays logarithmic even when
 // block dispatch lets a leading port queue a whole block before the other
@@ -694,6 +697,7 @@ type joinSlot struct {
 	vals  []float64
 	have  []bool
 	count int
+	at    int64 // latest arrival position
 }
 
 func newJoinInst(ports int, combine func([]float64) (float64, bool)) *joinInst {
@@ -706,6 +710,17 @@ func newJoinInst(ports int, combine func([]float64) (float64, bool)) *joinInst {
 }
 
 func (i *joinInst) Push(port int, v Value) (Value, bool) {
+	out, _, ok := i.pushAt(port, v, 0)
+	return out, ok
+}
+
+// pushAt is Push for a value that arrives at position at, the raw sample
+// position of the delivery that carries it. It also returns the position
+// of the slot's latest arrival: the sample at which a per-sample feed
+// would have completed the join. Block dispatch delivers one branch (and
+// one channel) after another, so the arrival that completes a slot need
+// not be its latest.
+func (i *joinInst) pushAt(port int, v Value, at int64) (Value, int64, bool) {
 	i.latest[port] = v.Seq
 	i.primed[port] = true
 	slot := i.find(v.Seq)
@@ -714,20 +729,22 @@ func (i *joinInst) Push(port int, v Value) (Value, bool) {
 		slot.count++
 	}
 	slot.vals[port] = v.Scalar
+	slot.at = max(slot.at, at)
 
 	i.prune()
 
 	if slot.count < i.ports {
-		return Value{}, false
+		return Value{}, 0, false
 	}
 	// Every port has reached v.Seq, so prune left this slot at the head.
 	i.popHead()
 	out, ok := i.combine(slot.vals)
+	at = slot.at
 	i.recycle(slot)
 	if !ok {
-		return Value{}, false
+		return Value{}, 0, false
 	}
-	return Value{Seq: v.Seq, Scalar: out}, true
+	return Value{Seq: v.Seq, Scalar: out}, at, true
 }
 
 // find returns the pending slot for seq, inserting a fresh one in order if
@@ -798,6 +815,7 @@ func (i *joinInst) recycle(slot *joinSlot) {
 		slot.have[p] = false
 	}
 	slot.count = 0
+	slot.at = 0
 	i.free = append(i.free, slot)
 }
 

@@ -69,55 +69,65 @@ func TestWakeWindowScript(t *testing.T) {
 // TestHubFeedMatchesPerSample checks the block pump against the
 // interpreter's per-sample path: the fired bitmap marks exactly the
 // samples whose push produced a wake, and stale bits from the previous
-// block never survive.
+// block never survive. Besides the steps condition, it runs a join whose
+// ACC_X branch emits each sequence number 13 samples after its ACC_Y
+// branch, so the join completes while ACC_Y is pushed but fires at the
+// later ACC_X sample.
 func TestHubFeedMatchesPerSample(t *testing.T) {
 	tr, err := tracegen.Robot(tracegen.RobotConfig{Seed: 3, Duration: time.Minute, IdleFraction: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := apps.Steps().Wake.Validate(core.DefaultCatalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	block, err := interp.New(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := interp.New(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed, err := newHubFeed(block, tr, plan.Channels, "steps")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	n := tr.Len()
-	fired := make([]bool, simBlock)
-	wakes := 0
-	for base := 0; base < n; base += simBlock {
-		f := fired[:min(simBlock, n-base)]
-		for k := range f {
-			f[k] = true // stale bits fire must clear
+	lag := core.NewPipeline("lag")
+	lag.AddBranch(core.NewBranch(core.AccelX).Add(core.Window(25, 12, "")).Add(core.Stat("stddev")))
+	lag.AddBranch(core.NewBranch(core.AccelY).Add(core.Window(12, 12, "")).Add(core.Stat("stddev")))
+	lag.Add(core.VectorMagnitude())
+	lag.Add(core.MinThreshold(1.4))
+	for _, p := range []*core.Pipeline{apps.Steps().Wake, lag} {
+		plan, err := p.Validate(core.DefaultCatalog())
+		if err != nil {
+			t.Fatal(err)
 		}
-		feed.fire(f, base)
-		for k, hit := range f {
-			want := false
-			for ci, ch := range plan.Channels {
-				if len(single.PushSample(ch, feed.channels[ci][base+k])) > 0 {
-					want = true
+		block, err := interp.New(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := interp.New(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed, err := newHubFeed(block, tr, plan.Channels, plan.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		n := tr.Len()
+		fired := make([]bool, simBlock)
+		wakes := 0
+		for base := 0; base < n; base += simBlock {
+			f := fired[:min(simBlock, n-base)]
+			for k := range f {
+				f[k] = true // stale bits fire must clear
+			}
+			feed.fire(f, base)
+			for k, hit := range f {
+				want := false
+				for ci, ch := range plan.Channels {
+					if len(single.PushSample(ch, feed.channels[ci][base+k])) > 0 {
+						want = true
+					}
+				}
+				if hit != want {
+					t.Fatalf("%s: sample %d: block fired = %v, per-sample fired = %v", plan.Name, base+k, hit, want)
+				}
+				if hit {
+					wakes++
 				}
 			}
-			if hit != want {
-				t.Fatalf("sample %d: block fired = %v, per-sample fired = %v", base+k, hit, want)
-			}
-			if hit {
-				wakes++
-			}
 		}
-	}
-	if wakes == 0 {
-		t.Fatal("trace produced no wakes; test is vacuous")
+		if wakes == 0 {
+			t.Fatalf("%s: trace produced no wakes; test is vacuous", plan.Name)
+		}
 	}
 }
 
