@@ -24,7 +24,7 @@ BENCH_PKGS = . ./internal/interp ./internal/telemetry ./internal/dsp ./internal/
 
 .PHONY: verify fmt build vet staticcheck test race bench bench-telemetry \
 	bench-baseline bench-check cover cover-check fuzz soak chaos fleetd-stress \
-	swbench-check profile-eval
+	swbench-check profile-eval loc
 
 verify: fmt build vet staticcheck race
 	@echo "verify clean — consider 'make fuzz' (FUZZTIME=$(FUZZTIME) per target) for parser/framing changes"
@@ -106,6 +106,12 @@ profile-eval:
 	$(GO) run ./cmd/sidewinder-eval -experiment all -robot-min 2 -audio-min 2 \
 		-human-min 4 -workers 1 -cpuprofile eval-cpu.prof > /dev/null
 	$(GO) tool pprof -top -nodecount=25 eval-cpu.prof
+
+# loc prints the production Go lines per package and in total: non-blank,
+# non-comment lines of every non-test .go file outside swbench/. Simplicity
+# changes report their delta in this count.
+loc:
+	@scripts/loc.sh
 
 # cover writes an aggregate coverage profile and prints the per-package
 # summary; open coverage.html for the annotated source view.

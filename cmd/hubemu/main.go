@@ -142,8 +142,10 @@ func run(out io.Writer, irPath, tracePath, deviceName string, verbose bool, metr
 	}
 
 	channels := plan.Channels
-	for _, ch := range channels {
-		if _, ok := tr.Channels[ch]; !ok {
+	data := make([][]float64, len(channels))
+	for i, ch := range channels {
+		var ok bool
+		if data[i], ok = tr.Channels[ch]; !ok {
 			return fmt.Errorf("trace %q lacks channel %s required by the condition", tr.Name, ch)
 		}
 	}
@@ -155,31 +157,29 @@ func run(out io.Writer, irPath, tracePath, deviceName string, verbose bool, metr
 
 	// The one replay loop. The crash injector ticks once per sample (a nil
 	// injector never goes down). Each run of samples where the hub is up
-	// goes through the interpreter's block path, one channel after
-	// another, so a wake's offset in the run locates its trace sample. A
-	// crash onset or a down sample closes the run, and a run is capped at
-	// maxRun samples, so the drain request, checked as each run opens, is
-	// seen at least that often.
+	// goes through the interpreter's Run, which pushes it one channel
+	// after another and reports each wake at its trace sample. A crash
+	// onset or a down sample closes the run, and a run is capped at maxRun
+	// samples, so the drain request, checked as each run opens, is seen at
+	// least that often.
 	const maxRun = 4096
 	wakes, samplesLost, stateWipes := 0, 0, 0
 	n := tr.Len()
 	start := 0 // first sample of the open run
-	push := func(end int) {
-		for _, ch := range channels {
-			for _, w := range machine.PushBlock(ch, tr.Channels[ch][start:end]) {
-				sample := start + w.Off
-				sec := float64(sample) / tr.RateHz
-				wakes++
-				cWakes.Inc()
-				clk.SetSec(sec)
-				stream.Instant2("wake.sent", "hub", "node", float64(w.NodeID), "value", w.Value)
-				if verbose {
-					at := time.Duration(sec * float64(time.Second))
-					fmt.Fprintf(out, "wake #%d at %v (sample %d): node %d emitted %.4g\n",
-						wakes, at.Round(time.Millisecond), sample, w.NodeID, w.Value)
-				}
-			}
+	wake := func(sample int, w interp.TaggedWake) {
+		sec := float64(sample) / tr.RateHz
+		wakes++
+		cWakes.Inc()
+		clk.SetSec(sec)
+		stream.Instant2("wake.sent", "hub", "node", float64(w.NodeID), "value", w.Value)
+		if verbose {
+			at := time.Duration(sec * float64(time.Second))
+			fmt.Fprintf(out, "wake #%d at %v (sample %d): node %d emitted %.4g\n",
+				wakes, at.Round(time.Millisecond), sample, w.NodeID, w.Value)
 		}
+	}
+	push := func(end int) {
+		machine.Run(channels, data, start, end, wake)
 		start = end
 	}
 	i := 0 // samples replayed; fewer than n if interrupted

@@ -190,9 +190,8 @@ func (c *Catalog) Kinds() []AlgorithmKind {
 func (c *Catalog) Len() int { return len(c.metas) }
 
 // identity helpers shared by catalog entries.
-func scalarOut(Params, int) int       { return 0 }
-func sameLen(_ Params, inLen int) int { return inLen }
-func unitRate(Params) float64         { return 1 }
+func scalarOut(Params, int) int { return 0 }
+func unitRate(Params) float64   { return 1 }
 func fixedMemory(n int) func(Params, int) int {
 	return func(Params, int) int { return n }
 }

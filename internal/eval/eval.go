@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"sidewinder/internal/apps"
 	"sidewinder/internal/interp"
 	"sidewinder/internal/parallel"
 	"sidewinder/internal/sensor"
@@ -249,13 +248,4 @@ func meanPrecision(results []*sim.Result) float64 {
 		sum += r.Precision
 	}
 	return sum / float64(len(results))
-}
-
-// runAll executes a strategy over a set of traces for one app, fanning the
-// per-trace cells through the worker pool.
-func runAll(workers int, s sim.Strategy, traces []*sensor.Trace, app *apps.App) ([]*sim.Result, error) {
-	var b runBatch
-	h := b.add(s, traces, app)
-	b.run(workers, telemetry.Set{}, interp.Float64)
-	return h.results()
 }

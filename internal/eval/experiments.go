@@ -325,7 +325,6 @@ type Figure7Result struct {
 // detector on three human captures, recall measured against the
 // Always-Awake baseline because the traces carry no ground truth (§5.5).
 func Figure7(o Options, w *Workload) (*Figure7Result, error) {
-	o = o.withDefaults()
 	app := apps.Steps()
 
 	// Always-Awake provides the pseudo ground truth. The same runs are
@@ -458,7 +457,6 @@ type SavingsResult struct {
 // Savings regenerates the §5.1 savings-potential numbers and the §5.2
 // fraction-of-optimal analysis.
 func Savings(o Options, w *Workload) (*SavingsResult, error) {
-	o = o.withDefaults()
 	out := &SavingsResult{
 		AccelSavings: make(map[string]map[int]float64),
 		AudioSavings: make(map[string]float64),

@@ -107,6 +107,20 @@ func (m *Machine) PushBlock(ch core.SensorChannel, samples []float64) []BlockWak
 	return m.wakes
 }
 
+// Run is the hub pump every trace replay shares: it pushes samples
+// [from, to) of each channel in chs through PushBlock, one channel after
+// another (data[i] holds the whole trace of chs[i]), and hands each wake to
+// wake with the trace sample that fired it. Wakes come in sample order
+// within a channel, not across channels.
+func (e *engine) Run(chs []core.SensorChannel, data [][]float64, from, to int, wake func(at int, w TaggedWake)) {
+	for i, ch := range chs {
+		e.pushBlock(ch, data[i][from:to])
+		for _, w := range e.wakes {
+			wake(from+w.Off, w.TaggedWake)
+		}
+	}
+}
+
 // pushBlock feeds a block of raw samples into the graph, leaving its wakes
 // in e.wakes ordered by (offset, output).
 func (e *engine) pushBlock(ch core.SensorChannel, samples []float64) {

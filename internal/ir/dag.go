@@ -94,9 +94,6 @@ func (n *DAGNode) Class() NodeClass { return n.class }
 // Parents returns the node's producers in port order.
 func (n *DAGNode) Parents() []*DAGNode { return n.parents }
 
-// Children returns the node's consumers in creation order.
-func (n *DAGNode) Children() []*DAGNode { return n.children }
-
 // Cost returns the node's per-invocation work (stage nodes).
 func (n *DAGNode) Cost() core.CostEstimate { return n.facts.cost }
 

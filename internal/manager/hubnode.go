@@ -59,11 +59,9 @@ type HubNode struct {
 	// crash is the optional fault injector (nil = immortal hub). epoch is
 	// the boot counter echoed in heartbeat pongs; a state-losing crash
 	// bumps it, so the manager's supervisor can tell a rebooted hub from
-	// one that merely went quiet. samplesLost counts sensor samples that
-	// arrived while the hub was down.
-	crash       *resilience.CrashInjector
-	epoch       uint32
-	samplesLost int
+	// one that merely went quiet.
+	crash *resilience.CrashInjector
+	epoch uint32
 
 	// Telemetry handles, nil (no-op) until SetTelemetry attaches them.
 	// profile survives rebuild(): every new merged machine re-attaches it,
@@ -163,10 +161,6 @@ func (h *HubNode) Epoch() uint32 { return h.epoch }
 
 // Crashed reports whether the hub is currently down.
 func (h *HubNode) Crashed() bool { return h.crash.Down() }
-
-// SamplesLost returns how many sensor samples arrived while the hub was
-// crashed (the detection-window exposure fallback sensing cannot cover).
-func (h *HubNode) SamplesLost() int { return h.samplesLost }
 
 // reboot wipes the pipeline the way a CPU reset does: pushed conditions,
 // merged machine, sample rings and counts all vanish, the boot epoch
@@ -376,7 +370,6 @@ func (h *HubNode) Feed(ch core.SensorChannel, v float64) error {
 	if h.crash.Down() {
 		// A crashed hub samples nothing; the event, if any, is gone
 		// unless phone-side fallback sensing covers the window.
-		h.samplesLost++
 		return nil
 	}
 	if r := h.rings[ch]; r != nil {

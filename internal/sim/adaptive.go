@@ -6,6 +6,7 @@ import (
 
 	"sidewinder/internal/adapt"
 	"sidewinder/internal/apps"
+	"sidewinder/internal/core"
 	"sidewinder/internal/interp"
 	"sidewinder/internal/ir"
 	"sidewinder/internal/power"
@@ -137,9 +138,12 @@ func (t *truthTracker) nextExpiry() int {
 	return t.truth[t.order[t.next]].End + t.tol + 1
 }
 
-// adaptiveProgram is one compiled, admitted hub configuration.
+// adaptiveProgram is one compiled, admitted hub configuration: its
+// interpreter and the trace channels it reads.
 type adaptiveProgram struct {
-	feed    *hubFeed
+	m       *interp.Machine
+	chs     []core.SensorChannel
+	data    [][]float64
 	powerMW float64
 }
 
@@ -188,11 +192,11 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		if profile != nil {
 			m.SetProfile(profile)
 		}
-		feed, err := newHubFeed(m, tr, exec.Channels, app.Name)
+		data, err := traceChannels(tr, exec.Channels, app.Name)
 		if err != nil {
 			return nil, err
 		}
-		return &adaptiveProgram{feed: feed, powerMW: dev.LoadPowerMW(f, i)}, nil
+		return &adaptiveProgram{m: m, chs: exec.Channels, data: data, powerMW: dev.LoadPowerMW(f, i)}, nil
 	}
 
 	cur, err := build(engine.Knobs())
@@ -268,16 +272,20 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 			observe(adapt.MissedWake)
 		}
 	}
-	fired := make([]bool, simBlock)
-	for blockStart := 0; blockStart < n; blockStart += simBlock {
+	// Programs swap at simBlock boundaries, so this loop keeps its own
+	// chunks rather than replayHub's: the cadence is part of the output.
+	f := make(fireList, 0, simBlock)
+	for base := 0; base < n; base += simBlock {
 		if pending != nil {
 			cur, pending = pending, nil
 		}
-		f := fired[:min(simBlock, n-blockStart)]
-		cur.feed.fire(f, blockStart)
-		hubMJ += cur.powerMW * float64(len(f)) * dt
-		staticMJ += staticMW * float64(len(f)) * dt
-		w.replay(f, blockStart, visit, tracker.nextExpiry)
+		end := min(base+simBlock, n)
+		f = f[:0]
+		cur.m.Run(cur.chs, cur.data, base, end, f.add)
+		f = f.set()
+		hubMJ += cur.powerMW * float64(end-base) * dt
+		staticMJ += staticMW * float64(end-base) * dt
+		w.replay(f, base, end, visit, tracker.nextExpiry)
 	}
 	intervals := w.close(n)
 	// Score (but no longer act on) events whose window ran off the trace.
@@ -316,7 +324,7 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	if totalSec > 0 {
 		hubMW = hubMJ / totalSec
 	}
-	res := finish(s.Name(), tr, app, ph, hubMW, intervals, nil)
+	res := finish(s.Name(), tr, app, ph, hubMW, intervals)
 	res.Device = dev.Name
 	res.HubUtilization = dev.Utilization(base)
 	res.Adapt = astats

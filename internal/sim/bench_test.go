@@ -11,8 +11,8 @@ import (
 // BenchmarkReplay runs two hub-driven strategies over one seeded 2-minute
 // audio trace, pinning the replay path's allocations (make bench-check):
 // Sidewinder with the music condition, which feeds the interpreter block
-// by block, and predefined activity, which fills the fired bitmap from its
-// significance detector. Both replay the bitmap through wakeWindow.replay.
+// by block, and predefined activity, whose significance detector lists its
+// firings itself. Both replay their fire lists through replayHub.
 func BenchmarkReplay(b *testing.B) {
 	tr, err := tracegen.Audio(tracegen.NewAudioConfig(1, 2*time.Minute, tracegen.OfficeAudio))
 	if err != nil {

@@ -165,7 +165,6 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 	if err != nil {
 		return nil, err
 	}
-	feed := &hubFeed{m: oracle, names: r.names, channels: r.channels}
 
 	// Install the injector only after initial provisioning: the sweep
 	// measures steady-state resilience, and crash-during-push is covered
@@ -182,15 +181,17 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 	n := tr.Len()
 	dt := r.dt
 
-	// The oracle runs outside the failing stack, so its whole-trace fired
-	// bitmap can be precomputed on the interpreter's block fast path; the
-	// main loop then attributes each fired sample to its timeline window.
-	// The live hub still gets fed per sample — its state interleaves with
-	// crash injection and heartbeat servicing.
-	oracleFired := make([]bool, n)
+	// The oracle runs outside the failing stack, so its whole-trace fire
+	// list can be precomputed on the interpreter's block fast path (a
+	// chunk at a time, which bounds the block stages' scratch); the main
+	// loop consumes it in step, attributing each firing to its timeline
+	// window. The live hub still gets fed per sample — its state
+	// interleaves with crash injection and heartbeat servicing.
+	var fires fireList
 	for base := 0; base < n; base += simBlock {
-		feed.fire(oracleFired[base:min(base+simBlock, n)], base)
+		oracle.Run(r.names, r.channels, base, min(base+simBlock, n), fires.add)
 	}
+	fires = fires.set()
 
 	// Outage span tracing: one span per contiguous non-Up stretch.
 	phoneStream, _, _ := bed.Streams()
@@ -223,12 +224,13 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 		fallbackNow := state == resilience.Down || state == resilience.Recovering
 
 		// Feed the live hub (it drops samples internally while down); the
-		// oracle's precomputed bitmap attributes this sample's wakes to
-		// their timeline window.
+		// oracle's fire list attributes a firing at this sample to its
+		// timeline window.
 		if err := r.feed(s, bed.Hub.Feed); err != nil {
 			return nil, err
 		}
-		if oracleFired[s] {
+		if len(fires) > 0 && fires[0] == s {
+			fires = fires[1:]
 			res.OracleWakes++
 			switch {
 			case fallbackNow:

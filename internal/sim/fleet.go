@@ -271,7 +271,7 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, error) {
 				}
 			}
 		}
-		feed, err := newHubFeed(m, tr, chs, "the fleet mix "+strings.Join(cell.Apps, "+"))
+		data, err := traceChannels(tr, chs, "the fleet mix "+strings.Join(cell.Apps, "+"))
 		if err != nil {
 			return cell, err
 		}
@@ -284,12 +284,10 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, error) {
 				w.fire(i)
 			}
 		}
-		fired := make([]bool, simBlock)
-		for base := 0; base < n; base += simBlock {
-			f := fired[:min(simBlock, n-base)]
-			feed.fire(f, base)
-			w.replay(f, base, visit, nil)
-		}
+		replayHub(w, n, func(f fireList, base, end int) fireList {
+			m.Run(chs, data, base, end, f.add)
+			return f.set()
+		}, visit)
 		cell.HubEnergyMJ = dev.ActivePowerMW * cell.DurationSec
 	} else {
 		// Nothing on the hub: the phone sleeps through the whole trace

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sidewinder/internal/core"
 	"sidewinder/internal/interp"
@@ -14,12 +15,13 @@ import (
 // the hub runs the wake condition over every sample, a firing wakes the
 // phone, which receives the pre-buffered raw data, and the phone sleeps
 // again after an idle hold. traceChannels resolves the trace data a
-// condition reads, hubFeed pushes it through the interpreter's block fast
-// path, and wakeWindow runs the phone side of the mechanism.
+// condition reads, a hub pass pushes a chunk of it through the
+// interpreter's Run and lists where the condition fired, and wakeWindow
+// runs the phone side of the mechanism over that list.
 
 // simBlock is the chunk size the simulator feeds the interpreter's block
-// fast path with; the wake window replays each chunk's fired bitmap
-// exactly as a per-sample feed would, so the choice only affects speed.
+// fast path with; the wake window replays each chunk's fire list exactly as
+// a per-sample feed would, so the choice only affects speed.
 const simBlock = 1024
 
 // traceChannels returns the trace's samples for each channel in chs, in
@@ -36,38 +38,31 @@ func traceChannels(tr *sensor.Trace, chs []core.SensorChannel, by string) ([][]f
 	return out, nil
 }
 
-// blockMachine is the block fast path *interp.Machine and *interp.Merged
-// share.
-type blockMachine interface {
-	PushBlock(ch core.SensorChannel, samples []float64) []interp.BlockWake
+// fireList is a hub pass's result: the samples where the condition fired.
+// add is the wake callback of the interpreter's Run, so a hub pass is a Run
+// call into a fireList; set then sorts the list and drops duplicates, since
+// Run pushes channels one after another and several plans of a merged hub
+// may fire at one sample.
+type fireList []int
+
+func (f *fireList) add(at int, _ interp.TaggedWake) { *f = append(*f, at) }
+
+func (f fireList) set() fireList {
+	slices.Sort(f)
+	return slices.Compact(f)
 }
 
-// hubFeed binds a hub interpreter to the trace channels it reads.
-type hubFeed struct {
-	m        blockMachine
-	names    []core.SensorChannel
-	channels [][]float64
-}
-
-func newHubFeed(m blockMachine, tr *sensor.Trace, chs []core.SensorChannel, by string) (*hubFeed, error) {
-	channels, err := traceChannels(tr, chs, by)
-	if err != nil {
-		return nil, err
-	}
-	return &hubFeed{m: m, names: chs, channels: channels}, nil
-}
-
-// fire pushes samples [base, base+len(fired)) of every channel through the
-// interpreter and marks fired[k] when the condition fired at sample
-// base+k. The bitmap preserves the per-sample fired sequence exactly, so
-// replaying it sample by sample is identical to a per-sample feed.
-func (h *hubFeed) fire(fired []bool, base int) {
-	clear(fired)
-	end := base + len(fired)
-	for ci, samples := range h.channels {
-		for _, w := range h.m.PushBlock(h.names[ci], samples[base:end]) {
-			fired[w.Off] = true
-		}
+// replayHub is the chunked hub→phone loop: for each simBlock chunk
+// [base, end) of the trace's n samples, pass appends the chunk's firings,
+// sorted and duplicate-free, to the fire list it is given, and w replays
+// them, handing each sample it handles to visit. The list holds one chunk
+// and is reused across chunks.
+func replayHub(w *wakeWindow, n int, pass func(f fireList, base, end int) fireList, visit func(i int, hit bool)) {
+	f := make(fireList, 0, simBlock)
+	for base := 0; base < n; base += simBlock {
+		end := min(base+simBlock, n)
+		f = pass(f[:0], base, end)
+		w.replay(f, base, end, visit, nil)
 	}
 }
 
@@ -112,11 +107,11 @@ func (w *wakeWindow) idle(i int) {
 	}
 }
 
-// replay drives the phone over fired, the hub's firing bitmap for samples
-// [base, base+len(fired)), one clock step per sample. At each sample it
-// handles, it calls visit with whether the hub fired there (visit must
-// call w.fire(i) on a firing; a nil visit just fires), then idle, then
-// steps the clock.
+// replay drives the phone over samples [base, end), one clock step per
+// sample, given fires, the hub's sorted, duplicate-free fire list for them.
+// At each sample it handles, it calls visit with whether the hub fired there
+// (visit must call w.fire(i) on a firing; a nil visit just fires), then
+// idle, then steps the clock.
 //
 // Between handled samples it advances in one step over the samples in
 // which nothing can act: no firing, idle a no-op (the phone Asleep, or
@@ -124,28 +119,30 @@ func (w *wakeWindow) idle(i int) {
 // until is non-nil (the first sample at which the caller's visit acts
 // without a firing). Transitions are stepped one sample at a time, so the
 // outcome is bit-identical to handling every sample.
-func (w *wakeWindow) replay(fired []bool, base int, visit func(i int, hit bool), until func() int) {
+func (w *wakeWindow) replay(fires []int, base, end int, visit func(i int, hit bool), until func() int) {
 	dt := 1 / w.c.rate
-	end := base + len(fired)
 	for i := base; ; i++ {
 		quiet := min(end, w.quietUntil(i))
 		if until != nil {
 			quiet = min(quiet, until())
 		}
-		j := i
-		for j < quiet && !fired[j-base] {
-			j++
+		if len(fires) > 0 {
+			quiet = min(quiet, fires[0])
 		}
-		if j > i {
-			w.c.advanceSteps(dt, j-i)
-			i = j
+		if quiet > i {
+			w.c.advanceSteps(dt, quiet-i)
+			i = quiet
 		}
 		if i == end {
 			return
 		}
+		hit := len(fires) > 0 && fires[0] == i
+		if hit {
+			fires = fires[1:]
+		}
 		if visit != nil {
-			visit(i, fired[i-base])
-		} else if fired[i-base] {
+			visit(i, hit)
+		} else if hit {
 			w.fire(i)
 		}
 		w.idle(i)

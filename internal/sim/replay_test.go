@@ -5,12 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"sidewinder/internal/apps"
 	"sidewinder/internal/core"
 	"sidewinder/internal/interp"
+	"sidewinder/internal/ir"
 	"sidewinder/internal/power"
 	"sidewinder/internal/tracegen"
 )
@@ -66,28 +68,51 @@ func TestWakeWindowScript(t *testing.T) {
 	}
 }
 
-// TestHubFeedMatchesPerSample checks the block pump against the
-// interpreter's per-sample path: the fired bitmap marks exactly the
-// samples whose push produced a wake, and stale bits from the previous
-// block never survive. Besides the steps condition, it runs a join whose
-// ACC_X branch emits each sequence number 13 samples after its ACC_Y
-// branch, so the join completes while ACC_Y is pushed but fires at the
-// later ACC_X sample.
-func TestHubFeedMatchesPerSample(t *testing.T) {
+// TestHubPassMatchesPerSample checks the hub pass (the interpreter's Run
+// into a fireList, then set) against per-sample pushes, chunk by chunk:
+// the fire list is exactly the sorted, duplicate-free samples where a
+// per-sample push produced a wake. Besides the steps condition, it runs a
+// join whose ACC_X branch emits each sequence number 13 samples after its
+// ACC_Y branch, so the join completes while ACC_Y is pushed but fires at
+// the later ACC_X sample, and a merged hub built the way a fleet cell is:
+// two plans sharing an ACC_X window that fire at one sample, an ACC_Y plan
+// that, pushed after ACC_X, fires at earlier samples than it, and the join.
+func TestHubPassMatchesPerSample(t *testing.T) {
 	tr, err := tracegen.Robot(tracegen.RobotConfig{Seed: 3, Duration: time.Minute, IdleFraction: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lag := core.NewPipeline("lag")
-	lag.AddBranch(core.NewBranch(core.AccelX).Add(core.Window(25, 12, "")).Add(core.Stat("stddev")))
-	lag.AddBranch(core.NewBranch(core.AccelY).Add(core.Window(12, 12, "")).Add(core.Stat("stddev")))
-	lag.Add(core.VectorMagnitude())
-	lag.Add(core.MinThreshold(1.4))
-	for _, p := range []*core.Pipeline{apps.Steps().Wake, lag} {
-		plan, err := p.Validate(core.DefaultCatalog())
+	cat := core.DefaultCatalog()
+	validate := func(p *core.Pipeline) *core.Plan {
+		plan, err := p.Validate(cat)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return plan
+	}
+	stddev := func(name string, ch core.SensorChannel, size int, min float64) *core.Plan {
+		p := core.NewPipeline(name)
+		p.AddBranch(core.NewBranch(ch).Add(core.Window(size, size, "")).Add(core.Stat("stddev")))
+		p.Add(core.MinThreshold(min))
+		return validate(p)
+	}
+	lagP := core.NewPipeline("lag")
+	lagP.AddBranch(core.NewBranch(core.AccelX).Add(core.Window(25, 12, "")).Add(core.Stat("stddev")))
+	lagP.AddBranch(core.NewBranch(core.AccelY).Add(core.Window(12, 12, "")).Add(core.Stat("stddev")))
+	lagP.Add(core.VectorMagnitude())
+	lagP.Add(core.MinThreshold(1.4))
+	lag := validate(lagP)
+
+	type runFunc func(chs []core.SensorChannel, data [][]float64, from, to int, wake func(int, interp.TaggedWake))
+	type hubCase struct {
+		name   string
+		chs    []core.SensorChannel
+		run    runFunc
+		push   func(ch core.SensorChannel, v float64) int // wakes of one per-sample push
+		merged bool
+	}
+	var cases []hubCase
+	for _, plan := range []*core.Plan{validate(apps.Steps().Wake), lag} {
 		block, err := interp.New(plan)
 		if err != nil {
 			t.Fatal(err)
@@ -96,47 +121,77 @@ func TestHubFeedMatchesPerSample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		feed, err := newHubFeed(block, tr, plan.Channels, plan.Name)
+		cases = append(cases, hubCase{name: plan.Name, chs: plan.Channels, run: block.Run,
+			push: func(ch core.SensorChannel, v float64) int { return len(single.PushSample(ch, v)) }})
+	}
+	plans := []*core.Plan{stddev("x", core.AccelX, 25, 1), stddev("x-lo", core.AccelX, 25, 0.5), stddev("y", core.AccelY, 20, 1), lag}
+	sp, err := ir.CompilePlans(cat, ir.CompileOptions{}, plans...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := interp.NewShared(interp.Float64, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := interp.NewShared(interp.Float64, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, hubCase{name: "merged", chs: []core.SensorChannel{core.AccelX, core.AccelY}, run: block.Run,
+		push: func(ch core.SensorChannel, v float64) int { return len(single.PushSample(ch, v)) }, merged: true})
+
+	for _, c := range cases {
+		data, err := traceChannels(tr, c.chs, c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-
 		n := tr.Len()
-		fired := make([]bool, simBlock)
-		wakes := 0
+		var f, want fireList
+		fires, unsorted, dups := 0, 0, 0
 		for base := 0; base < n; base += simBlock {
-			f := fired[:min(simBlock, n-base)]
-			for k := range f {
-				f[k] = true // stale bits fire must clear
+			end := min(base+simBlock, n)
+			f = f[:0]
+			c.run(c.chs, data, base, end, f.add)
+			if !slices.IsSorted(f) {
+				unsorted++
 			}
-			feed.fire(f, base)
-			for k, hit := range f {
-				want := false
-				for ci, ch := range plan.Channels {
-					if len(single.PushSample(ch, feed.channels[ci][base+k])) > 0 {
-						want = true
-					}
+			raw := len(f)
+			f = f.set()
+			dups += raw - len(f)
+			want = want[:0]
+			for i := base; i < end; i++ {
+				wakes := 0
+				for ci, ch := range c.chs {
+					wakes += c.push(ch, data[ci][i])
 				}
-				if hit != want {
-					t.Fatalf("%s: sample %d: block fired = %v, per-sample fired = %v", plan.Name, base+k, hit, want)
-				}
-				if hit {
-					wakes++
+				if wakes > 0 {
+					want = append(want, i)
 				}
 			}
+			if !slices.Equal(f, want) {
+				t.Fatalf("%s: chunk at %d: fire list %v, per-sample firings %v", c.name, base, f, want)
+			}
+			fires += len(f)
 		}
-		if wakes == 0 {
-			t.Fatalf("%s: trace produced no wakes; test is vacuous", plan.Name)
+		if fires == 0 {
+			t.Fatalf("%s: trace produced no wakes; test is vacuous", c.name)
+		}
+		if c.merged && (unsorted == 0 || dups == 0) {
+			t.Fatalf("%s: %d chunks fired out of order and %d firings repeated a sample; want both > 0", c.name, unsorted, dups)
 		}
 	}
 }
 
 // replayPerSample is the per-sample loop wakeWindow.replay replaced, kept
-// as its oracle: every sample visits, idles and steps the clock.
-func replayPerSample(w *wakeWindow, fired []bool, base int, visit func(i int, hit bool)) {
+// as its oracle: every sample of [base, end) visits, idles and steps the
+// clock, and fires is consumed as the samples reach it.
+func replayPerSample(w *wakeWindow, fires []int, base, end int, visit func(i int, hit bool)) {
 	dt := 1 / w.c.rate
-	for k, hit := range fired {
-		i := base + k
+	for i := base; i < end; i++ {
+		hit := len(fires) > 0 && fires[0] == i
+		if hit {
+			fires = fires[1:]
+		}
 		if visit != nil {
 			visit(i, hit)
 		} else if hit {
@@ -159,18 +214,18 @@ type replayCase struct {
 	deadlines []int   // caller deadlines for the until bound (sorted)
 }
 
-// replayRun replays c's bitmap through the window either with replay or
-// with the per-sample oracle and returns the window and a log
-// of what the caller's visit saw act: firings, wake verdicts and deadline
-// expiries, each with its sample index.
+// replayRun replays c's firings, handed over as per-chunk fire lists,
+// through the window either with replay or with the per-sample oracle and
+// returns the window and a log of what the caller's visit saw act:
+// firings, wake verdicts and deadline expiries, each with its sample
+// index.
 func replayRun(c replayCase, perSample bool) (*wakeWindow, []string) {
 	rng := rand.New(rand.NewSource(int64(c.n) ^ int64(c.hold)<<20))
-	bitmap := make([]bool, c.n)
-	for i := range bitmap {
-		bitmap[i] = rng.Float64() < c.density
-	}
-	for _, i := range c.force {
-		bitmap[i] = true
+	var fires fireList
+	for i := 0; i < c.n; i++ {
+		if rng.Float64() < c.density || slices.Contains(c.force, i) {
+			fires = append(fires, i)
+		}
 	}
 	w := newWakeWindow(power.NewPhone(power.Nexus4()), c.rate, c.preBuffer, c.hold)
 	var log []string
@@ -190,14 +245,18 @@ func replayRun(c replayCase, perSample bool) (*wakeWindow, []string) {
 		}
 		return c.deadlines[next] + 1
 	}
-	fired := make([]bool, simBlock)
 	for base := 0; base < c.n; base += simBlock {
-		f := fired[:min(simBlock, c.n-base)]
-		copy(f, bitmap[base:])
+		end := min(base+simBlock, c.n)
+		k := 0
+		for k < len(fires) && fires[k] < end {
+			k++
+		}
+		f := fires[:k]
+		fires = fires[k:]
 		if perSample {
-			replayPerSample(w, f, base, visit)
+			replayPerSample(w, f, base, end, visit)
 		} else {
-			w.replay(f, base, visit, until)
+			w.replay(f, base, end, visit, until)
 		}
 	}
 	return w, log

@@ -185,15 +185,11 @@ func Match(truth, detections []sensor.Event, tolSamples int) (recall, precision 
 }
 
 // finish assembles a Result from a completed phone timeline and delivered
-// data. truthOverride, when non-nil, replaces the trace's labeled events
-// (used for unlabeled human traces, scored against a baseline).
+// data, scored against the trace's events labeled for the app.
 func finish(strategyName string, tr *sensor.Trace, app *apps.App, ph *power.Phone,
-	hubMW float64, intervals []Interval, truthOverride []sensor.Event) *Result {
+	hubMW float64, intervals []Interval) *Result {
 
-	truth := truthOverride
-	if truth == nil {
-		truth = tr.EventsLabeled(app.Label)
-	}
+	truth := tr.EventsLabeled(app.Label)
 	detections := detectOver(tr, app, intervals)
 	tol := int(app.MatchTolSec * tr.RateHz)
 	recall, precision, tp, fp := Match(truth, detections, tol)

@@ -211,9 +211,6 @@ func TestPredefinedActivityErrors(t *testing.T) {
 	if _, err := (PredefinedActivity{Kind: PAKind(9), Threshold: 1}).Run(tr, apps.Steps()); err == nil {
 		t.Error("unknown kind should fail")
 	}
-	if PAKindFor(apps.Steps()) != SignificantMotion || PAKindFor(apps.Sirens()) != SignificantSound {
-		t.Error("PAKindFor misroutes")
-	}
 }
 
 func TestSidewinderAchievesMostOracleSavings(t *testing.T) {

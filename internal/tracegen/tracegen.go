@@ -57,11 +57,6 @@ func bump(u float64) float64 {
 	return s * s
 }
 
-// gaussianNoise returns a sampler of N(0, sigma) noise from rng.
-func gaussianNoise(rng *rand.Rand, sigma float64) func() float64 {
-	return func() float64 { return rng.NormFloat64() * sigma }
-}
-
 // jitter returns v multiplied by a uniform factor in [1-frac, 1+frac].
 func jitter(rng *rand.Rand, v, frac float64) float64 {
 	return v * (1 + (rng.Float64()*2-1)*frac)
