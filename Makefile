@@ -24,7 +24,7 @@ BENCH_PKGS = . ./internal/interp ./internal/telemetry ./internal/dsp ./internal/
 
 .PHONY: verify fmt build vet staticcheck test race bench bench-telemetry \
 	bench-baseline bench-check cover cover-check fuzz soak chaos fleetd-stress \
-	swbench-check profile-eval loc
+	swbench-check profile-eval loc loc-delta
 
 verify: fmt build vet staticcheck race
 	@echo "verify clean — consider 'make fuzz' (FUZZTIME=$(FUZZTIME) per target) for parser/framing changes"
@@ -112,6 +112,13 @@ profile-eval:
 # changes report their delta in this count.
 loc:
 	@scripts/loc.sh
+
+# loc-delta prints the same count per package at git revision BASE
+# (default HEAD) and in the working tree, with the difference. BASE is
+# unpacked into a temporary directory that is removed afterwards.
+BASE ?= HEAD
+loc-delta:
+	@scripts/loc_delta.sh $(BASE)
 
 # cover writes an aggregate coverage profile and prints the per-package
 # summary; open coverage.html for the annotated source view.

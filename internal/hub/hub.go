@@ -143,14 +143,6 @@ func (d Device) CheckFeasible(plan *core.Plan) error {
 	return d.check(f, i, mem, plan, "")
 }
 
-// CheckDemand verifies a raw resource demand (operations per second and
-// instance memory) against the device. It lets callers that deduplicate
-// work across conditions — the DAG demand model of package ir —
-// place sets more tightly than per-plan sums allow.
-func (d Device) CheckDemand(floatOpsPerSec, intOpsPerSec float64, memoryBytes int) error {
-	return d.check(floatOpsPerSec, intOpsPerSec, memoryBytes, nil, "")
-}
-
 // check is the one feasibility verdict with its error text. A demand that
 // belongs to a single plan names it; an anonymous one is described as
 // "<qualifier>demand" and "<qualifier>state".

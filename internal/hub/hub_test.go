@@ -196,10 +196,10 @@ func TestErrorTexts(t *testing.T) {
 		{selectErr(SelectDevice(Devices())), `hub: no plans to place`},
 		{selectErr(SelectDevice(nil, accelPlan(t))),
 			`hub: no device can run the condition set: hub: no candidate devices`},
-		{MSP430().CheckDemand(1e6, 5, 10),
-			`hub: condition cannot run in real time on this device: demand 100.00 Mcycles/s exceeds MSP430 budget 8.00 Mcycles/s`},
-		{MSP430().CheckDemand(1, 5, 1<<20),
-			`hub: condition does not fit in device RAM: state 1048576 B exceeds MSP430 RAM 16384 B`},
+		{selectErr(SelectDeviceForDemand([]Device{MSP430()}, 1e6, 5, 10)),
+			`hub: no device can satisfy the demand: hub: condition cannot run in real time on this device: demand 100.00 Mcycles/s exceeds MSP430 budget 8.00 Mcycles/s`},
+		{selectErr(SelectDeviceForDemand([]Device{MSP430()}, 1, 5, 1<<20)),
+			`hub: no device can satisfy the demand: hub: condition does not fit in device RAM: state 1048576 B exceeds MSP430 RAM 16384 B`},
 		{selectErr(SelectDeviceForDemand(Devices(), 1e8, 3, 1)),
 			`hub: no device can satisfy the demand: hub: condition cannot run in real time on this device: demand 10000.00 Mcycles/s exceeds MSP430 budget 8.00 Mcycles/s`},
 		{selectErr(SelectDeviceForDemand(nil, 1e8, 3, 1)),

@@ -7,14 +7,13 @@ import (
 	"sidewinder/internal/core"
 	"sidewinder/internal/ir"
 	"sidewinder/internal/link"
-	"sidewinder/internal/sched"
 )
 
 // This file wires the adaptive policy engine (package adapt) into the
 // sensor manager, closing the feedback loop end to end:
 //
 //	Feedback/ReportMissedWake -> engine.Observe -> Reparameterize ->
-//	sched re-admission -> MsgConfigPush update -> hub in-place rebuild
+//	MsgConfigPush update -> hub in-place rebuild
 //
 // It is the only feedback loop. The paper's §7 "smartness" extension —
 // "given feedback from the more complex algorithms running on the
@@ -30,12 +29,11 @@ import (
 // re-provisioning pushes the *adapted* program — adaptation survives hub
 // reboots with no extra protocol.
 //
-// Re-admission contract: an adaptation is applied only if (a) the attached
-// scheduler re-admits the mutated plan without displacing any other tenant
-// and without falling off the hub itself, and (b) the hub's own rebuild
-// accepts it. Either rejection rolls the condition back to its last good
-// program and clamps the engine (Veto) so the offending rung is never
-// proposed again.
+// Re-admission contract: the hub is the only admission controller, so an
+// adaptation is applied only if the hub's rebuild accepts the mutated
+// program. A rejection (MsgConfigError) rolls the condition back to its
+// last good program and clamps the engine (Veto) so the offending rung is
+// never proposed again.
 
 // adaptState is one condition under adaptive management.
 type adaptState struct {
@@ -59,7 +57,7 @@ func (as *adaptState) settleAck() {
 // EnableAdaptive puts a previously pushed condition under adaptive
 // management with the given policy bounds, so Feedback and
 // ReportMissedWake verdicts walk the full ladder. The condition must have
-// settled (acked by the hub or degraded to fallback).
+// settled (acked by the hub).
 //
 // The engine always starts fresh from the developer's plan. A condition
 // that plain Feedback verdicts had already tightened does not carry that
@@ -114,8 +112,8 @@ func (m *Manager) startEngine(id uint16, st *pushState, cfg adapt.Config) (*adap
 // data. The verdict feeds the condition's policy engine, starting a
 // threshold-only one if the condition has none, and any resulting
 // program change goes to the hub as a reliable in-place update. A verdict
-// for a degraded condition, or for a push the hub has not yet acked, is
-// accepted and dropped: there is no settled hub program to tune.
+// for a push the hub has not acked, or rejected, is accepted and dropped:
+// there is no settled hub program to tune.
 func (m *Manager) Feedback(id uint16, falsePositive bool) error {
 	st, ok := m.pushes[id]
 	if !ok {
@@ -123,7 +121,7 @@ func (m *Manager) Feedback(id uint16, falsePositive bool) error {
 	}
 	as := m.adaptive[id]
 	if as == nil {
-		if st.degraded || !st.acked || st.err != nil {
+		if !st.acked || st.err != nil {
 			return nil
 		}
 		var err error
@@ -201,15 +199,9 @@ func (m *Manager) applyAdaptation(id uint16, st *pushState, as *adaptState) erro
 }
 
 // pushProposal makes the hub run the engine's current proposal: mutate
-// the base plan, re-check admission, and push the new program unless it
-// is already the one running.
+// the base plan and push the new program unless it is already the one
+// running. The hub re-admits it by rebuilding its set.
 func (m *Manager) pushProposal(id uint16, st *pushState, as *adaptState) error {
-	if st.degraded {
-		// The condition runs phone-side; there is no hub program to
-		// mutate. The engine keeps observing so a later promotion starts
-		// from an informed state.
-		return nil
-	}
 	knobs := as.engine.Knobs()
 	plan, err := adapt.Reparameterize(m.cat, as.base, knobs)
 	if err != nil {
@@ -218,26 +210,6 @@ func (m *Manager) pushProposal(id uint16, st *pushState, as *adaptState) error {
 		// retry with the fallback proposal (bounded by the ladder).
 		as.engine.Veto()
 		return m.applyAdaptation(id, st, as)
-	}
-	if m.sched != nil {
-		delta, err := m.sched.Update(id, plan)
-		if err != nil {
-			return err
-		}
-		placement, _ := m.sched.Placement(id)
-		if placement != sched.PlacedHub || len(delta.Demoted) > 0 {
-			// Adaptation must never displace a tenant or degrade itself:
-			// re-register the last good program and clamp the engine.
-			if _, rerr := m.sched.Update(id, as.applied); rerr != nil {
-				return rerr
-			}
-			as.engine.Veto()
-			// The veto dropped the engine one rung; apply that fallback
-			// proposal now rather than waiting for the next verdict. Each
-			// veto strictly lowers the reachable rung, so this recursion
-			// is bounded by the ladder length.
-			return m.applyAdaptation(id, st, as)
-		}
 	}
 	irText := compileIR(plan)
 	if irText == st.irText {
@@ -256,18 +228,11 @@ func (m *Manager) pushProposal(id uint16, st *pushState, as *adaptState) error {
 }
 
 // rollbackAdaptation undoes a rejected adaptive update: the hub kept its
-// previous program, so the manager's view and the scheduler's
-// registration return to the last good plan and the engine is clamped.
+// previous program, so the manager's view returns to the last good plan
+// and the engine is clamped.
 func (m *Manager) rollbackAdaptation(id uint16, st *pushState, as *adaptState) {
 	st.irText = as.appliedText
 	st.err = nil
 	as.pending, as.pendingText = nil, ""
-	if m.sched != nil {
-		// Best-effort: the last good plan was admitted before, so
-		// re-registering it cannot fail structurally.
-		if _, err := m.sched.Update(id, as.applied); err != nil {
-			m.trace.Instant1("adapt.rollback_error", "phone", "cond", float64(id))
-		}
-	}
 	as.engine.Veto()
 }

@@ -215,57 +215,9 @@ func TestAdaptiveEscalationAndMissedWakeReset(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSchedVetoKeepsResidency: with the admission controller
-// attached, a rung whose window stretch no longer fits the device must be
-// vetoed at re-admission — the condition stays resident on the hub with
-// its last good program, and the engine never proposes that rung again.
-func TestAdaptiveSchedVetoKeepsResidency(t *testing.T) {
-	tb := schedBed(t, hub.MSP430(), TestbedConfig{})
-	id, device, err := tb.Push(bigWindow(2500), ListenerFunc(func(Event) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if device != "MSP430" {
-		t.Fatalf("placed on %s, want MSP430", device)
-	}
-	baseText := hubText(t, tb, id)
-	cfg := adapt.DefaultConfig()
-	cfg.Patience = 1
-	cfg.AllowQ15 = false // first rung is d=2/w=2: the infeasible one
-	if err := tb.EnableAdaptive(id, cfg); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := tb.Feedback(id, false); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := tb.Manager.AdaptiveStats(id)
-	if s.Vetoes == 0 {
-		t.Fatalf("infeasible rung not vetoed: %+v", s)
-	}
-	if s.Rung != 0 || s.MaxRung != 0 {
-		t.Fatalf("engine not clamped to baseline: %+v", s)
-	}
-	if got := hubText(t, tb, id); got != baseText {
-		t.Fatal("vetoed adaptation reached the hub")
-	}
-	if device, ready, err := tb.Manager.Status(id); err != nil || !ready || device != "MSP430" {
-		t.Fatalf("condition lost hub residency: device=%s ready=%v err=%v", device, ready, err)
-	}
-	// The clamped engine never retries the rung on further clean wakes.
-	for i := 0; i < 5; i++ {
-		if err := tb.Feedback(id, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s, _ := tb.Manager.AdaptiveStats(id); s.Vetoes != 1 {
-		t.Fatalf("clamped rung retried: %+v", s)
-	}
-}
-
-// TestAdaptiveHubRejectionRollsBack covers the second rejection point of
-// the re-admission contract: without a scheduler the manager pushes the
-// mutated program optimistically, the hub's own rebuild overflows RAM and
+// TestAdaptiveHubRejectionRollsBack covers the re-admission contract: the
+// manager pushes the mutated program optimistically, the hub's own rebuild
+// overflows RAM and
 // answers MsgConfigError, and the manager rolls back in lockstep — the
 // hub keeps running the old program and the engine is clamped.
 func TestAdaptiveHubRejectionRollsBack(t *testing.T) {

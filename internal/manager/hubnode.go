@@ -259,6 +259,11 @@ func (h *HubNode) Service() error {
 // handlePush parses, binds and places one pushed condition, replying with
 // an ack (device name) or an error. Placement accounts for DAG sharing:
 // the whole loaded set is merged (paper §7) and the merged demand placed.
+// A push for a resident condition is an in-place update (the phone
+// re-parameterized it, adaptive sensing): the new program replaces the old
+// one and the condition keeps its raw-data rings. Either way a failed
+// rebuild restores the previous set, which was feasible, so a push can
+// never take down a running set.
 func (h *HubNode) handlePush(payload []byte) error {
 	id, irText, err := decodeConfigPush(payload)
 	if err != nil {
@@ -267,39 +272,17 @@ func (h *HubNode) handlePush(payload []byte) error {
 		h.dropFrame()
 		return nil
 	}
+	ack := func() error {
+		return h.ep.Send(link.Frame{Type: link.MsgConfigAck, Payload: encodeIDText(id, h.device.Name)})
+	}
 	fail := func(cause error) error {
 		return h.ep.Send(link.Frame{Type: link.MsgConfigError, Payload: encodeIDText(id, cause.Error())})
 	}
-	if prev, dup := h.conds[id]; dup {
-		if prev.pushText == irText {
-			// Retransmitted push whose ack was lost: re-ack, don't
-			// double-load.
-			return h.ep.Send(link.Frame{Type: link.MsgConfigAck, Payload: encodeIDText(id, h.device.Name)})
-		}
-		// In-place update: the phone re-parameterized a resident condition
-		// (adaptive sensing). Bind the new program and swap it in, keeping
-		// the condition's raw-data rings. A failed rebuild restores the
-		// previous program — an update can never take down a running set.
-		plan, err := ir.ParseAndBind(irText, h.cat)
-		if err != nil {
-			return fail(err)
-		}
-		oldPlan, oldText := prev.plan, prev.pushText
-		prev.plan, prev.pushText = plan, irText
-		if err := h.rebuild(); err != nil {
-			prev.plan, prev.pushText = oldPlan, oldText
-			if rerr := h.rebuild(); rerr != nil {
-				return fmt.Errorf("manager: hub cannot restore previous condition set: %w", rerr)
-			}
-			return fail(err)
-		}
-		for _, ch := range plan.Channels {
-			if h.rings[ch] == nil {
-				h.rings[ch] = newRing(h.bufSize)
-			}
-		}
-		h.trace.Instant1("config.update", "hub", "cond", float64(id))
-		return h.ep.Send(link.Frame{Type: link.MsgConfigAck, Payload: encodeIDText(id, h.device.Name)})
+	prev, resident := h.conds[id]
+	if resident && prev.pushText == irText {
+		// Retransmitted push whose ack was lost: re-ack, don't
+		// double-load.
+		return ack()
 	}
 	plan, err := ir.ParseAndBind(irText, h.cat)
 	if err != nil {
@@ -307,8 +290,11 @@ func (h *HubNode) handlePush(payload []byte) error {
 	}
 	h.conds[id] = &condState{id: id, plan: plan, pushText: irText}
 	if err := h.rebuild(); err != nil {
-		delete(h.conds, id)
-		// Restore the previous merged set; the old set was feasible.
+		if resident {
+			h.conds[id] = prev
+		} else {
+			delete(h.conds, id)
+		}
 		if rerr := h.rebuild(); rerr != nil {
 			return fmt.Errorf("manager: hub cannot restore previous condition set: %w", rerr)
 		}
@@ -319,7 +305,10 @@ func (h *HubNode) handlePush(payload []byte) error {
 			h.rings[ch] = newRing(h.bufSize)
 		}
 	}
-	return h.ep.Send(link.Frame{Type: link.MsgConfigAck, Payload: encodeIDText(id, h.device.Name)})
+	if resident {
+		h.trace.Instant1("config.update", "hub", "cond", float64(id))
+	}
+	return ack()
 }
 
 // rebuild reconstructs the merged machine and re-places the set on the

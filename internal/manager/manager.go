@@ -9,7 +9,6 @@ import (
 	"sidewinder/internal/ir"
 	"sidewinder/internal/link"
 	"sidewinder/internal/resilience"
-	"sidewinder/internal/sched"
 	"sidewinder/internal/telemetry"
 )
 
@@ -36,16 +35,12 @@ func (f ListenerFunc) OnSensorEvent(e Event) { f(e) }
 
 // pushState tracks an in-flight or settled condition push. irText keeps
 // the compiled program so a push whose delivery failed can be re-sent.
-// degraded marks a condition the admission controller demoted to
-// phone-side fallback sensing: it is not loaded on the hub and must never
-// be re-provisioned there.
 type pushState struct {
 	listener Listener
 	irText   string
 	acked    bool
 	device   string
 	err      error
-	degraded bool
 }
 
 // Manager is the phone-side SidewinderSensorManager (paper §3.1-3.3): it
@@ -70,22 +65,15 @@ type Manager struct {
 	reprovisioning bool
 	reprov         ReprovisionStats
 
-	// sched is the optional hub capacity admission controller (nil =
-	// push until the hub rejects, the pre-scheduler behavior). See
-	// capacity.go.
-	sched *sched.Scheduler
-
 	// adaptive holds the per-condition policy engines (adaptive.go):
 	// started by EnableAdaptive, or threshold-only by a condition's first
 	// Feedback verdict. A condition without one runs as pushed.
 	adaptive map[uint16]*adaptState
 
 	// Telemetry handles, nil (no-op) until SetTelemetry attaches them.
-	cWakes    *telemetry.Counter
-	cDropped  *telemetry.Counter
-	cDemoted  *telemetry.Counter
-	cPromoted *telemetry.Counter
-	trace     *telemetry.Stream
+	cWakes   *telemetry.Counter
+	cDropped *telemetry.Counter
+	trace    *telemetry.Stream
 }
 
 // ReprovisionStats accounts the wire cost of post-crash recovery.
@@ -101,14 +89,11 @@ type ReprovisionStats struct {
 }
 
 // SetTelemetry attaches phone-side telemetry: counters
-// (phone.wakes_delivered, phone.rx_dropped_frames, and the admission
-// controller's phone.sched_demotions/phone.sched_promotions) and a trace
-// stream for wake.delivered instants. Any argument may be nil.
+// (phone.wakes_delivered, phone.rx_dropped_frames) and a trace stream for
+// wake.delivered instants. Any argument may be nil.
 func (m *Manager) SetTelemetry(reg *telemetry.Registry, trace *telemetry.Stream) {
 	m.cWakes = reg.Counter("phone.wakes_delivered")
 	m.cDropped = reg.Counter("phone.rx_dropped_frames")
-	m.cDemoted = reg.Counter("phone.sched_demotions")
-	m.cPromoted = reg.Counter("phone.sched_promotions")
 	m.trace = trace
 }
 
@@ -154,12 +139,9 @@ func New(ep link.Port, cat *core.Catalog) (*Manager, error) {
 // Push validates and compiles the pipeline, registers the listener, and
 // sends the IR program to the hub. The returned ID identifies the
 // condition; call Service (or use Testbed) to collect the hub's response,
-// then Status to check placement. With a scheduler attached this is a
-// default-priority PushPriority.
+// then Status to check placement: the hub admits or rejects the
+// condition against its device ladder.
 func (m *Manager) Push(p *core.Pipeline, l Listener) (uint16, error) {
-	if m.sched != nil {
-		return m.PushPriority(p, 0, l)
-	}
 	if l == nil {
 		return 0, fmt.Errorf("manager: a wake-up condition needs a SensorEventListener")
 	}
@@ -189,25 +171,15 @@ func (m *Manager) Repush(id uint16) error {
 	if !ok {
 		return fmt.Errorf("manager: unknown condition %d", id)
 	}
-	if st.degraded {
-		// A degraded condition lives on the phone, not the hub: there is
-		// nothing to re-send.
-		return nil
-	}
 	st.acked = false
 	st.err = nil
 	return m.ep.Send(link.Frame{Type: link.MsgConfigPush, Payload: encodeConfigPush(id, st.irText)})
 }
 
-// Remove unloads a condition from the hub and forgets its listener. With
-// a scheduler attached, the freed capacity may promote degraded
-// conditions back onto the hub.
+// Remove unloads a condition from the hub and forgets its listener.
 func (m *Manager) Remove(id uint16) error {
 	if _, ok := m.pushes[id]; !ok {
 		return fmt.Errorf("manager: unknown condition %d", id)
-	}
-	if m.sched != nil {
-		return m.removeScheduled(id)
 	}
 	if err := m.ep.Send(link.Frame{Type: link.MsgRemove, Payload: encodeRemove(id)}); err != nil {
 		return err
@@ -337,23 +309,18 @@ func (m *Manager) superviseTick() error {
 	return nil
 }
 
-// reprovisionAll re-pushes every hub-resident condition after a hub
-// crash. Degraded conditions are skipped: they run on the phone, and
-// re-pushing them would silently override the admission decision. The
-// hub's transmitter restarted at sequence zero, so the receive side must
-// resynchronize first or every post-reboot frame would be suppressed as a
-// duplicate. Pushes go out in ID order — deterministic recovery traffic
-// for reproducible experiments.
+// reprovisionAll re-pushes every registered condition after a hub crash.
+// The hub's transmitter restarted at sequence zero, so the receive side
+// must resynchronize first or every post-reboot frame would be suppressed
+// as a duplicate. Pushes go out in ID order — deterministic recovery
+// traffic for reproducible experiments.
 func (m *Manager) reprovisionAll() error {
 	if rs, ok := m.ep.(interface{ Resync() }); ok {
 		rs.Resync()
 	}
 	m.reprov.Passes++
 	ids := make([]uint16, 0, len(m.pushes))
-	for id, st := range m.pushes {
-		if st.degraded {
-			continue
-		}
+	for id := range m.pushes {
 		ids = append(ids, id)
 	}
 	m.trace.Instant1("supervisor.reprovision", "supervisor", "conds", float64(len(ids)))

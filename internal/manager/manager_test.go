@@ -177,6 +177,14 @@ func TestHubRejectsInfeasibleSet(t *testing.T) {
 	if tb.Hub.Loaded() != 0 {
 		t.Error("rejected condition must not stay loaded")
 	}
+	// Feedback on a rejected condition is accepted and dropped: the hub
+	// runs no program to tune, so no policy engine starts.
+	if err := tb.Manager.Feedback(id, true); err != nil {
+		t.Errorf("feedback on rejected condition: %v", err)
+	}
+	if tb.Manager.AdaptiveEnabled(id) {
+		t.Error("feedback on a rejected condition started a policy engine")
+	}
 }
 
 func TestRemoveUnknownCondition(t *testing.T) {

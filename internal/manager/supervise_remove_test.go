@@ -3,6 +3,7 @@ package manager
 import (
 	"testing"
 
+	"sidewinder/internal/core"
 	"sidewinder/internal/resilience"
 )
 
@@ -10,6 +11,18 @@ import (
 // supervision: a condition removed while the hub is unreachable (Down) or
 // mid-recovery (Recovering) must NOT come back when the supervisor
 // re-provisions the reconnected hub.
+
+// motionAt is significantMotion with a configurable threshold, so tests
+// can register structurally distinct accelerometer conditions.
+func motionAt(threshold float64) *core.Pipeline {
+	p := core.NewPipeline("motion")
+	for _, ch := range []core.SensorChannel{core.AccelX, core.AccelY, core.AccelZ} {
+		p.AddBranch(core.NewBranch(ch).Add(core.MovingAverage(10)))
+	}
+	p.Add(core.VectorMagnitude())
+	p.Add(core.MinThreshold(threshold))
+	return p
+}
 
 // runUntil services both sides until the supervisor reaches the wanted
 // state, failing the test if it never does within maxTicks.

@@ -272,21 +272,15 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 			observe(adapt.MissedWake)
 		}
 	}
-	// Programs swap at simBlock boundaries, so this loop keeps its own
-	// chunks rather than replayHub's: the cadence is part of the output.
-	f := make(fireList, 0, simBlock)
-	for base := 0; base < n; base += simBlock {
+	replayHub(w, n, func(f fireList, base, end int) fireList {
 		if pending != nil {
 			cur, pending = pending, nil
 		}
-		end := min(base+simBlock, n)
-		f = f[:0]
 		cur.m.Run(cur.chs, cur.data, base, end, f.add)
-		f = f.set()
 		hubMJ += cur.powerMW * float64(end-base) * dt
 		staticMJ += staticMW * float64(end-base) * dt
-		w.replay(f, base, end, visit, tracker.nextExpiry)
-	}
+		return f.set()
+	}, visit, tracker.nextExpiry)
 	intervals := w.close(n)
 	// Score (but no longer act on) events whose window ran off the trace.
 	frozenTally.MissedWakes += tracker.expire(n+tol+1, w.open())

@@ -287,7 +287,7 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, error) {
 		replayHub(w, n, func(f fireList, base, end int) fireList {
 			m.Run(chs, data, base, end, f.add)
 			return f.set()
-		}, visit)
+		}, visit, nil)
 		cell.HubEnergyMJ = dev.ActivePowerMW * cell.DurationSec
 	} else {
 		// Nothing on the hub: the phone sleeps through the whole trace

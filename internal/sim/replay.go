@@ -55,14 +55,15 @@ func (f fireList) set() fireList {
 // replayHub is the chunked hub→phone loop: for each simBlock chunk
 // [base, end) of the trace's n samples, pass appends the chunk's firings,
 // sorted and duplicate-free, to the fire list it is given, and w replays
-// them, handing each sample it handles to visit. The list holds one chunk
-// and is reused across chunks.
-func replayHub(w *wakeWindow, n int, pass func(f fireList, base, end int) fireList, visit func(i int, hit bool)) {
+// them, handing each sample it handles to visit and honouring until as
+// wakeWindow.replay does. The list holds one chunk and is reused across
+// chunks.
+func replayHub(w *wakeWindow, n int, pass func(f fireList, base, end int) fireList, visit func(i int, hit bool), until func() int) {
 	f := make(fireList, 0, simBlock)
 	for base := 0; base < n; base += simBlock {
 		end := min(base+simBlock, n)
 		f = pass(f[:0], base, end)
-		w.replay(f, base, end, visit, nil)
+		w.replay(f, base, end, visit, until)
 	}
 }
 

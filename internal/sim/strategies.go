@@ -306,7 +306,7 @@ func (p PredefinedActivity) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	n := tr.Len() // hoisted: Len ranges over the channel map
 	ph := power.NewPhone(power.Nexus4())
 	w := newWakeWindow(ph, tr.RateHz, int(app.PreBufferSec*tr.RateHz), int(paHoldSec*tr.RateHz))
-	replayHub(w, n, sig.fires, nil)
+	replayHub(w, n, sig.fires, nil, nil)
 	return finish(p.Name(), tr, app, ph, hub.MSP430().ActivePowerMW, w.close(n)), nil
 }
 
@@ -468,7 +468,7 @@ func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 	replayHub(w, n, func(f fireList, base, end int) fireList {
 		m.Run(exec.Channels, data, base, end, f.add)
 		return f.set()
-	}, visit)
+	}, visit, nil)
 
 	if s.Telemetry.Enabled() {
 		led := s.Telemetry.Ledger

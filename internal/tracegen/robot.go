@@ -177,23 +177,6 @@ func PaperRobotRunSpecs(seed int64, duration time.Duration) (configs []RobotConf
 	return configs, groups
 }
 
-// PaperRobotRuns generates the paper's 18-run set serially. Callers that
-// want the runs generated in parallel should fan PaperRobotRunSpecs
-// through their own pool.
-func PaperRobotRuns(seed int64, duration time.Duration) ([]*sensor.Trace, error) {
-	configs, groups := PaperRobotRunSpecs(seed, duration)
-	out := make([]*sensor.Trace, len(configs))
-	for i, cfg := range configs {
-		tr, err := Robot(cfg)
-		if err != nil {
-			return nil, err
-		}
-		tr.Meta["group"] = fmt.Sprintf("%d", groups[i])
-		out[i] = tr
-	}
-	return out, nil
-}
-
 // robotGen accumulates the three axis streams and ground truth.
 type robotGen struct {
 	rng     *rand.Rand

@@ -160,19 +160,19 @@ func TestRobotHeadbuttSignature(t *testing.T) {
 }
 
 func TestPaperRobotRuns(t *testing.T) {
-	runs, err := PaperRobotRuns(1, time.Minute)
-	if err != nil {
-		t.Fatal(err)
+	configs, groups := PaperRobotRunSpecs(1, time.Minute)
+	if len(configs) != 18 || len(groups) != 18 {
+		t.Fatalf("got %d runs in %d groups, want 18", len(configs), len(groups))
 	}
-	if len(runs) != 18 {
-		t.Fatalf("got %d runs, want 18", len(runs))
+	counts := map[int]int{}
+	for i, g := range groups {
+		counts[g]++
+		if idle := PaperGroups()[g-1]; configs[i].IdleFraction != idle {
+			t.Errorf("run %d in group %d idles %.1f, want %.1f", i, g, configs[i].IdleFraction, idle)
+		}
 	}
-	groups := map[string]int{}
-	for _, r := range runs {
-		groups[r.Meta["group"]]++
-	}
-	if groups["1"] != 9 || groups["2"] != 6 || groups["3"] != 3 {
-		t.Errorf("group counts = %v, want 9/6/3", groups)
+	if counts[1] != 9 || counts[2] != 6 || counts[3] != 3 {
+		t.Errorf("group counts = %v, want 9/6/3", counts)
 	}
 }
 
