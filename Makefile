@@ -24,7 +24,7 @@ BENCH_PKGS = . ./internal/interp ./internal/telemetry ./internal/dsp ./internal/
 
 .PHONY: verify fmt build vet staticcheck test race bench bench-telemetry \
 	bench-baseline bench-check cover cover-check fuzz soak chaos fleetd-stress \
-	swbench-check profile-eval loc loc-delta
+	swbench-check profile-eval loc loc-delta testonly-api
 
 verify: fmt build vet staticcheck race
 	@echo "verify clean — consider 'make fuzz' (FUZZTIME=$(FUZZTIME) per target) for parser/framing changes"
@@ -119,6 +119,13 @@ loc:
 BASE ?= HEAD
 loc-delta:
 	@scripts/loc_delta.sh $(BASE)
+
+# testonly-api lists exported functions and methods that no production
+# code (swbench included) calls, and fails on any not kept on purpose in
+# scripts/testonly_api.allow (name  # reason), so API that only tests
+# reach cannot pile up (CI's verify job).
+testonly-api:
+	@scripts/testonly_api.sh
 
 # cover writes an aggregate coverage profile and prints the per-package
 # summary; open coverage.html for the annotated source view.

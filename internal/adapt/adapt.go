@@ -22,9 +22,9 @@
 // The engine only proposes; it never applies. Callers (internal/manager
 // in the live stack, internal/sim in the simulator) must re-resolve the
 // proposal through Reparameterize, re-check admission against the
-// device's cycle/RAM budget (sched.Update, or hub.Device.Fits over
-// Demand), and call Veto
-// to clamp the engine when the proposal does not fit. That contract —
+// device's cycle/RAM budget (in the simulator hub.Device.Fits over
+// Demand; in the live stack the hub's rebuild of its resident set), and
+// call Veto to clamp the engine when the proposal does not fit. That contract —
 // adaptation can never exceed the budget a fresh push would be held to —
 // is what the budget-invariance property tests pin.
 package adapt
@@ -198,10 +198,6 @@ func buildLadder(cfg Config) []Knobs {
 	}
 	return ladder
 }
-
-// Ladder returns a copy of the engine's knob presets, baseline first.
-// ThresholdFactor is zero in the presets; the live factor is orthogonal.
-func (e *Engine) Ladder() []Knobs { return append([]Knobs(nil), e.ladder...) }
 
 // Knobs returns the engine's current proposal.
 func (e *Engine) Knobs() Knobs {

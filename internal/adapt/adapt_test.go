@@ -39,7 +39,7 @@ func TestSignalString(t *testing.T) {
 
 func TestLadderShape(t *testing.T) {
 	e := NewEngine(DefaultConfig())
-	ladder := e.Ladder()
+	ladder := e.ladder
 	want := []Knobs{
 		{Decimation: 1, WindowScale: 1, Precision: interp.Float64},
 		{Decimation: 1, WindowScale: 1, Precision: interp.Q15},
@@ -58,7 +58,7 @@ func TestLadderShape(t *testing.T) {
 	// No Q15: the float rung chain.
 	cfg := DefaultConfig()
 	cfg.AllowQ15 = false
-	ladder = NewEngine(cfg).Ladder()
+	ladder = NewEngine(cfg).ladder
 	for i, k := range ladder {
 		if k.Precision != interp.Float64 {
 			t.Errorf("rung %d precision = %v with AllowQ15=false", i, k.Precision)
@@ -206,8 +206,8 @@ func TestEngineVetoClampsRung(t *testing.T) {
 func TestNewEngineClampsInvalidConfig(t *testing.T) {
 	e := NewEngine(Config{MaxDecimation: -3, MaxWindowScale: 0, ThresholdMax: 0,
 		Patience: 0, Cooldown: -1, MissedWakeBound: -0.5})
-	if len(e.Ladder()) != 1 {
-		t.Fatalf("clamped config ladder = %+v, want baseline only", e.Ladder())
+	if len(e.ladder) != 1 {
+		t.Fatalf("clamped config ladder = %+v, want baseline only", e.ladder)
 	}
 	e.Observe(FalseWake)
 	if k := e.Knobs(); k.ThresholdFactor != 1 {

@@ -170,12 +170,6 @@ func (c *Catalog) Get(kind AlgorithmKind) (*Meta, error) {
 	return m, nil
 }
 
-// Has reports whether the catalog contains kind.
-func (c *Catalog) Has(kind AlgorithmKind) bool {
-	_, ok := c.metas[kind]
-	return ok
-}
-
 // Kinds returns all algorithm kinds in lexical order.
 func (c *Catalog) Kinds() []AlgorithmKind {
 	out := make([]AlgorithmKind, 0, len(c.metas))

@@ -65,9 +65,6 @@ func TestDefaultCatalogIntegrity(t *testing.T) {
 			}
 		}
 	}
-	if !cat.Has(KindMovingAvg) || cat.Has("bogus") {
-		t.Error("Has is broken")
-	}
 	if _, err := cat.Get("bogus"); err == nil {
 		t.Error("Get(bogus) should fail")
 	}

@@ -205,23 +205,6 @@ func BinFrequency(k, n int, sampleRate float64) float64 {
 	return float64(k) * sampleRate / float64(n)
 }
 
-// FrequencyBin returns the spectral bin index whose center frequency is
-// closest to freq for a transform of length n at the given sample rate.
-// The result is clamped to [0, n/2].
-func FrequencyBin(freq float64, n int, sampleRate float64) int {
-	if sampleRate <= 0 || n == 0 {
-		return 0
-	}
-	k := int(math.Round(freq * float64(n) / sampleRate))
-	if k < 0 {
-		k = 0
-	}
-	if k > n/2 {
-		k = n / 2
-	}
-	return k
-}
-
 // DominantFrequency returns the frequency (Hz) and magnitude of the largest
 // spectral bin of the real signal x, ignoring the DC bin. Only the first
 // half of the spectrum is searched (the signal is real, so the spectrum is

@@ -290,20 +290,21 @@ func TestFilterPreservesRealOutput(t *testing.T) {
 	}
 }
 
-func TestBinFrequencyAndFrequencyBinInverse(t *testing.T) {
-	const rate = 8000.0
-	n := 256
-	for k := 0; k <= n/2; k++ {
-		f := BinFrequency(k, n, rate)
-		if got := FrequencyBin(f, n, rate); got != k {
-			t.Errorf("FrequencyBin(BinFrequency(%d)) = %d", k, got)
+func TestBinFrequency(t *testing.T) {
+	for _, tc := range []struct {
+		k, n int
+		rate float64
+		want float64
+	}{
+		{0, 256, 8000, 0},
+		{1, 256, 8000, 31.25},
+		{128, 256, 8000, 4000}, // Nyquist bin
+		{3, 64, 50, 2.34375},
+		{5, 0, 8000, 0}, // empty transform
+	} {
+		if got := BinFrequency(tc.k, tc.n, tc.rate); got != tc.want {
+			t.Errorf("BinFrequency(%d, %d, %g) = %g, want %g", tc.k, tc.n, tc.rate, got, tc.want)
 		}
-	}
-	if got := FrequencyBin(-10, n, rate); got != 0 {
-		t.Errorf("negative frequency bin = %d, want 0", got)
-	}
-	if got := FrequencyBin(1e9, n, rate); got != n/2 {
-		t.Errorf("huge frequency bin = %d, want %d", got, n/2)
 	}
 }
 

@@ -135,7 +135,7 @@ const (
 // emission. The default backend buffers blockSize samples, filters the
 // block in the frequency domain, and emits the filtered block (paper §3.6
 // "FFT-based low/high-pass filtering"); its block size must be a power of
-// two so the FFT needs no padding. The IIR backend (NewIIRBlockFilter)
+// two so the FFT needs no padding. The IIR backend (NewIIRBlockFilterQ15)
 // keeps the same block framing but realizes the mask with a streaming
 // Butterworth biquad whose state carries across blocks — the form an
 // FPU-less MCU can actually run in real time (paper §4).
@@ -148,8 +148,7 @@ type BlockFilter struct {
 	out        []float64
 	spec       []complex128
 	keep       func(freq float64) bool
-	bq         *Biquad    // IIR backend (nil for FFT)
-	bqQ        *BiquadQ15 // Q15 IIR backend (nil otherwise)
+	bqQ        *BiquadQ15 // Q15 IIR backend (nil for FFT)
 }
 
 // NewBlockFilter returns an FFT-based block filter.
@@ -177,46 +176,22 @@ func NewBlockFilter(kind BlockFilterKind, cutoff, sampleRate float64, blockSize 
 	return f, nil
 }
 
-// NewIIRBlockFilter returns a block filter realized by a streaming
-// Butterworth biquad: block framing identical to the FFT backend, but the
-// filter state persists across block boundaries. blockSize only frames the
-// emission so it need not be a power of two.
-func NewIIRBlockFilter(kind BlockFilterKind, cutoff, sampleRate float64, blockSize int) (*BlockFilter, error) {
-	f, err := newIIRBlockFilter(kind, cutoff, sampleRate, blockSize)
-	if err != nil {
-		return nil, err
-	}
-	if kind == HighPass {
-		f.bq, err = NewHighPassBiquad(cutoff, sampleRate)
-	} else {
-		f.bq, err = NewLowPassBiquad(cutoff, sampleRate)
-	}
-	return f, err
-}
-
-// NewIIRBlockFilterQ15 is NewIIRBlockFilter with the biquad run in Q15
-// fixed point (quantized coefficients, saturating arithmetic).
+// NewIIRBlockFilterQ15 returns a block filter realized by a streaming
+// Butterworth biquad run in Q15 fixed point (quantized coefficients,
+// saturating arithmetic): block framing identical to the FFT backend, but
+// the filter state persists across block boundaries. blockSize only frames
+// the emission so it need not be a power of two.
 func NewIIRBlockFilterQ15(kind BlockFilterKind, cutoff, sampleRate float64, blockSize int) (*BlockFilter, error) {
-	f, err := newIIRBlockFilter(kind, cutoff, sampleRate, blockSize)
-	if err != nil {
-		return nil, err
-	}
-	var bq *Biquad
-	if kind == HighPass {
-		bq, err = NewHighPassBiquad(cutoff, sampleRate)
-	} else {
-		bq, err = NewLowPassBiquad(cutoff, sampleRate)
-	}
-	if err != nil {
-		return nil, err
-	}
-	f.bqQ = bq.Q15()
-	return f, nil
-}
-
-func newIIRBlockFilter(kind BlockFilterKind, cutoff, sampleRate float64, blockSize int) (*BlockFilter, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("dsp: block filter size must be positive, got %d", blockSize)
+	}
+	newBiquad := NewLowPassBiquad
+	if kind == HighPass {
+		newBiquad = NewHighPassBiquad
+	}
+	bq, err := newBiquad(cutoff, sampleRate)
+	if err != nil {
+		return nil, err
 	}
 	return &BlockFilter{
 		kind:       kind,
@@ -224,6 +199,7 @@ func newIIRBlockFilter(kind BlockFilterKind, cutoff, sampleRate float64, blockSi
 		sampleRate: sampleRate,
 		buf:        make([]float64, 0, blockSize),
 		blockSize:  blockSize,
+		bqQ:        bq.Q15(),
 	}, nil
 }
 
@@ -264,13 +240,6 @@ func (f *BlockFilter) Consume(src []float64) (n int, block []float64, ok bool) {
 // emit filters the full buffer through the active backend.
 func (f *BlockFilter) emit() (block []float64, ok bool) {
 	switch {
-	case f.bq != nil:
-		if cap(f.out) < f.blockSize {
-			f.out = make([]float64, 0, f.blockSize)
-		}
-		f.out, _ = f.bq.PushBlock(f.out[:0], f.buf)
-		f.buf = f.buf[:0]
-		return f.out, true
 	case f.bqQ != nil:
 		if cap(f.out) < f.blockSize {
 			f.out = make([]float64, 0, f.blockSize)
@@ -291,14 +260,11 @@ func (f *BlockFilter) emit() (block []float64, ok bool) {
 }
 
 // Reset discards buffered samples and clears the IIR state carried across
-// blocks. (The FFT backend has no cross-block state; the biquad backends
-// do, and forgetting it left residue from the previous stream bleeding
+// blocks. (The FFT backend has no cross-block state; the biquad backend
+// does, and forgetting it left residue from the previous stream bleeding
 // into the next one.)
 func (f *BlockFilter) Reset() {
 	f.buf = f.buf[:0]
-	if f.bq != nil {
-		f.bq.Reset()
-	}
 	if f.bqQ != nil {
 		f.bqQ.Reset()
 	}

@@ -216,50 +216,73 @@ func TestBlockFilterReset(t *testing.T) {
 }
 
 // TestIIRBlockFilterResetClearsState is the regression test for the Reset
-// bug: the IIR backends carry biquad state across blocks, and Reset used to
+// bug: the IIR backend carries biquad state across blocks, and Reset used to
 // truncate only the block buffer, so the first block after Reset was colored
 // by the previous stream. A reset filter must reproduce the first stream's
 // output exactly.
 func TestIIRBlockFilterResetClearsState(t *testing.T) {
-	mk := []struct {
-		name string
-		mk   func() (*BlockFilter, error)
-	}{
-		{"float", func() (*BlockFilter, error) { return NewIIRBlockFilter(LowPass, 10, 100, 16) }},
-		{"q15", func() (*BlockFilter, error) { return NewIIRBlockFilterQ15(LowPass, 10, 100, 16) }},
+	bf, err := NewIIRBlockFilterQ15(LowPass, 10, 100, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
 	src := make([]float64, 64)
 	for i := range src {
 		src[i] = math.Sin(float64(i)/2) + 0.5
 	}
-	for _, c := range mk {
-		bf, err := c.mk()
+	run := func() []float64 {
+		var out []float64
+		for _, v := range src {
+			if block, ok := bf.Push(v); ok {
+				out = append(out, block...)
+			}
+		}
+		return out
+	}
+	first := run()
+	// Leave both buffered samples and biquad state behind, then Reset.
+	bf.Push(3)
+	bf.Push(-7)
+	bf.Reset()
+	second := run()
+	if len(first) != len(second) {
+		t.Fatalf("%d outputs after reset, want %d", len(second), len(first))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("output %d = %g after Reset, want %g (stale IIR state)", i, second[i], first[i])
+		}
+	}
+}
+
+// TestIIRBlockFilterQ15Validation pins the constructor's error paths: a
+// non-positive block, and the biquad's cutoff and sample-rate checks, for
+// both masks. The IIR backend frames blocks without an FFT, so a block
+// that is not a power of two is fine.
+func TestIIRBlockFilterQ15Validation(t *testing.T) {
+	for _, kind := range []BlockFilterKind{LowPass, HighPass} {
+		for _, tc := range []struct {
+			name         string
+			cutoff, rate float64
+			block        int
+		}{
+			{"zero block", 10, 100, 0},
+			{"negative block", 10, 100, -1},
+			{"zero cutoff", 0, 100, 16},
+			{"cutoff at Nyquist", 50, 100, 16},
+			{"cutoff above Nyquist", 60, 100, 16},
+			{"zero sample rate", 10, 0, 16},
+			{"negative sample rate", 10, -100, 16},
+		} {
+			if _, err := NewIIRBlockFilterQ15(kind, tc.cutoff, tc.rate, tc.block); err == nil {
+				t.Errorf("kind %d, %s: want error", kind, tc.name)
+			}
+		}
+		bf, err := NewIIRBlockFilterQ15(kind, 10, 100, 12)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("kind %d, block 12: %v", kind, err)
 		}
-		run := func() []float64 {
-			var out []float64
-			for _, v := range src {
-				if block, ok := bf.Push(v); ok {
-					out = append(out, block...)
-				}
-			}
-			return out
-		}
-		first := run()
-		// Leave both buffered samples and biquad state behind, then Reset.
-		bf.Push(3)
-		bf.Push(-7)
-		bf.Reset()
-		second := run()
-		if len(first) != len(second) {
-			t.Fatalf("%s: %d outputs after reset, want %d", c.name, len(second), len(first))
-		}
-		for i := range first {
-			if first[i] != second[i] {
-				t.Fatalf("%s: output %d = %g after Reset, want %g (stale IIR state)",
-					c.name, i, second[i], first[i])
-			}
+		if bf.BlockSize() != 12 {
+			t.Errorf("kind %d: BlockSize = %d, want 12", kind, bf.BlockSize())
 		}
 	}
 }
@@ -350,19 +373,6 @@ func TestHammingSingleCoefficient(t *testing.T) {
 	c := HammingCoefficients(1)
 	if len(c) != 1 || c[0] != 1 {
 		t.Errorf("HammingCoefficients(1) = %v, want [1]", c)
-	}
-}
-
-func TestPartition(t *testing.T) {
-	wins, err := Partition([]float64{1, 2, 3, 4, 5, 6, 7}, 2, 2, Rectangular)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wins) != 3 {
-		t.Fatalf("got %d windows, want 3 (trailing sample dropped)", len(wins))
-	}
-	if _, err := Partition(nil, 0, 1, Rectangular); err == nil {
-		t.Error("invalid size should propagate error")
 	}
 }
 

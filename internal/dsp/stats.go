@@ -120,14 +120,3 @@ func Energy(x []float64) float64 {
 	}
 	return s
 }
-
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

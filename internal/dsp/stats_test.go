@@ -99,16 +99,6 @@ func TestMeanAbsAndEnergy(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	for _, tc := range []struct{ v, lo, hi, want float64 }{
-		{5, 0, 10, 5}, {-1, 0, 10, 0}, {11, 0, 10, 10}, {0, 0, 0, 0},
-	} {
-		if got := Clamp(tc.v, tc.lo, tc.hi); got != tc.want {
-			t.Errorf("Clamp(%g,%g,%g) = %g, want %g", tc.v, tc.lo, tc.hi, got, tc.want)
-		}
-	}
-}
-
 func TestVarianceNonNegativeProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		for _, v := range xs {

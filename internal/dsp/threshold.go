@@ -49,41 +49,3 @@ func (t *Threshold) Admits(v float64) bool {
 	_, ok := t.Push(v)
 	return ok
 }
-
-// Debouncer suppresses repeated triggers: after it passes a value it stays
-// closed for holdOff further samples. It is used to model admission-control
-// stages that should fire once per event rather than once per sample.
-type Debouncer struct {
-	holdOff   int
-	remaining int
-}
-
-// NewDebouncer returns a Debouncer with the given hold-off sample count.
-func NewDebouncer(holdOff int) (*Debouncer, error) {
-	if holdOff < 0 {
-		return nil, fmt.Errorf("dsp: debouncer hold-off must be non-negative, got %d", holdOff)
-	}
-	return &Debouncer{holdOff: holdOff}, nil
-}
-
-// Push passes v through unless the debouncer is in its hold-off period.
-func (d *Debouncer) Push(v float64) (out float64, ok bool) {
-	if d.remaining > 0 {
-		d.remaining--
-		return 0, false
-	}
-	d.remaining = d.holdOff
-	return v, true
-}
-
-// Tick advances the hold-off clock for samples that did not trigger the
-// upstream condition. Call it once per suppressed upstream sample so the
-// hold-off is measured in stream time, not trigger count.
-func (d *Debouncer) Tick() {
-	if d.remaining > 0 {
-		d.remaining--
-	}
-}
-
-// Reset reopens the debouncer immediately.
-func (d *Debouncer) Reset() { d.remaining = 0 }

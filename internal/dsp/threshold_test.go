@@ -65,58 +65,3 @@ func TestThresholdPassThroughValueProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDebouncer(t *testing.T) {
-	d, err := NewDebouncer(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Push(1); !ok {
-		t.Error("first trigger should pass")
-	}
-	if _, ok := d.Push(2); ok {
-		t.Error("trigger during hold-off should be suppressed")
-	}
-	if _, ok := d.Push(3); ok {
-		t.Error("still within hold-off")
-	}
-	if _, ok := d.Push(4); !ok {
-		t.Error("hold-off expired, trigger should pass")
-	}
-}
-
-func TestDebouncerTickAdvancesClock(t *testing.T) {
-	d, _ := NewDebouncer(3)
-	d.Push(1) // opens hold-off of 3
-	d.Tick()
-	d.Tick()
-	d.Tick()
-	if _, ok := d.Push(2); !ok {
-		t.Error("after 3 ticks the hold-off should have elapsed")
-	}
-}
-
-func TestDebouncerReset(t *testing.T) {
-	d, _ := NewDebouncer(10)
-	d.Push(1)
-	d.Reset()
-	if _, ok := d.Push(2); !ok {
-		t.Error("Reset should reopen immediately")
-	}
-}
-
-func TestDebouncerValidation(t *testing.T) {
-	if _, err := NewDebouncer(-1); err == nil {
-		t.Error("negative hold-off should fail")
-	}
-	d, err := NewDebouncer(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Push(1); !ok {
-		t.Error("zero hold-off passes everything")
-	}
-	if _, ok := d.Push(2); !ok {
-		t.Error("zero hold-off passes everything")
-	}
-}

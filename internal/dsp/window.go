@@ -132,21 +132,3 @@ func (w *Windower) emit() []float64 {
 
 // Reset discards any buffered samples.
 func (w *Windower) Reset() { w.buf = w.buf[:0] }
-
-// Partition splits x into consecutive windows of the given size and step,
-// applying the taper to each. Trailing samples that do not fill a window
-// are dropped.
-func Partition(x []float64, size, step int, shape WindowShape) ([][]float64, error) {
-	w, err := NewWindower(size, step, shape)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]float64
-	for _, v := range x {
-		if win, ok := w.Push(v); ok {
-			// Push reuses its buffer across emissions; keep a copy.
-			out = append(out, append([]float64(nil), win...))
-		}
-	}
-	return out, nil
-}

@@ -13,24 +13,6 @@ import (
 	"sidewinder/internal/telemetry"
 )
 
-// CalibratePA finds the predefined-activity threshold that minimizes power
-// while keeping 100% detection recall for every (trace, app) pair, exactly
-// the deliberately over-fit procedure of paper §5.3 ("we explored the
-// parameter space to determine the best thresholds ... values that
-// minimize power consumption, while maintaining 100% detection recall").
-//
-// Power decreases monotonically as the threshold rises (fewer wake-ups),
-// so the best threshold is the largest one that still recalls everything:
-// a coarse descending scan over a geometric grid suffices and stays
-// deterministic.
-func CalibratePA(workers int, kind sim.PAKind, traces []*sensor.Trace, appList []*apps.App, truths map[string][]sensor.Event) (float64, error) {
-	cal, err := calibratePA(workers, kind, traces, appList, truths, nil)
-	if err != nil {
-		return 0, err
-	}
-	return cal.pa.Threshold, nil
-}
-
 // paCalibration is what a calibration scan simulated, keyed by truthKey:
 // the Always-Awake ceilings and the predefined-activity runs at the chosen
 // threshold, both rescored against truths where the scan was given them.
@@ -41,10 +23,21 @@ type paCalibration struct {
 	aaRes, paRes map[string]*sim.Result
 }
 
-// calibratePA is CalibratePA returning what it ran. aa, when non-nil,
-// holds Always-Awake results for every (trace, app) pair that already ran
-// (Figure 7 needs them first, for its pseudo ground truth); otherwise the
-// ceilings run here.
+// calibratePA finds the predefined-activity threshold that minimizes power
+// while keeping 100% detection recall for every (trace, app) pair, exactly
+// the deliberately over-fit procedure of paper §5.3 ("we explored the
+// parameter space to determine the best thresholds ... values that
+// minimize power consumption, while maintaining 100% detection recall"),
+// and returns what it ran.
+//
+// Power decreases monotonically as the threshold rises (fewer wake-ups),
+// so the best threshold is the largest one that still recalls everything:
+// a coarse descending scan over a geometric grid suffices and stays
+// deterministic.
+//
+// aa, when non-nil, holds Always-Awake results for every (trace, app) pair
+// that already ran (Figure 7 needs them first, for its pseudo ground
+// truth); otherwise the ceilings run here.
 func calibratePA(workers int, kind sim.PAKind, traces []*sensor.Trace, appList []*apps.App, truths map[string][]sensor.Event, aa map[string]*sim.Result) (*paCalibration, error) {
 	// "100% recall" means recalling everything the main-CPU classifier
 	// can detect at all: the Always-Awake run is the per-(trace, app)

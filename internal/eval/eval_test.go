@@ -239,10 +239,11 @@ func TestSavingsShape(t *testing.T) {
 
 func TestCalibratePAFindsThreshold(t *testing.T) {
 	w := workload(t)
-	th, err := CalibratePA(w.Workers, sim.SignificantMotion, w.RobotRuns[:3], apps.AccelApps(), nil)
+	cal, err := calibratePA(w.Workers, sim.SignificantMotion, w.RobotRuns[:3], apps.AccelApps(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	th := cal.pa.Threshold
 	if th <= 0 {
 		t.Fatalf("threshold = %g", th)
 	}

@@ -257,12 +257,9 @@ func (e *engine) appendWakes(n *node, out Value) {
 	}
 }
 
-// Work returns the cumulative work executed since construction or the last
-// ResetWork, in catalog cost units.
+// Work returns the cumulative work executed since construction, in catalog
+// cost units.
 func (e *engine) Work() core.CostEstimate { return e.work }
-
-// ResetWork zeroes the work meter.
-func (e *engine) ResetWork() { e.work = core.CostEstimate{} }
 
 // Reset restores every algorithm instance to its initial state and clears
 // sequence counters; the work meter is left untouched.

@@ -179,10 +179,6 @@ func TestMergedResetAndWorkMeter(t *testing.T) {
 	if w := m.Work(); w.IntOps == 0 && w.FloatOps == 0 {
 		t.Error("work meter did not accumulate")
 	}
-	m.ResetWork()
-	if w := m.Work(); w.IntOps != 0 || w.FloatOps != 0 {
-		t.Error("ResetWork failed")
-	}
 	m.Reset()
 	// After reset the shared window must refill: 3 samples produce no
 	// wake even though values are high.

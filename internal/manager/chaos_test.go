@@ -220,8 +220,7 @@ func TestCrashChaosMatrix(t *testing.T) {
 						Seed: seed, DropProb: 0.02, BitFlipProb: 0.0002,
 						TruncateProb: 0.01, DelayProb: 0.02, DelayTicks: 2,
 					},
-					ARQ:           &link.ARQConfig{},
-					CrashSchedule: sc.crashes,
+					ARQ: &link.ARQConfig{},
 					Supervisor: &resilience.SupervisorConfig{
 						PingIntervalTicks: 4, TimeoutTicks: 4, MissBudget: 2,
 						ProbeBackoffTicks: 4, MaxProbeBackoffTicks: 16,
@@ -230,6 +229,7 @@ func TestCrashChaosMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				tb.Hub.SetCrash(resilience.NewScheduledCrashInjector(sc.crashes))
 				var events []Event
 				seen := make(map[int64]bool)
 				id, err := tb.Manager.Push(significantMotion(), ListenerFunc(func(e Event) {

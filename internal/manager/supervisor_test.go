@@ -26,9 +26,8 @@ func run(t *testing.T, tb *Testbed, n int) {
 func supervisedTestbed(t *testing.T, crashes []resilience.ScheduledCrash) *Testbed {
 	t.Helper()
 	tb, err := NewTestbed(TestbedConfig{
-		BufSamples:    32,
-		ARQ:           &link.ARQConfig{},
-		CrashSchedule: crashes,
+		BufSamples: 32,
+		ARQ:        &link.ARQConfig{},
 		Supervisor: &resilience.SupervisorConfig{
 			PingIntervalTicks: 4, TimeoutTicks: 4, MissBudget: 2,
 			ProbeBackoffTicks: 4, MaxProbeBackoffTicks: 16,
@@ -36,6 +35,9 @@ func supervisedTestbed(t *testing.T, crashes []resilience.ScheduledCrash) *Testb
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(crashes) > 0 {
+		tb.Hub.SetCrash(resilience.NewScheduledCrashInjector(crashes))
 	}
 	return tb
 }
@@ -189,16 +191,13 @@ func TestSupervisedEpochCatchesFastReboot(t *testing.T) {
 // supervisor exists for: without it, a reset silently empties the hub
 // and every future wake event is gone.
 func TestUnsupervisedResetLosesConditions(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{
-		BufSamples: 32,
-		ARQ:        &link.ARQConfig{},
-		CrashSchedule: []resilience.ScheduledCrash{
-			{AtTick: 100, Kind: resilience.Reset, DownTicks: 10},
-		},
-	})
+	tb, err := NewTestbed(TestbedConfig{BufSamples: 32, ARQ: &link.ARQConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb.Hub.SetCrash(resilience.NewScheduledCrashInjector([]resilience.ScheduledCrash{
+		{AtTick: 100, Kind: resilience.Reset, DownTicks: 10},
+	}))
 	var events []Event
 	if _, _, err := tb.Push(significantMotion(), ListenerFunc(func(e Event) {
 		events = append(events, e)

@@ -63,12 +63,6 @@ type TestbedConfig struct {
 	// injected faults. nil runs raw frames (the legacy behavior).
 	ARQ *link.ARQConfig
 
-	// CrashSchedule, when non-empty, installs a scripted injector firing
-	// exactly these outages (tick = Hub.Service pass); meant for tests
-	// that need a crash at a precise moment. Empty leaves the hub
-	// immortal.
-	CrashSchedule []resilience.ScheduledCrash
-
 	// Supervisor, when non-nil, attaches the hub liveness watchdog to the
 	// manager: heartbeat probing, down detection, and automatic
 	// re-provisioning on recovery. nil trusts the hub blindly (the legacy
@@ -116,9 +110,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	h, err := NewHubNode(hubPort, nil, cfg.Devices, cfg.BufSamples)
 	if err != nil {
 		return nil, err
-	}
-	if len(cfg.CrashSchedule) > 0 {
-		h.SetCrash(resilience.NewScheduledCrashInjector(cfg.CrashSchedule))
 	}
 	if cfg.Supervisor != nil {
 		m.AttachSupervisor(resilience.NewSupervisor(*cfg.Supervisor))

@@ -65,14 +65,6 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return results, firstError(errs)
 }
 
-// ForEach is Map without per-item results.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
 // All reports whether pred holds for every index 0..n-1, fanning the calls
 // through a bounded pool. Once any call reports false or fails, remaining
 // unstarted items are skipped, so pred must have no side effects beyond its

@@ -62,19 +62,6 @@ func TestMapRunsEveryItemDespiteErrors(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(3, 10, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-}
-
 func TestAll(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ok, err := All(workers, 20, func(i int) (bool, error) { return true, nil })

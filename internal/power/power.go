@@ -125,10 +125,6 @@ func NewPhoneAwake(profile Profile) *Phone {
 // State returns the current power state.
 func (p *Phone) State() State { return p.state }
 
-// UsableAwake reports whether the application can currently process sensor
-// data (fully awake, not in a transition).
-func (p *Phone) UsableAwake() bool { return p.state == Awake }
-
 // WakeUps returns the number of asleep-to-awake transitions started.
 func (p *Phone) WakeUps() int { return p.wakeUps }
 

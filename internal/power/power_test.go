@@ -126,23 +126,8 @@ func TestRequestSemantics(t *testing.T) {
 	if ph.WakeUps() != 2 {
 		t.Errorf("wakeups = %d, want 2", ph.WakeUps())
 	}
-	if !ph.UsableAwake() == true && ph.State() != WakingUp {
+	if ph.State() != WakingUp {
 		t.Errorf("state = %s, want waking-up", ph.State())
-	}
-}
-
-func TestUsableAwake(t *testing.T) {
-	ph := NewPhone(Nexus4())
-	if ph.UsableAwake() {
-		t.Error("asleep phone is not usable")
-	}
-	ph.RequestWake()
-	if ph.UsableAwake() {
-		t.Error("waking phone is not usable")
-	}
-	ph.Advance(1)
-	if !ph.UsableAwake() {
-		t.Error("awake phone is usable")
 	}
 }
 

@@ -4,23 +4,24 @@
 // which degrade to phone-side duty-cycled fallback sensing.
 //
 // The paper's prototype pushes conditions until the hub rejects one; this
-// package gives the sensor manager the missing multi-tenant story. Each
-// condition is costed through the DAG compile pass's static demand
-// (package ir), so structurally identical subgraphs across applications —
-// shared prefixes, shared interior stages, whole duplicate pipelines — are
-// billed exactly once: two applications windowing the microphone the same
-// way together cost one windower. On overload the controller does not
-// reject: it demotes the lowest-priority conditions to fallback, where the
-// phone's duty-cycling schedule covers them at higher energy (billed to
-// the ledger's phone.fallback component by package sim).
+// package is the fleet model's admission controller, the multi-tenant
+// story the prototype lacks. Each condition is costed through the DAG
+// compile pass's static demand (package ir), so structurally identical
+// subgraphs across applications — shared prefixes, shared interior
+// stages, whole duplicate pipelines — are billed exactly once: two
+// applications windowing the microphone the same way together cost one
+// windower. On overload the controller does not reject: it demotes the
+// lowest-priority conditions to fallback, where the phone's duty-cycling
+// schedule covers them at higher energy (billed to the ledger's
+// phone.fallback component by package sim).
 //
 // Admission is a deterministic full recompute over the registered set:
 // conditions sorted by descending priority (insertion order breaking
 // ties) are greedily placed on the hub while the merged demand of the
-// placed set fits the budget. The greedy order makes the controller
-// monotone and history-free — removing a condition can only promote
-// others, and the same registered set always yields the same placement
-// regardless of the arrival order that produced it.
+// placed set fits the budget. Placement is recomputed on every Add and
+// Update, so the controller is history-free: the same registered set
+// always yields the same placement regardless of the arrival order that
+// produced it.
 package sched
 
 import (
@@ -32,7 +33,7 @@ import (
 	"sidewinder/internal/ir"
 )
 
-// FallbackDeviceName is the placement Status/reports show for a condition
+// FallbackDeviceName is the name Placement.String renders for a condition
 // degraded to phone-side sensing.
 const FallbackDeviceName = "phone-fallback"
 
@@ -73,9 +74,9 @@ type condition struct {
 	seq      int // insertion order, the priority tiebreak
 }
 
-// Delta reports the placement changes one Add or Remove caused, with IDs
-// in ascending order. The condition just added appears in neither list;
-// query its placement directly.
+// Delta reports the placement changes one Add or Update caused, with IDs
+// in ascending order. The condition just added or updated appears in
+// neither list; query its placement directly.
 type Delta struct {
 	// Promoted moved fallback -> hub (capacity freed up or sharing made
 	// them cheap).
@@ -162,18 +163,6 @@ func (s *Scheduler) Update(id uint16, plan *core.Plan) (Delta, error) {
 	return s.recompute(id), nil
 }
 
-// Remove unregisters a condition and recomputes placements; freed
-// capacity can promote degraded conditions back to the hub. Removing an
-// unknown ID is an error.
-func (s *Scheduler) Remove(id uint16) (Delta, error) {
-	if _, ok := s.conds[id]; !ok {
-		return Delta{}, fmt.Errorf("sched: unknown condition %d", id)
-	}
-	delete(s.conds, id)
-	delete(s.placed, id)
-	return s.recompute(id), nil
-}
-
 // Placement reports where a condition runs.
 func (s *Scheduler) Placement(id uint16) (Placement, bool) {
 	p, ok := s.placed[id]
@@ -235,7 +224,7 @@ func (s *Scheduler) Utilization() (cycleFrac, ramFrac float64, sharedNodes int) 
 }
 
 // recompute rebuilds the placement map greedily and diffs it against the
-// previous one. The just-changed ID (added or removed) is excluded from
+// previous one. The just-changed ID (added or updated) is excluded from
 // the delta: its own transition is the caller's direct result, not a
 // side effect.
 func (s *Scheduler) recompute(changed uint16) Delta {

@@ -157,7 +157,7 @@ func TestSharedPrefixAdmitsMore(t *testing.T) {
 	}
 }
 
-func TestRemovePromotesDegraded(t *testing.T) {
+func TestUpdatePromotesDegraded(t *testing.T) {
 	s := New(hub.LM4F120())
 	// Fill the hub with high-priority distinct sirens until one more (low
 	// priority) degrades.
@@ -171,9 +171,9 @@ func TestRemovePromotesDegraded(t *testing.T) {
 		}
 	}
 	victim := s.FallbackSet()[0]
-	// Removing an admitted condition frees capacity: the victim must come
-	// back.
-	d, err := s.Remove(s.HubSet()[0])
+	// Shrinking an admitted condition to a cheap motion plan frees
+	// capacity: the victim must come back.
+	d, err := s.Update(s.HubSet()[0], motionPlan(t, 15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRemovePromotesDegraded(t *testing.T) {
 	}
 }
 
-func TestAddRemoveErrors(t *testing.T) {
+func TestAddErrors(t *testing.T) {
 	s := New(hub.MSP430())
 	if _, err := s.Add(1, nil, 0); err == nil {
 		t.Error("nil plan accepted")
@@ -196,12 +196,9 @@ func TestAddRemoveErrors(t *testing.T) {
 	if _, err := s.Add(1, motionPlan(t, 15), 0); err == nil {
 		t.Error("duplicate ID accepted")
 	}
-	if _, err := s.Remove(9); err == nil {
-		t.Error("unknown remove accepted")
-	}
 }
 
-// TestPropertyAdmittedSetNeverExceedsBudget drives random Add/Remove
+// TestPropertyAdmittedSetNeverExceedsBudget drives random Add/Update
 // sequences and checks the scheduler's core invariants after every
 // operation:
 //
@@ -218,32 +215,24 @@ func TestPropertyAdmittedSetNeverExceedsBudget(t *testing.T) {
 	for _, dev := range hub.Devices() {
 		rng := rand.New(rand.NewSource(7))
 		s := New(dev)
-		live := make(map[uint16]int) // id -> priority
-		nextID := uint16(1)
+		registered := 0 // IDs 1..registered; nothing is ever unregistered
 		for op := 0; op < 300; op++ {
-			if len(live) == 0 || (len(live) < 40 && rng.Intn(3) != 0) {
-				prio := rng.Intn(3)
-				if _, err := s.Add(nextID, plans[rng.Intn(len(plans))], prio); err != nil {
+			if registered == 0 || (registered < 40 && rng.Intn(3) != 0) {
+				registered++
+				if _, err := s.Add(uint16(registered), plans[rng.Intn(len(plans))], rng.Intn(3)); err != nil {
 					t.Fatal(err)
 				}
-				live[nextID] = prio
-				nextID++
 			} else {
-				var ids []uint16
-				for id := range live {
-					ids = append(ids, id)
-				}
-				id := ids[rng.Intn(len(ids))]
-				if _, err := s.Remove(id); err != nil {
+				id := uint16(1 + rng.Intn(registered))
+				if _, err := s.Update(id, plans[rng.Intn(len(plans))]); err != nil {
 					t.Fatal(err)
 				}
-				delete(live, id)
 			}
 
 			hubIDs, fbIDs := s.HubSet(), s.FallbackSet()
-			if len(hubIDs)+len(fbIDs) != len(live) {
+			if len(hubIDs)+len(fbIDs) != registered {
 				t.Fatalf("op %d on %s: %d placed != %d registered",
-					op, dev.Name, len(hubIDs)+len(fbIDs), len(live))
+					op, dev.Name, len(hubIDs)+len(fbIDs), registered)
 			}
 			f, i, mem := ir.Demand(ir.CompileOptions{}, s.HubPlans()...)
 			if len(hubIDs) > 0 && !dev.Fits(f, i, mem) {

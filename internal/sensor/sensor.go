@@ -202,16 +202,3 @@ func (t *Trace) Slice(start, end int) *Trace {
 	}
 	return out
 }
-
-// SampleIndexAt converts a time offset into a sample index, clamped to the
-// trace bounds.
-func (t *Trace) SampleIndexAt(d time.Duration) int {
-	i := int(d.Seconds() * t.RateHz)
-	if i < 0 {
-		i = 0
-	}
-	if n := t.Len(); i > n {
-		i = n
-	}
-	return i
-}

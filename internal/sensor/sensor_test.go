@@ -145,19 +145,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestSampleIndexAt(t *testing.T) {
-	tr := sampleTrace() // 50 Hz, 10 samples
-	if got := tr.SampleIndexAt(100 * time.Millisecond); got != 5 {
-		t.Errorf("index at 100ms = %d, want 5", got)
-	}
-	if got := tr.SampleIndexAt(-time.Second); got != 0 {
-		t.Errorf("negative time index = %d", got)
-	}
-	if got := tr.SampleIndexAt(time.Hour); got != 10 {
-		t.Errorf("beyond-end index = %d", got)
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer

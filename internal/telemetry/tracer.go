@@ -51,19 +51,6 @@ type traceEvent struct {
 // NewTracer returns an empty tracer with the default event cap.
 func NewTracer() *Tracer { return &Tracer{max: DefaultMaxEvents} }
 
-// SetMaxEvents overrides the event cap (<= 0 restores the default).
-func (t *Tracer) SetMaxEvents(n int) {
-	if t == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultMaxEvents
-	}
-	t.mu.Lock()
-	t.max = n
-	t.mu.Unlock()
-}
-
 // Merge appends o's events to t as if o's streams had been registered on
 // t: stream ids continue t's numbering, label prefixes each stream name,
 // and t's event cap applies, with o's dropped events added to t's count.
@@ -118,16 +105,6 @@ func (t *Tracer) Events() int {
 	return len(t.events)
 }
 
-// Dropped returns how many events were discarded at the cap.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // tracePID is the constant process ID of the simulated system.
 const tracePID = 1
 
@@ -147,21 +124,33 @@ func (t *Tracer) push(e traceEvent) {
 }
 
 // WriteJSON exports the trace in the Chrome trace_event JSON Object
-// Format: {"traceEvents": [...], "displayTimeUnit": "ms"}.
+// Format: {"traceEvents": [...], "displayTimeUnit": "ms"}. A tracer that
+// dropped events at its cap says so in the format's metadata key,
+// "otherData": {"droppedEvents": N}, so a truncated trace does not pass
+// for a complete one; the key is absent when nothing was dropped.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	var events []traceEvent
+	var dropped int64
 	if t != nil {
 		t.mu.Lock()
 		events = append(events, t.events...)
+		dropped = t.dropped
 		t.mu.Unlock()
 	}
 	if events == nil {
 		events = []traceEvent{}
 	}
+	type otherData struct {
+		DroppedEvents int64 `json:"droppedEvents"`
+	}
 	doc := struct {
 		TraceEvents     []traceEvent `json:"traceEvents"`
 		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}{events, "ms"}
+		OtherData       *otherData   `json:"otherData,omitempty"`
+	}{TraceEvents: events, DisplayTimeUnit: "ms"}
+	if dropped > 0 {
+		doc.OtherData = &otherData{dropped}
+	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
 }

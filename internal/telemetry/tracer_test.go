@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -79,19 +78,52 @@ func TestTracerStreamsGetDistinctTIDs(t *testing.T) {
 	}
 }
 
+// TestTracerEventCap: a tracer buffers at most its cap and counts the
+// rest dropped; a trace truncated at the cap carries the drop count in
+// "otherData", a merged tracer reports the sum of its own and its cells'
+// drops, and a trace that dropped nothing has no such key.
 func TestTracerEventCap(t *testing.T) {
-	tr := NewTracer()
-	tr.SetMaxEvents(4)
-	var clk Clock
-	s := tr.Stream("s", &clk) // 1 metadata event
-	for i := 0; i < 10; i++ {
-		s.Instant("e", "c")
+	capped := func(n int) *Tracer {
+		tr := NewTracer()
+		tr.max = 4
+		var clk Clock
+		s := tr.Stream("s", &clk) // 1 metadata event
+		for i := 1; i < n; i++ {
+			s.Instant("e", "c")
+		}
+		return tr
 	}
+	dropped := func(tr *Tracer) (int64, bool) {
+		var out strings.Builder
+		if err := tr.WriteJSON(&out); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			OtherData *struct {
+				DroppedEvents int64 `json:"droppedEvents"`
+			} `json:"otherData"`
+		}
+		if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.OtherData == nil {
+			return 0, false
+		}
+		return doc.OtherData.DroppedEvents, true
+	}
+	tr := capped(11)
 	if got := tr.Events(); got != 4 {
 		t.Errorf("buffered %d events, want cap 4", got)
 	}
-	if got := tr.Dropped(); got != 7 {
-		t.Errorf("dropped %d events, want 7", got)
+	if n, ok := dropped(tr); !ok || n != 7 {
+		t.Errorf("droppedEvents = %d (present %v), want 7", n, ok)
+	}
+	tr.Merge("cell/", capped(6))
+	if n, ok := dropped(tr); !ok || n != 7+2+4 {
+		t.Errorf("merged droppedEvents = %d (present %v), want 13", n, ok)
+	}
+	if n, ok := dropped(capped(4)); ok {
+		t.Errorf("a trace that dropped nothing reports droppedEvents = %d", n)
 	}
 }
 
@@ -143,8 +175,8 @@ func TestSetMergeMatchesSerial(t *testing.T) {
 	}
 	serial := Set{Metrics: NewRegistry(), Ledger: NewLedger(), Tracer: NewTracer()}
 	merged := Set{Metrics: NewRegistry(), Ledger: NewLedger(), Tracer: NewTracer()}
-	serial.Tracer.SetMaxEvents(5)
-	merged.Tracer.SetMaxEvents(5)
+	serial.Tracer.max = 5
+	merged.Tracer.max = 5
 	for i, label := range []string{"a/", "b/", "c/"} {
 		record(serial, label, i)
 		cell := merged.Cell()
@@ -162,14 +194,13 @@ func TestSetMergeMatchesSerial(t *testing.T) {
 		if err := set.Tracer.WriteJSON(&b); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "dropped %d\n", set.Tracer.Dropped())
 		return b.String()
 	}
 	want, got := export(serial), export(merged)
 	if got != want {
 		t.Errorf("merged cells differ from a serial run:\nserial:\n%s\nmerged:\n%s", want, got)
 	}
-	if serial.Tracer.Dropped() == 0 {
+	if serial.Tracer.dropped == 0 {
 		t.Error("the cap should have dropped events")
 	}
 }
