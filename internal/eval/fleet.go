@@ -31,8 +31,9 @@ const fleetPopulation = 16
 // the workload catalog, places the mix through the hub capacity
 // scheduler, and replays the admitted set on a merged interpreter while
 // degraded conditions are billed as phone-side duty-cycled fallback.
-// Cells fan out over the worker pool; populations and tables are
-// byte-identical at any worker count.
+// The cells of every mix fan out together over the worker pool (one
+// sim.FleetSweep call); populations and tables are byte-identical at any
+// worker count.
 func FleetCapacity(o Options, w *Workload) (*FleetCapacityResult, error) {
 	o = o.withDefaults()
 	accel := make([]*sensor.Trace, 0, len(w.RobotRuns)+len(w.Human))
@@ -50,8 +51,11 @@ func FleetCapacity(o Options, w *Workload) (*FleetCapacityResult, error) {
 			"deduplicated by cross-app sharing.", fleetPopulation),
 	}
 
+	// Every mix runs in one fan-out, so cells of different mixes that
+	// replay the same admitted set over the same trace share that replay.
+	cfgs := make([]sim.FleetRunConfig, len(fleetAppMixes))
 	for mi, m := range fleetAppMixes {
-		res, err := sim.FleetRun(sim.FleetRunConfig{
+		cfgs[mi] = sim.FleetRunConfig{
 			Devices:       fleetPopulation,
 			AppsPerDevice: m,
 			Seed:          o.Seed + int64(mi)*0x5EED,
@@ -61,10 +65,14 @@ func FleetCapacity(o Options, w *Workload) (*FleetCapacityResult, error) {
 			Telemetry:     w.Telemetry,
 			Precision:     w.Precision,
 			DisableCSE:    w.DisableCSE,
-		})
-		if err != nil {
-			return nil, err
 		}
+	}
+	runs, err := sim.FleetSweep(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for mi, m := range fleetAppMixes {
+		res := runs[mi]
 		out.Runs[m] = res
 
 		split := make(map[string]int)

@@ -205,7 +205,8 @@ func TestAddErrors(t *testing.T) {
 //  1. the admitted set's merged demand fits the cycle and RAM budgets,
 //  2. every registered condition is placed somewhere (no rejection), and
 //  3. a degraded condition really would not fit: adding its plan to the
-//     admitted set of its priority class would blow the budget (no
+//     admitted conditions that outrank it (higher priority, or equal
+//     priority and registered earlier) would blow the budget (no
 //     spurious degradation).
 func TestPropertyAdmittedSetNeverExceedsBudget(t *testing.T) {
 	plans := []*core.Plan{
@@ -216,6 +217,7 @@ func TestPropertyAdmittedSetNeverExceedsBudget(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		s := New(dev)
 		registered := 0 // IDs 1..registered; nothing is ever unregistered
+		degraded := 0   // degradations invariant 3 checked
 		for op := 0; op < 300; op++ {
 			if registered == 0 || (registered < 40 && rng.Intn(3) != 0) {
 				registered++
@@ -239,6 +241,23 @@ func TestPropertyAdmittedSetNeverExceedsBudget(t *testing.T) {
 				t.Fatalf("op %d on %s: admitted set exceeds budget: %.2f Mcycles/s of %.2f, %d B of %d",
 					op, dev.Name, dev.Cycles(f, i)/1e6, dev.CycleBudget()/1e6, mem, dev.RAMBytes)
 			}
+			for _, id := range fbIDs {
+				degraded++
+				c := s.conds[id]
+				var set []*core.Plan
+				for _, hid := range hubIDs {
+					if h := s.conds[hid]; h.priority > c.priority || (h.priority == c.priority && h.seq < c.seq) {
+						set = append(set, h.plan)
+					}
+				}
+				if f, i, mem := ir.Demand(ir.CompileOptions{}, append(set, c.plan)...); dev.Fits(f, i, mem) {
+					t.Fatalf("op %d on %s: condition %d degraded, yet it fits on top of the %d admitted conditions that outrank it",
+						op, dev.Name, id, len(set))
+				}
+			}
+		}
+		if degraded == 0 {
+			t.Errorf("%s never degraded a condition; invariant 3 went unchecked", dev.Name)
 		}
 	}
 }

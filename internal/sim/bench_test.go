@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sidewinder/internal/apps"
+	"sidewinder/internal/sensor"
 	"sidewinder/internal/tracegen"
 )
 
@@ -35,5 +36,42 @@ func BenchmarkReplay(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFleetSweep runs the fleet experiment's shape, four app mixes
+// (1, 2, 4 and 6 apps) of 16 phones each in one sweep, over seeded 2-minute
+// robot, commute and office-audio traces at one worker, pinning the
+// sweep's allocations (make bench-check). Every op builds a fresh memo, so
+// each op replays the same distinct (trace, admitted set) keys.
+func BenchmarkFleetSweep(b *testing.B) {
+	robot, err := tracegen.Robot(tracegen.RobotConfig{Seed: 1, Duration: 2 * time.Minute, IdleFraction: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	human, err := tracegen.Human(tracegen.HumanConfig{Seed: 2, Duration: 2 * time.Minute, Profile: tracegen.Commute})
+	if err != nil {
+		b.Fatal(err)
+	}
+	audio, err := tracegen.Audio(tracegen.NewAudioConfig(3, 2*time.Minute, tracegen.OfficeAudio))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cfgs []FleetRunConfig
+	for i, m := range []int{1, 2, 4, 6} {
+		cfgs = append(cfgs, FleetRunConfig{
+			Devices: 16, AppsPerDevice: m, Seed: 1 + int64(i)*0x5EED, Workers: 1,
+			Accel: []*sensor.Trace{robot, human}, Audio: []*sensor.Trace{audio},
+		})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := FleetSweep(cfgs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res[3].Admitted == 0 {
+			b.Fatal("nothing admitted: the benchmark replays nothing")
+		}
 	}
 }

@@ -3,8 +3,10 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"sidewinder/internal/apps"
 	"sidewinder/internal/core"
@@ -28,10 +30,12 @@ import (
 // degraded remainder is billed as duty-cycled fallback sensing.
 //
 // The sweep is an analytic population model on top of the interpreter —
-// no wire replay — so a cell's cost is dominated by the trace length, and
-// cells fan out over the bounded worker pool. Cell RNGs are derived from
-// (Seed, cell index) alone and ledger deposits happen after the fan-out
-// in cell order, so results are byte-identical at any worker count.
+// no wire replay — so a cell's cost is dominated by its hub replay, and
+// cells fan out over the bounded worker pool. Cells that replay the same
+// admitted set over the same trace share one replay (FleetSweep). Cell
+// RNGs are derived from (Seed, cell index) alone and ledger deposits
+// happen after the fan-out in cell order, so results are byte-identical at
+// any worker count.
 
 // FleetRunConfig parameterizes one fleet sweep.
 type FleetRunConfig struct {
@@ -146,49 +150,134 @@ func (c *FleetCell) DepositEnergy(led *telemetry.Ledger) {
 }
 
 // FleetRun sweeps the population and returns per-cell placements and the
-// aggregate admission/energy picture.
+// aggregate admission/energy picture. It is FleetSweep over one mix.
 func FleetRun(cfg FleetRunConfig) (*FleetResult, error) {
-	if cfg.Devices <= 0 {
-		return nil, fmt.Errorf("sim: fleet needs a positive population size")
+	res, err := FleetSweep([]FleetRunConfig{cfg})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.AppsPerDevice <= 0 {
-		return nil, fmt.Errorf("sim: fleet needs a positive app mix size")
+	return res[0], nil
+}
+
+// FleetSweep sweeps several populations, one per config and typically one
+// per app-mix size, through one cell fan-out and returns their results in
+// config order. Each result, ledger deposits included, is exactly what
+// FleetRun returns for its config. The configs must agree on Workers,
+// Precision and DisableCSE, which bound the one fan-out and shape every
+// hub replay.
+//
+// A phone's replay depends only on its trace and on the set of plans its
+// hub admitted: the hub decides the wakes and the phone only replays them
+// (paper §3, §4.2). So cells that share a (trace, admitted set) key, within
+// a population or across populations, share one replay; device and
+// fallback energy stay per cell. The shared replays live for one call.
+func FleetSweep(cfgs []FleetRunConfig) ([]*FleetResult, error) {
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("sim: fleet needs at least one population")
 	}
-	if len(cfg.Accel) == 0 && len(cfg.Audio) == 0 {
-		return nil, fmt.Errorf("sim: fleet needs at least one candidate trace")
+	for _, cfg := range cfgs {
+		if cfg.Devices <= 0 {
+			return nil, fmt.Errorf("sim: fleet needs a positive population size")
+		}
+		if cfg.AppsPerDevice <= 0 {
+			return nil, fmt.Errorf("sim: fleet needs a positive app mix size")
+		}
+		if len(cfg.Accel) == 0 && len(cfg.Audio) == 0 {
+			return nil, fmt.Errorf("sim: fleet needs at least one candidate trace")
+		}
+		if cfg.Workers != cfgs[0].Workers || cfg.Precision != cfgs[0].Precision || cfg.DisableCSE != cfgs[0].DisableCSE {
+			return nil, fmt.Errorf("sim: fleet populations of one sweep must agree on workers, precision and CSE")
+		}
 	}
-	outs, err := parallel.Map(cfg.Workers, cfg.Devices, func(i int) (FleetCell, error) {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*fleetCellSeed))
-		return fleetCell(cfg, rng)
+	return fleetSweep(cfgs, newFleetMemo())
+}
+
+// fleetSweep fans every cell of every population out at once, sharing
+// replays through memo, then assembles the results population by
+// population. Cell k of the fan is cell k-off[j] of population j.
+func fleetSweep(cfgs []FleetRunConfig, memo *fleetMemo) ([]*FleetResult, error) {
+	off := make([]int, len(cfgs)+1)
+	for j, cfg := range cfgs {
+		off[j+1] = off[j] + cfg.Devices
+	}
+	outs, err := parallel.Map(cfgs[0].Workers, off[len(cfgs)], func(k int) (FleetCell, error) {
+		j := sort.SearchInts(off, k+1) - 1
+		rng := rand.New(rand.NewSource(cfgs[j].Seed + int64(k-off[j])*fleetCellSeed))
+		return fleetCell(cfgs[j], rng, memo)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &FleetResult{Cells: make([]FleetCell, 0, len(outs))}
-	led := cfg.Telemetry.Ledger
-	var totalMW []float64
-	for _, cell := range outs {
-		res.Cells = append(res.Cells, cell)
-		res.Conditions += cell.Admitted + cell.Degraded
-		res.Admitted += cell.Admitted
-		res.Degraded += cell.Degraded
-		totalMW = append(totalMW, cell.AvgMW)
-		// Ledger deposits run here, in cell order, never inside the
-		// parallel fan: float accumulation order is part of the
-		// determinism contract. The deposits come from the cell's recorded
-		// split, which is exactly what a streaming replay of the cell must
-		// reproduce on the fleet daemon's ledger.
-		cell.DepositEnergy(led)
+	results := make([]*FleetResult, len(cfgs))
+	for j, cfg := range cfgs {
+		res := &FleetResult{Cells: outs[off[j]:off[j+1]:off[j+1]]}
+		led := cfg.Telemetry.Ledger
+		var totalMW []float64
+		for _, cell := range res.Cells {
+			res.Conditions += cell.Admitted + cell.Degraded
+			res.Admitted += cell.Admitted
+			res.Degraded += cell.Degraded
+			totalMW = append(totalMW, cell.AvgMW)
+			// Ledger deposits run here, population by population in cell
+			// order, never inside the parallel fan: float accumulation
+			// order is part of the determinism contract. The deposits come
+			// from the cell's recorded split, which is exactly what a
+			// streaming replay of the cell must reproduce on the fleet
+			// daemon's ledger.
+			cell.DepositEnergy(led)
+		}
+		res.MeanMW = mean(totalMW)
+		res.P50MW = quantile(totalMW, 0.50)
+		res.P90MW = quantile(totalMW, 0.90)
+		results[j] = res
 	}
-	res.MeanMW = mean(totalMW)
-	res.P50MW = quantile(totalMW, 0.50)
-	res.P90MW = quantile(totalMW, 0.90)
-	return res, nil
+	return results, nil
 }
 
-// fleetCell draws and replays one phone of the population.
-func fleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, error) {
+// fleetCell draws, places and replays one phone of the population.
+func fleetCell(cfg FleetRunConfig, rng *rand.Rand, memo *fleetMemo) (FleetCell, error) {
+	cell, tr, hubPlans, err := placeFleetCell(cfg, rng)
+	if err != nil {
+		return cell, err
+	}
+	// The channels are resolved per cell, before the memo, so a missing
+	// channel names this cell's own mix.
+	chs := planChannels(hubPlans)
+	data, err := traceChannels(tr, chs, "the fleet mix "+strings.Join(cell.Apps, "+"))
+	if err != nil {
+		return cell, err
+	}
+	r, err := memo.replay(fleetKeyOf(tr, hubPlans), func() (fleetReplay, error) {
+		return replayAdmitted(cfg, tr, cell.DurationSec, hubPlans, chs, data)
+	})
+	if err != nil {
+		return cell, err
+	}
+	cell.Wakes = r.wakes
+	cell.PhoneStateMJ = r.stateMJ
+	cell.PhoneEnergyMJ = r.phoneMJ
+
+	if cell.Degraded > 0 {
+		// One duty-cycle schedule covers all degraded conditions on this
+		// phone: every wake window examines every degraded condition's
+		// buffered data. Billed as the draw ABOVE the asleep baseline the
+		// phone machine already accounts, so nothing is double-counted.
+		profile := power.Nexus4()
+		cell.FallbackEnergyMJ = (fallbackAvgMW(FallbackDutyCycle, profile) - profile.AsleepMW) * cell.DurationSec
+	}
+	cell.TotalMJ = cell.PhoneEnergyMJ + cell.FallbackEnergyMJ + cell.HubEnergyMJ
+	if cell.DurationSec > 0 {
+		cell.AvgMW = cell.TotalMJ / cell.DurationSec
+	}
+	return cell, nil
+}
+
+// placeFleetCell draws one phone's modality, trace and app mix and places
+// the mix on a hub device. It returns the cell with its draw, placement,
+// duration and hub energy filled in, the trace, and the admitted plans in
+// ascending condition-ID order.
+func placeFleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, *sensor.Trace, []*core.Plan, error) {
 	var cell FleetCell
 
 	// Draw the modality first: traces are single-modality, so the app mix
@@ -208,7 +297,7 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, error) {
 		app := pool[rng.Intn(len(pool))]
 		plan, err := app.Wake.Validate(cat)
 		if err != nil {
-			return cell, fmt.Errorf("sim: fleet validating %s: %w", app.Name, err)
+			return cell, nil, nil, fmt.Errorf("sim: fleet validating %s: %w", app.Name, err)
 		}
 		plans = append(plans, plan)
 		cell.Apps = append(cell.Apps, app.Name)
@@ -224,7 +313,7 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, error) {
 		cs := sched.NewWithOptions(cand, sched.Options{DisableSharing: cfg.DisableCSE})
 		for j, plan := range plans {
 			if _, err := cs.Add(uint16(j+1), plan, cell.Priorities[j]); err != nil {
-				return cell, err
+				return cell, nil, nil, err
 			}
 		}
 		s, dev = cs, cand
@@ -237,13 +326,47 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, error) {
 	cell.Degraded = len(s.FallbackSet())
 	cell.CycleFrac, cell.RAMFrac, cell.SharedNodes = s.Utilization()
 
-	profile := power.Nexus4()
-	ph := power.NewPhone(profile)
-	dt := 1 / tr.RateHz
-	cell.DurationSec = float64(tr.Len()) * dt
-
+	cell.DurationSec = float64(tr.Len()) * (1 / tr.RateHz)
 	hubPlans := s.HubPlans()
 	if len(hubPlans) > 0 {
+		cell.HubEnergyMJ = dev.ActivePowerMW * cell.DurationSec
+	}
+	return cell, tr, hubPlans, nil
+}
+
+// planChannels returns the union of the plans' channels, in first-use
+// order.
+func planChannels(plans []*core.Plan) []core.SensorChannel {
+	var chs []core.SensorChannel
+	for _, plan := range plans {
+		for _, ch := range plan.Channels {
+			if !slices.Contains(chs, ch) {
+				chs = append(chs, ch)
+			}
+		}
+	}
+	return chs
+}
+
+// fleetReplay is the phone side of replaying one admitted set over one
+// trace: the hub's firings and the phone's energy split by power.State,
+// with its total.
+type fleetReplay struct {
+	wakes   int
+	stateMJ [4]float64
+	phoneMJ float64
+}
+
+// replayAdmitted replays the admitted set over the trace (durSec long, chs
+// and data its channels) and returns the phone's side. With nothing
+// admitted the phone sleeps through the whole trace (fallback sensing is
+// billed per cell) and the hub stays unpowered.
+func replayAdmitted(cfg FleetRunConfig, tr *sensor.Trace, durSec float64, hubPlans []*core.Plan, chs []core.SensorChannel, data [][]float64) (fleetReplay, error) {
+	var r fleetReplay
+	ph := power.NewPhone(power.Nexus4())
+	if len(hubPlans) == 0 {
+		ph.Advance(durSec)
+	} else {
 		// The admitted set executes as one DAG-compiled shared plan:
 		// identical subgraphs run once, exactly as the scheduler billed
 		// them. With CSE disabled the pass is fully ablated and every
@@ -252,69 +375,81 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, error) {
 		if cfg.DisableCSE {
 			copts = ir.NoOpt()
 		}
-		sp, err := ir.CompilePlans(cat, copts, hubPlans...)
+		sp, err := ir.CompilePlans(core.DefaultCatalog(), copts, hubPlans...)
 		if err != nil {
-			return cell, err
+			return r, err
 		}
 		m, err := interp.NewShared(cfg.Precision, sp)
 		if err != nil {
-			return cell, err
+			return r, err
 		}
-		// Union of the admitted plans' channels, in first-use order.
-		var chs []core.SensorChannel
-		seen := map[core.SensorChannel]bool{}
-		for _, plan := range hubPlans {
-			for _, ch := range plan.Channels {
-				if !seen[ch] {
-					seen[ch] = true
-					chs = append(chs, ch)
-				}
-			}
-		}
-		data, err := traceChannels(tr, chs, "the fleet mix "+strings.Join(cell.Apps, "+"))
-		if err != nil {
-			return cell, err
-		}
-
-		n := tr.Len()
 		w := newWakeWindow(ph, tr.RateHz, 0, int(swIdleHoldSec*tr.RateHz))
 		visit := func(i int, hit bool) {
 			if hit {
-				cell.Wakes++
+				r.wakes++
 				w.fire(i)
 			}
 		}
-		replayHub(w, n, func(f fireList, base, end int) fireList {
+		replayHub(w, tr.Len(), func(f fireList, base, end int) fireList {
 			m.Run(chs, data, base, end, f.add)
 			return f.set()
 		}, visit, nil)
-		cell.HubEnergyMJ = dev.ActivePowerMW * cell.DurationSec
-	} else {
-		// Nothing on the hub: the phone sleeps through the whole trace
-		// (fallback sensing is billed below) and the hub stays unpowered.
-		ph.Advance(cell.DurationSec)
 	}
+	for s := range r.stateMJ {
+		r.stateMJ[s] = ph.StateEnergyMJ(power.State(s))
+	}
+	r.phoneMJ = ph.EnergyMJ()
+	return r, nil
+}
 
-	if cell.Degraded > 0 {
-		// One duty-cycle schedule covers all degraded conditions on this
-		// phone: every wake window examines every degraded condition's
-		// buffered data. Billed as the draw ABOVE the asleep baseline the
-		// phone machine already accounts, so nothing is double-counted.
-		cell.FallbackEnergyMJ = (fallbackAvgMW(FallbackDutyCycle, profile) - profile.AsleepMW) * cell.DurationSec
-	}
+// fleetKey identifies a replay: the trace, and the admitted set as the
+// sorted, duplicate-free IR texts of its plans. Order and duplicates
+// within an admitted set change neither the merged hub's firings (its fire
+// list is the sorted union of every plan's) nor, so, the phone's replay.
+// Precision and DisableCSE are constant across one sweep and stay out.
+type fleetKey struct {
+	tr    *sensor.Trace
+	plans string
+}
 
-	cell.PhoneStateMJ = [4]float64{
-		power.Asleep:        ph.StateEnergyMJ(power.Asleep),
-		power.WakingUp:      ph.StateEnergyMJ(power.WakingUp),
-		power.Awake:         ph.StateEnergyMJ(power.Awake),
-		power.FallingAsleep: ph.StateEnergyMJ(power.FallingAsleep),
+// fleetKeyOf returns the key of replaying plans over tr.
+func fleetKeyOf(tr *sensor.Trace, plans []*core.Plan) fleetKey {
+	texts := make([]string, len(plans))
+	for i, plan := range plans {
+		texts[i] = ir.CompileToText(plan)
 	}
-	cell.PhoneEnergyMJ = ph.EnergyMJ()
-	cell.TotalMJ = cell.PhoneEnergyMJ + cell.FallbackEnergyMJ + cell.HubEnergyMJ
-	if cell.DurationSec > 0 {
-		cell.AvgMW = cell.TotalMJ / cell.DurationSec
+	slices.Sort(texts)
+	return fleetKey{tr: tr, plans: strings.Join(slices.Compact(texts), "\x00")}
+}
+
+// fleetMemo shares replays between the cells of one sweep. Each entry is
+// computed once, by the first cell to reach it; cells of the parallel fan
+// that reach it meanwhile wait for that replay.
+type fleetMemo struct {
+	mu      sync.Mutex
+	entries map[fleetKey]*fleetEntry
+}
+
+func newFleetMemo() *fleetMemo { return &fleetMemo{entries: make(map[fleetKey]*fleetEntry)} }
+
+// fleetEntry is one key's replay, or the error that stopped it.
+type fleetEntry struct {
+	once sync.Once
+	r    fleetReplay
+	err  error
+}
+
+// replay returns the replay for k, running run only if no cell has.
+func (m *fleetMemo) replay(k fleetKey, run func() (fleetReplay, error)) (fleetReplay, error) {
+	m.mu.Lock()
+	e := m.entries[k]
+	if e == nil {
+		e = &fleetEntry{}
+		m.entries[k] = e
 	}
-	return cell, nil
+	m.mu.Unlock()
+	e.once.Do(func() { e.r, e.err = run() })
+	return e.r, e.err
 }
 
 // mean of a sample (0 for empty).

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sidewinder/internal/interp"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/telemetry"
 	"sidewinder/internal/tracegen"
@@ -168,6 +169,15 @@ func TestFleetRunErrors(t *testing.T) {
 	}
 	if _, err := (FleetRun(FleetRunConfig{Devices: 1, AppsPerDevice: 1})); err == nil {
 		t.Error("empty trace pools accepted")
+	}
+	if _, err := FleetSweep(nil); err == nil {
+		t.Error("empty sweep accepted")
+	}
+	one := FleetRunConfig{Devices: 1, AppsPerDevice: 1, Accel: accel}
+	q15 := one
+	q15.Precision = interp.Q15
+	if _, err := FleetSweep([]FleetRunConfig{one, q15}); err == nil {
+		t.Error("sweep accepted populations of different precision")
 	}
 }
 
