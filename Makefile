@@ -123,7 +123,9 @@ loc-delta:
 # testonly-api lists exported functions and methods that no production
 # code (swbench included) calls, and fails on any not kept on purpose in
 # scripts/testonly_api.allow (name  # reason), so API that only tests
-# reach cannot pile up (CI's verify job).
+# reach cannot pile up (CI's verify job). It also notes, never failing,
+# the API only swbench and tests reach: what the swbench binary links and
+# no cmd or example binary does.
 testonly-api:
 	@scripts/testonly_api.sh
 

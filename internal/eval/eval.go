@@ -45,7 +45,7 @@ type Options struct {
 	// saturating fixed-point arithmetic).
 	Precision interp.Precision
 	// DisableCSE is the cross-app sharing ablation for the fleet sweep:
-	// the scheduler bills every condition its standalone demand and the
+	// the placement bills every condition its standalone demand and the
 	// merged interpreter executes duplicated subgraphs separately. The
 	// default (false) compiles resident apps into one shared DAG.
 	DisableCSE bool

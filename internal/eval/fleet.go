@@ -28,8 +28,8 @@ const fleetPopulation = 16
 
 // FleetCapacity sweeps the app-mix size over a seeded phone population.
 // Each phone draws a modality, M apps (with repetition) and a trace from
-// the workload catalog, places the mix through the hub capacity
-// scheduler, and replays the admitted set on a merged interpreter while
+// the workload catalog, places the mix with the hub capacity model
+// (sched.Place), and replays the admitted set on a merged interpreter while
 // degraded conditions are billed as phone-side duty-cycled fallback.
 // The cells of every mix fan out together over the worker pool (one
 // sim.FleetSweep call); populations and tables are byte-identical at any

@@ -1,10 +1,13 @@
 package interp
 
 import (
+	"math"
 	"testing"
 
 	"sidewinder/internal/core"
+	"sidewinder/internal/hub"
 	"sidewinder/internal/ir"
+	"sidewinder/internal/sched"
 )
 
 // twoWindowPlans builds two pipelines sharing an identical window stage
@@ -271,33 +274,31 @@ func TestMergedDemandByStageDeduplicates(t *testing.T) {
 	}
 }
 
-func TestDemandAccumulatorMatchesMergedDemand(t *testing.T) {
+// TestPlaceBillsSharedWindowOnce pins the placement's pricing against the
+// merged engine: placing a, b and a copy of a bills the shared window and
+// the copy once, as ir.Demand over a and b does, and the plan nodes it
+// reports shared are exactly the ones the merged engine does not run.
+func TestPlaceBillsSharedWindowOnce(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	acc := ir.NewDemandAccumulator(ir.CompileOptions{})
-	mf, mi, mmem := acc.Marginal(pa)
-	wf, wi, wmem := ir.Demand(ir.CompileOptions{}, pa)
-	if mf != wf || mi != wi || mmem != wmem {
-		t.Errorf("first marginal (%g,%g,%d) != plan demand (%g,%g,%d)", mf, mi, mmem, wf, wi, wmem)
+	dev := hub.LM4F120()
+	r := sched.Place([]hub.Device{dev}, []*core.Plan{pa, pb, pa}, []int{0, 0, 0}, ir.CompileOptions{})
+	if len(r.Admitted) != 3 {
+		t.Fatalf("admitted %v, want all three plans", r.Admitted)
 	}
-	acc.Commit(pa)
-	// The second plan's marginal excludes the shared window prefix, so at
-	// least one resource column must come out strictly cheaper.
-	mf, mi, mmem = acc.Marginal(pb)
-	bf, bi, bmem := ir.Demand(ir.CompileOptions{}, pb)
-	if mf > bf || mi > bi || mmem > bmem {
-		t.Errorf("marginal (%g,%g,%d) exceeds standalone (%g,%g,%d)", mf, mi, mmem, bf, bi, bmem)
+	f, i, mem := ir.Demand(ir.CompileOptions{}, pa, pb)
+	if want := dev.Cycles(f, i) / dev.CycleBudget(); math.Abs(r.CycleFrac-want) > 1e-12*want {
+		t.Errorf("cycle fraction %g, ir.Demand gives %g", r.CycleFrac, want)
 	}
-	if mf == bf && mi == bi && mmem == bmem {
-		t.Errorf("marginal equals standalone — shared prefix not discounted")
+	if want := float64(mem) / float64(dev.RAMBytes); r.RAMFrac != want {
+		t.Errorf("RAM fraction %g, ir.Demand gives %g", r.RAMFrac, want)
 	}
-	f, i, mem := acc.Commit(pb)
-	wf, wi, wmem = ir.Demand(ir.CompileOptions{}, pa, pb)
-	if f != wf || i != wi || mem != wmem {
-		t.Errorf("accumulated (%g,%g,%d) != ir.Demand (%g,%g,%d)", f, i, mem, wf, wi, wmem)
+	m, err := NewShared(Float64, sharePaths(t, pa, pb, pa)["dag"])
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Committing a duplicate changes nothing.
-	f2, i2, mem2 := acc.Commit(pa)
-	if f2 != f || i2 != i || mem2 != mem {
-		t.Errorf("duplicate commit changed totals")
+	// 3 × 3 plan nodes run as 5 instances: the copy and the second window
+	// are shared.
+	if want := 3*len(pa.Nodes) - len(m.nodes); r.SharedNodes != want || want != 4 {
+		t.Errorf("placement reports %d shared nodes, the engine eliminates %d (want 4)", r.SharedNodes, want)
 	}
 }

@@ -7,16 +7,19 @@ import (
 )
 
 // Static demand analysis over the compiled DAG. This is the only code that
-// prices a plan: the hub's feasibility checks, the admission controller,
-// the adaptive engine's precision re-billing and the sharing analysis all
-// call it, and hub.Device alone turns its operation counts into cycles.
-// The scheduler bills a resident set by the graph it would actually
-// execute: structurally identical subgraphs — shared prefixes, shared
-// interior stages, whole duplicate pipelines — are billed once, and the
-// folding/fusion rewrites shrink the bill further. Analysis works on the
-// DAG before lowering (facts are carried over from the validated plan
-// nodes), so it needs no catalog and allocates nothing per call beyond the
-// per-plan graph walk.
+// prices a plan: the hub's feasibility checks, the placement (package
+// sched), the adaptive engine's precision re-billing and the sharing
+// analysis all call it, and hub.Device alone turns its operation counts
+// into cycles. A resident set is billed by the graph the hub would
+// actually execute: structurally identical subgraphs — shared prefixes,
+// shared interior stages, whole duplicate pipelines — are billed once,
+// and the folding/fusion rewrites shrink the bill further. Because equal
+// keys mean one shared instance, the union by key of each plan's
+// AnalyzePlan nodes prices the set as Demand does, which is how the
+// placement bills a plan's marginal cost without rebuilding the graph.
+// Analysis works on the DAG before lowering (facts are carried over from
+// the validated plan nodes), so it needs no catalog and allocates nothing
+// per call beyond the per-plan graph walk.
 
 // NodeDemand is one surviving DAG node's contribution to the bill.
 type NodeDemand struct {
@@ -100,81 +103,6 @@ func demandNodes(d *DAG, outs []*DAGNode) []NodeDemand {
 		})
 	}
 	return out
-}
-
-// DemandAccumulator prices plans incrementally against a committed set:
-// Marginal returns what a plan would add, Commit adds exactly that. With
-// CSE on, nodes whose keys the committed set already contains cost zero;
-// under NoCSE nothing is shared, so every plan bills in full, copies
-// included. The totals always equal Demand over the committed plans to
-// within float associativity.
-type DemandAccumulator struct {
-	opts           CompileOptions
-	seen           map[string]bool // nil under NoCSE: nothing dedups
-	cache          map[*core.Plan][]NodeDemand
-	floatOpsPerSec float64
-	intOpsPerSec   float64
-	memoryBytes    int
-}
-
-// NewDemandAccumulator returns an empty accumulator billing under the
-// given compile options.
-func NewDemandAccumulator(opts CompileOptions) *DemandAccumulator {
-	a := &DemandAccumulator{opts: opts, cache: make(map[*core.Plan][]NodeDemand)}
-	if !opts.NoCSE {
-		a.seen = make(map[string]bool)
-	}
-	return a
-}
-
-// analyze returns the plan's demand nodes, memoized per plan pointer (an
-// admission controller re-prices the same registered plans on every
-// recompute).
-func (a *DemandAccumulator) analyze(plan *core.Plan) []NodeDemand {
-	if nd, ok := a.cache[plan]; ok {
-		return nd
-	}
-	nd := AnalyzePlan(a.opts, plan)
-	a.cache[plan] = nd
-	return nd
-}
-
-// price sums the plan's nodes the committed set does not already bill;
-// with mark set it records them as billed.
-func (a *DemandAccumulator) price(plan *core.Plan, mark bool) (floatOpsPerSec, intOpsPerSec float64, memoryBytes int) {
-	for _, nd := range a.analyze(plan) {
-		if a.seen[nd.Key] {
-			continue
-		}
-		if mark && a.seen != nil {
-			a.seen[nd.Key] = true
-		}
-		floatOpsPerSec += nd.FloatOpsPerSec
-		intOpsPerSec += nd.IntOpsPerSec
-		memoryBytes += nd.MemoryBytes
-	}
-	return floatOpsPerSec, intOpsPerSec, memoryBytes
-}
-
-// Marginal returns the additional demand the plan would add on top of the
-// committed set, without committing it.
-func (a *DemandAccumulator) Marginal(plan *core.Plan) (floatOpsPerSec, intOpsPerSec float64, memoryBytes int) {
-	return a.price(plan, false)
-}
-
-// Commit adds the plan's marginal demand to the committed set and returns
-// the accumulated totals.
-func (a *DemandAccumulator) Commit(plan *core.Plan) (floatOpsPerSec, intOpsPerSec float64, memoryBytes int) {
-	f, i, mem := a.price(plan, true)
-	a.floatOpsPerSec += f
-	a.intOpsPerSec += i
-	a.memoryBytes += mem
-	return a.Total()
-}
-
-// Total returns the committed set's demand.
-func (a *DemandAccumulator) Total() (floatOpsPerSec, intOpsPerSec float64, memoryBytes int) {
-	return a.floatOpsPerSec, a.intOpsPerSec, a.memoryBytes
 }
 
 // KindDemand is the deduplicated demand attributed to one algorithm kind.

@@ -88,46 +88,6 @@ func TestDemandConservation(t *testing.T) {
 	}
 }
 
-// TestDemandAccumulatorMatchesBatch pins that incremental pricing
-// (Marginal/Commit, the admission controller's path) lands on the same
-// totals as the one-shot Demand over the committed set, under both the
-// sharing-aware and the fully ablated options. Every set carries a copy
-// of one of its plans: with CSE a committed plan's marginal is exactly
-// zero, while under NoOpt (nothing shared) a copy bills in full.
-func TestDemandAccumulatorMatchesBatch(t *testing.T) {
-	for _, opts := range []CompileOptions{{}, NoOpt()} {
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 50; i++ {
-			plans := randomPlans(t, rng, 1+rng.Intn(4))
-			plans = append(plans, plans[rng.Intn(len(plans))])
-			acc := NewDemandAccumulator(opts)
-			for _, p := range plans {
-				mf, mi, mm := acc.Marginal(p)
-				bf, bi, bm := acc.Total()
-				cf, ci, cm := acc.Commit(p)
-				if math.Abs(bf+mf-cf) > demandEps || math.Abs(bi+mi-ci) > demandEps || bm+mm != cm {
-					t.Fatalf("%+v set %d: marginal %g/%g/%d does not bridge totals", opts, i, mf, mi, mm)
-				}
-				mf2, mi2, mm2 := acc.Marginal(p)
-				wf, wi, wm := 0.0, 0.0, 0
-				if opts.NoCSE {
-					wf, wi, wm = Demand(opts, p)
-				}
-				if mf2 != wf || mi2 != wi || mm2 != wm {
-					t.Fatalf("%+v set %d: committed plan has marginal %g/%g/%d, want %g/%g/%d",
-						opts, i, mf2, mi2, mm2, wf, wi, wm)
-				}
-			}
-			af, ai, am := acc.Total()
-			df, di, dm := Demand(opts, plans...)
-			if math.Abs(af-df) > demandEps || math.Abs(ai-di) > demandEps || am != dm {
-				t.Fatalf("%+v set %d: accumulator %g/%g/%d vs batch %g/%g/%d",
-					opts, i, af, ai, am, df, di, dm)
-			}
-		}
-	}
-}
-
 // planTotals is the naive bill the NoOpt demand must reproduce: every
 // node's cost × rate summed per plan, then across plans.
 func planTotals(plans ...*core.Plan) (floatOps, intOps float64, memory int) {

@@ -95,12 +95,6 @@ var (
 	ErrPayloadTooLarge = errors.New("link: payload too large")
 )
 
-// IsCorrupt reports whether a decode error indicates transient line damage
-// (worth retrying), as opposed to a structurally malformed frame.
-func IsCorrupt(err error) bool {
-	return errors.Is(err, ErrCRC) || errors.Is(err, ErrShortFrame)
-}
-
 // IsMalformed reports whether a decode error indicates a well-transmitted
 // but wrongly encoded frame (retrying cannot help).
 func IsMalformed(err error) bool { return errors.Is(err, ErrLengthMismatch) }

@@ -137,20 +137,6 @@ func (m *Manager) Feedback(id uint16, falsePositive bool) error {
 	return m.applyAdaptation(id, st, as)
 }
 
-// AdaptiveEnabled reports whether a condition has a policy engine: from
-// EnableAdaptive, or the threshold-only one its first Feedback verdict
-// started.
-func (m *Manager) AdaptiveEnabled(id uint16) bool { return m.adaptive[id] != nil }
-
-// AdaptiveStats returns the policy engine's history for a condition.
-func (m *Manager) AdaptiveStats(id uint16) (adapt.Stats, bool) {
-	as := m.adaptive[id]
-	if as == nil {
-		return adapt.Stats{}, false
-	}
-	return as.engine.Stats(), true
-}
-
 // AdaptiveKnobs returns the engine's current proposal for a condition.
 func (m *Manager) AdaptiveKnobs(id uint16) (adapt.Knobs, bool) {
 	as := m.adaptive[id]
@@ -158,16 +144,6 @@ func (m *Manager) AdaptiveKnobs(id uint16) (adapt.Knobs, bool) {
 		return adapt.Knobs{}, false
 	}
 	return as.engine.Knobs(), true
-}
-
-// AdaptivePlan returns the last hub-confirmed program of an adaptively
-// managed condition.
-func (m *Manager) AdaptivePlan(id uint16) (*core.Plan, bool) {
-	as := m.adaptive[id]
-	if as == nil {
-		return nil, false
-	}
-	return as.applied, true
 }
 
 // ReportMissedWake reports that an event of interest passed without a

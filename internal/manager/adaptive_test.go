@@ -47,6 +47,27 @@ func managerText(t *testing.T, tb *Testbed, id uint16) string {
 	return st.irText
 }
 
+// adaptivePlan returns the last hub-confirmed program of an adaptively
+// managed condition.
+func adaptivePlan(t *testing.T, tb *Testbed, id uint16) *core.Plan {
+	t.Helper()
+	as := tb.Manager.adaptive[id]
+	if as == nil {
+		t.Fatalf("condition %d has no policy engine", id)
+	}
+	return as.applied
+}
+
+// adaptiveStats returns the policy engine's history for a condition.
+func adaptiveStats(t *testing.T, tb *Testbed, id uint16) adapt.Stats {
+	t.Helper()
+	as := tb.Manager.adaptive[id]
+	if as == nil {
+		t.Fatalf("condition %d has no policy engine", id)
+	}
+	return as.engine.Stats()
+}
+
 func TestEnableAdaptiveErrors(t *testing.T) {
 	tb := newBed(t)
 	if err := tb.EnableAdaptive(42, adapt.DefaultConfig()); err == nil {
@@ -67,15 +88,15 @@ func TestEnableAdaptiveErrors(t *testing.T) {
 	if err := tb.EnableAdaptive(id, adapt.DefaultConfig()); err != nil {
 		t.Fatalf("enable after settling: %v", err)
 	}
-	if !tb.Manager.AdaptiveEnabled(id) {
-		t.Error("AdaptiveEnabled = false after enable")
+	if tb.Manager.adaptive[id] == nil {
+		t.Error("no policy engine after enable")
 	}
 	// Remove forgets the adaptive state along with the push.
 	if err := tb.Remove(id); err != nil {
 		t.Fatal(err)
 	}
-	if tb.Manager.AdaptiveEnabled(id) {
-		t.Error("AdaptiveEnabled = true after remove")
+	if tb.Manager.adaptive[id] != nil {
+		t.Error("policy engine survived remove")
 	}
 }
 
@@ -114,10 +135,7 @@ func TestAdaptiveFalseWakeTightensHubProgram(t *testing.T) {
 		t.Fatalf("hub has %d conditions after in-place update, want 1", tb.Hub.Loaded())
 	}
 	// The confirmed plan carries the tightened threshold: 15 × 1.05.
-	plan, ok := tb.Manager.AdaptivePlan(id)
-	if !ok {
-		t.Fatal("no adaptive plan")
-	}
+	plan := adaptivePlan(t, tb, id)
 	final := plan.Nodes[len(plan.Nodes)-1]
 	if min := final.Params.Float("min"); min < 15.7 || min > 15.8 {
 		t.Errorf("final threshold = %g, want 15.75", min)
@@ -185,7 +203,7 @@ func TestAdaptiveEscalationAndMissedWakeReset(t *testing.T) {
 	if tb.Hub.Loaded() != 1 {
 		t.Fatalf("hub has %d conditions, want 1", tb.Hub.Loaded())
 	}
-	if s, _ := tb.Manager.AdaptiveStats(id); s.Rung != 2 {
+	if s := adaptiveStats(t, tb, id); s.Rung != 2 {
 		t.Fatalf("rung = %d, want 2", s.Rung)
 	}
 
@@ -202,7 +220,7 @@ func TestAdaptiveEscalationAndMissedWakeReset(t *testing.T) {
 	if got := hubText(t, tb, id); got != baseText {
 		t.Fatalf("hub not reset to base program after missed wake:\n%s", got)
 	}
-	s, _ := tb.Manager.AdaptiveStats(id)
+	s := adaptiveStats(t, tb, id)
 	if s.Rung != 0 || s.MissedWakes != 1 {
 		t.Fatalf("stats after miss = %+v, want rung 0, 1 miss", s)
 	}
@@ -247,7 +265,7 @@ func TestAdaptiveHubRejectionRollsBack(t *testing.T) {
 	if got := managerText(t, tb, id); got != baseText {
 		t.Fatal("manager view not rolled back to the hub's program")
 	}
-	s, _ := tb.Manager.AdaptiveStats(id)
+	s := adaptiveStats(t, tb, id)
 	if s.Vetoes == 0 || s.MaxRung != 0 {
 		t.Fatalf("hub rejection did not clamp the engine: %+v", s)
 	}

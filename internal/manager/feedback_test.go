@@ -129,10 +129,7 @@ func TestFeedbackThenEnableAdaptiveTightensOnce(t *testing.T) {
 	if hub != mgr {
 		t.Fatalf("hub and manager program diverged:\nhub: %s\nmanager: %s", hub, mgr)
 	}
-	plan, ok := tb.Manager.AdaptivePlan(id)
-	if !ok {
-		t.Fatal("no adaptive plan")
-	}
+	plan := adaptivePlan(t, tb, id)
 	if got := finalMin(plan); math.Abs(got-10.5) > 1e-12 {
 		t.Fatalf("manager's final min = %g, want 10.5", got)
 	}
@@ -229,7 +226,7 @@ func TestFeedbackBeforeAckIsDropped(t *testing.T) {
 	if got := tb.LinkStats().WireBytes; got != sent {
 		t.Fatalf("verdict on an unsettled push sent %d bytes", got-sent)
 	}
-	if tb.Manager.AdaptiveEnabled(id) {
+	if tb.Manager.adaptive[id] != nil {
 		t.Fatal("verdict on an unsettled push started a policy engine")
 	}
 	if err := tb.Pump(); err != nil {

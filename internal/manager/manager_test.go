@@ -182,7 +182,7 @@ func TestHubRejectsInfeasibleSet(t *testing.T) {
 	if err := tb.Manager.Feedback(id, true); err != nil {
 		t.Errorf("feedback on rejected condition: %v", err)
 	}
-	if tb.Manager.AdaptiveEnabled(id) {
+	if tb.Manager.adaptive[id] != nil {
 		t.Error("feedback on a rejected condition started a policy engine")
 	}
 }

@@ -1,7 +1,7 @@
-// Package sched implements the multi-tenant hub capacity model: an
-// admission controller that decides which wake-up conditions run on the
-// hub, within the device's cycle and RAM budget (hub.Device.Fits), and
-// which degrade to phone-side duty-cycled fallback sensing.
+// Package sched implements the multi-tenant hub capacity model: one
+// greedy placement that decides which wake-up conditions run on the hub,
+// within the device's cycle and RAM budget (hub.Device.Fits), and which
+// degrade to phone-side duty-cycled fallback sensing.
 //
 // The paper's prototype pushes conditions until the hub rejects one; this
 // package is the fleet model's admission controller, the multi-tenant
@@ -10,18 +10,17 @@
 // subgraphs across applications — shared prefixes, shared interior
 // stages, whole duplicate pipelines — are billed exactly once: two
 // applications windowing the microphone the same way together cost one
-// windower. On overload the controller does not reject: it demotes the
-// lowest-priority conditions to fallback, where the phone's duty-cycling
+// windower. On overload the controller does not reject: the conditions
+// that do not fit degrade to fallback, where the phone's duty-cycling
 // schedule covers them at higher energy (billed to the ledger's
 // phone.fallback component by package sim).
 //
-// Admission is a deterministic full recompute over the registered set:
-// conditions sorted by descending priority (insertion order breaking
-// ties) are greedily placed on the hub while the merged demand of the
-// placed set fits the budget. Placement is recomputed on every Add and
-// Update, so the controller is history-free: the same registered set
-// always yields the same placement regardless of the arrival order that
-// produced it.
+// Place is the placement: conditions sorted by descending priority (index
+// order breaking ties) are greedily admitted while the shared demand of
+// the admitted set fits the budget. It is a pure function of its inputs,
+// so the same set always yields the same placement regardless of the
+// arrival order that produced it. Scheduler is a registry of conditions
+// on one device that re-runs Place on every Add and Update.
 package sched
 
 import (
@@ -33,15 +32,100 @@ import (
 	"sidewinder/internal/ir"
 )
 
-// FallbackDeviceName is the name Placement.String renders for a condition
-// degraded to phone-side sensing.
-const FallbackDeviceName = "phone-fallback"
-
 // BudgetFor returns the device itself: hub.Device carries the cycle
 // budget (CycleBudget), the cycle conversion (Cycles) and the verdict
 // (Fits). It remains because the swbench harness, a separate module,
 // still calls it.
 func BudgetFor(d hub.Device) hub.Device { return d }
+
+// Result is one placement of a condition set on a device.
+type Result struct {
+	// Device is the device the set was placed on.
+	Device hub.Device
+	// Admitted lists the indices of the plans resident on the hub, in
+	// ascending order; every other plan degrades to fallback.
+	Admitted []int
+	// CycleFrac and RAMFrac are the admitted set's shared demand as
+	// fractions of the device's cycle budget and RAM.
+	CycleFrac float64
+	RAMFrac   float64
+	// SharedNodes counts the admitted plans' nodes the DAG compile pass
+	// eliminates: shared subgraphs (prefixes, interior stages, duplicate
+	// pipelines), folds and fusions.
+	SharedNodes int
+}
+
+// Place places plans, with their priorities, on the first device of the
+// ladder that admits every plan; when none does, the last device carries
+// what fits and the rest degrades. On each device it runs one greedy pass
+// in descending priority, ties by index: a plan is admitted when the
+// demand it adds to the admitted set, its nodes whose structural keys the
+// set does not already bill, still fits. opts prices the plans; under
+// NoCSE nothing is shared, so every plan bills in full, copies included.
+// Each plan is analyzed once, whatever the ladder's length. Place returns
+// the zero Result for an empty ladder.
+func Place(devices []hub.Device, plans []*core.Plan, priorities []int, opts ir.CompileOptions) Result {
+	demand := make([][]ir.NodeDemand, len(plans))
+	order := make([]int, len(plans))
+	for j, plan := range plans {
+		demand[j] = ir.AnalyzePlan(opts, plan)
+		order[j] = j
+	}
+	sort.SliceStable(order, func(a, b int) bool { return priorities[order[a]] > priorities[order[b]] })
+
+	var r Result
+	for _, dev := range devices {
+		r = placeOn(dev, plans, order, demand, opts.NoCSE)
+		if len(r.Admitted) == len(plans) {
+			break
+		}
+	}
+	return r
+}
+
+// placeOn runs the greedy pass of Place on one device, visiting plans in
+// order, with demand[j] the analysis of plans[j].
+func placeOn(dev hub.Device, plans []*core.Plan, order []int, demand [][]ir.NodeDemand, noCSE bool) Result {
+	var billed map[string]bool // nil under NoCSE: nothing dedups
+	if !noCSE {
+		billed = make(map[string]bool)
+	}
+	r := Result{Device: dev}
+	var f, i float64
+	var mem int
+	for _, j := range order {
+		var mf, mi float64
+		var mmem, mnodes int
+		for _, nd := range demand[j] {
+			if billed[nd.Key] {
+				continue
+			}
+			mf += nd.FloatOpsPerSec
+			mi += nd.IntOpsPerSec
+			mmem += nd.MemoryBytes
+			mnodes++
+		}
+		if !dev.Fits(f+mf, i+mi, mem+mmem) {
+			continue
+		}
+		if billed != nil {
+			for _, nd := range demand[j] {
+				billed[nd.Key] = true
+			}
+		}
+		f, i, mem = f+mf, i+mi, mem+mmem
+		r.Admitted = append(r.Admitted, j)
+		r.SharedNodes += len(plans[j].Nodes) - mnodes
+	}
+	sort.Ints(r.Admitted)
+	if budget := dev.CycleBudget(); budget > 0 {
+		r.CycleFrac = dev.Cycles(f, i) / budget
+	}
+	if dev.RAMBytes > 0 {
+		r.RAMFrac = float64(mem) / float64(dev.RAMBytes)
+	}
+	return r
+}
 
 // Placement says where a condition currently runs.
 type Placement int
@@ -54,219 +138,92 @@ const (
 	PlacedFallback
 )
 
-// String returns the placement's report name.
-func (p Placement) String() string {
-	switch p {
-	case PlacedHub:
-		return "hub"
-	case PlacedFallback:
-		return FallbackDeviceName
-	default:
-		return fmt.Sprintf("placement(%d)", int(p))
-	}
-}
-
-// condition is one registered wake-up condition.
-type condition struct {
-	id       uint16
-	plan     *core.Plan
-	priority int
-	seq      int // insertion order, the priority tiebreak
-}
-
-// Delta reports the placement changes one Add or Update caused, with IDs
-// in ascending order. The condition just added or updated appears in
-// neither list; query its placement directly.
-type Delta struct {
-	// Promoted moved fallback -> hub (capacity freed up or sharing made
-	// them cheap).
-	Promoted []uint16
-	// Demoted moved hub -> fallback (a higher-priority arrival displaced
-	// them).
-	Demoted []uint16
-}
-
-// Options tune the admission controller's costing.
-type Options struct {
-	// DisableSharing bills every condition its standalone demand: no
-	// cross-app deduplication, no DAG folds — the sum of per-plan totals
-	// (ir.NoOpt pricing).
-	// This is the CSE-off ablation the fleet sweep compares against; the
-	// default (false) bills the shared execution graph the hub actually
-	// runs.
-	DisableSharing bool
-}
-
-// Scheduler is the admission controller for one hub device.
+// Scheduler is a registry of conditions on one hub device, placed by
+// Place after every change. Registration order breaks priority ties.
 type Scheduler struct {
-	dev     hub.Device
-	opts    Options
-	conds   map[uint16]*condition
-	placed  map[uint16]Placement
-	nextSeq int
+	dev        hub.Device
+	index      map[uint16]int // condition ID -> registration order
+	ids        []uint16
+	plans      []*core.Plan
+	priorities []int
+	onHub      []bool
 }
 
-// New builds a scheduler over a device's budget with default
-// (sharing-aware) costing.
-func New(d hub.Device) *Scheduler { return NewWithOptions(d, Options{}) }
-
-// NewWithOptions builds a scheduler with explicit costing options.
-func NewWithOptions(d hub.Device, opts Options) *Scheduler {
-	return &Scheduler{
-		dev:    d,
-		opts:   opts,
-		conds:  make(map[uint16]*condition),
-		placed: make(map[uint16]Placement),
-	}
+// New builds a scheduler over a device's budget with sharing-aware
+// costing.
+func New(d hub.Device) *Scheduler {
+	return &Scheduler{dev: d, index: make(map[uint16]int)}
 }
 
-// pricing returns the compile options the scheduler bills under: the
-// shared graph the hub runs, or with DisableSharing every rewrite off.
-func (s *Scheduler) pricing() ir.CompileOptions {
-	if s.opts.DisableSharing {
-		return ir.NoOpt()
-	}
-	return ir.CompileOptions{}
-}
-
-// Add registers a condition and recomputes placements. Higher priority
-// wins the hub under contention; equal priorities favor earlier arrivals.
-// The condition is never rejected — at worst it lands in fallback.
-func (s *Scheduler) Add(id uint16, plan *core.Plan, priority int) (Delta, error) {
+// Add registers a condition, re-places the set and returns the
+// condition's placement. Higher priority wins the hub under contention;
+// equal priorities favor earlier arrivals. The condition is never
+// rejected — at worst it lands in fallback.
+func (s *Scheduler) Add(id uint16, plan *core.Plan, priority int) (Placement, error) {
 	if plan == nil {
-		return Delta{}, fmt.Errorf("sched: condition %d has no plan", id)
+		return PlacedFallback, fmt.Errorf("sched: condition %d has no plan", id)
 	}
-	if _, ok := s.conds[id]; ok {
-		return Delta{}, fmt.Errorf("sched: condition %d already registered", id)
+	if _, ok := s.index[id]; ok {
+		return PlacedFallback, fmt.Errorf("sched: condition %d already registered", id)
 	}
-	s.conds[id] = &condition{id: id, plan: plan, priority: priority, seq: s.nextSeq}
-	s.nextSeq++
-	return s.recompute(id), nil
+	s.index[id] = len(s.ids)
+	s.ids = append(s.ids, id)
+	s.plans = append(s.plans, plan)
+	s.priorities = append(s.priorities, priority)
+	s.recompute()
+	p, _ := s.Placement(id)
+	return p, nil
 }
 
 // Update swaps a registered condition's plan in place — keeping its
-// priority and insertion order, so determinism is unaffected — and
-// recomputes placements. This is the adaptive-sensing re-admission hook:
-// a re-parameterized pipeline must clear the same cycle/RAM budget as a
-// fresh push before the hub may run it. The updated condition's own
-// placement transition is excluded from the delta, like Add's; query it
-// with Placement. Updating an unknown ID is an error.
-func (s *Scheduler) Update(id uint16, plan *core.Plan) (Delta, error) {
+// priority and registration order, so determinism is unaffected — then
+// re-places the set and returns the condition's placement. This is the
+// adaptive-sensing re-admission hook: a re-parameterized pipeline must
+// clear the same cycle/RAM budget as a fresh push before the hub may run
+// it. Updating an unknown ID is an error.
+func (s *Scheduler) Update(id uint16, plan *core.Plan) (Placement, error) {
 	if plan == nil {
-		return Delta{}, fmt.Errorf("sched: condition %d has no plan", id)
+		return PlacedFallback, fmt.Errorf("sched: condition %d has no plan", id)
 	}
-	c, ok := s.conds[id]
+	k, ok := s.index[id]
 	if !ok {
-		return Delta{}, fmt.Errorf("sched: unknown condition %d", id)
+		return PlacedFallback, fmt.Errorf("sched: unknown condition %d", id)
 	}
-	c.plan = plan
-	return s.recompute(id), nil
+	s.plans[k] = plan
+	s.recompute()
+	p, _ := s.Placement(id)
+	return p, nil
 }
 
 // Placement reports where a condition runs.
 func (s *Scheduler) Placement(id uint16) (Placement, bool) {
-	p, ok := s.placed[id]
-	return p, ok
+	k, ok := s.index[id]
+	if !ok {
+		return PlacedHub, false
+	}
+	if s.onHub[k] {
+		return PlacedHub, true
+	}
+	return PlacedFallback, true
 }
 
 // HubSet returns the admitted condition IDs in ascending order.
-func (s *Scheduler) HubSet() []uint16 { return s.idsWhere(PlacedHub) }
-
-// FallbackSet returns the degraded condition IDs in ascending order.
-func (s *Scheduler) FallbackSet() []uint16 { return s.idsWhere(PlacedFallback) }
-
-func (s *Scheduler) idsWhere(p Placement) []uint16 {
+func (s *Scheduler) HubSet() []uint16 {
 	var out []uint16
-	for id, got := range s.placed {
-		if got == p {
+	for k, id := range s.ids {
+		if s.onHub[k] {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
-// HubPlans returns the admitted set's plans in ascending ID order — the
-// set whose merged demand is guaranteed to fit the budget.
-func (s *Scheduler) HubPlans() []*core.Plan {
-	ids := s.HubSet()
-	out := make([]*core.Plan, len(ids))
-	for i, id := range ids {
-		out[i] = s.conds[id].plan
+// recompute re-places the registered set on the device.
+func (s *Scheduler) recompute() {
+	r := Place([]hub.Device{s.dev}, s.plans, s.priorities, ir.CompileOptions{})
+	s.onHub = make([]bool, len(s.ids))
+	for _, k := range r.Admitted {
+		s.onHub[k] = true
 	}
-	return out
-}
-
-// Utilization reports the admitted set's merged demand as fractions of
-// the cycle and RAM budgets, plus the number of plan nodes the DAG compile
-// pass eliminates: shared subgraphs (prefixes, interior stages, duplicate
-// pipelines), folds and fusions.
-func (s *Scheduler) Utilization() (cycleFrac, ramFrac float64, sharedNodes int) {
-	plans := s.HubPlans()
-	if len(plans) == 0 {
-		return 0, 0, 0
-	}
-	opts := s.pricing()
-	f, i, mem := ir.Demand(opts, plans...)
-	for _, p := range plans {
-		sharedNodes += len(p.Nodes)
-	}
-	for _, kd := range ir.DemandByKind(opts, plans...) {
-		sharedNodes -= kd.Nodes
-	}
-	if budget := s.dev.CycleBudget(); budget > 0 {
-		cycleFrac = s.dev.Cycles(f, i) / budget
-	}
-	if s.dev.RAMBytes > 0 {
-		ramFrac = float64(mem) / float64(s.dev.RAMBytes)
-	}
-	return cycleFrac, ramFrac, sharedNodes
-}
-
-// recompute rebuilds the placement map greedily and diffs it against the
-// previous one. The just-changed ID (added or updated) is excluded from
-// the delta: its own transition is the caller's direct result, not a
-// side effect.
-func (s *Scheduler) recompute(changed uint16) Delta {
-	order := make([]*condition, 0, len(s.conds))
-	for _, c := range s.conds {
-		order = append(order, c)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].priority != order[j].priority {
-			return order[i].priority > order[j].priority
-		}
-		return order[i].seq < order[j].seq
-	})
-
-	next := make(map[uint16]Placement, len(order))
-	acc := ir.NewDemandAccumulator(s.pricing())
-	for _, c := range order {
-		mf, mi, mmem := acc.Marginal(c.plan)
-		f, i, mem := acc.Total()
-		if s.dev.Fits(f+mf, i+mi, mem+mmem) {
-			acc.Commit(c.plan)
-			next[c.id] = PlacedHub
-		} else {
-			next[c.id] = PlacedFallback
-		}
-	}
-
-	var d Delta
-	for id, np := range next {
-		if id == changed {
-			continue
-		}
-		if op, had := s.placed[id]; had && op != np {
-			if np == PlacedHub {
-				d.Promoted = append(d.Promoted, id)
-			} else {
-				d.Demoted = append(d.Demoted, id)
-			}
-		}
-	}
-	sort.Slice(d.Promoted, func(i, j int) bool { return d.Promoted[i] < d.Promoted[j] })
-	sort.Slice(d.Demoted, func(i, j int) bool { return d.Demoted[i] < d.Demoted[j] })
-	s.placed = next
-	return d
 }

@@ -23,8 +23,8 @@ import (
 // Fleet-scale capacity replay: a seeded population of N phones, each
 // running M concurrently registered applications against one hub. Every
 // phone draws its app mix, priorities and sensor trace from its own
-// deterministic RNG, runs the admission controller to place the mix on
-// the cheapest hub device that admits everything (falling back to the
+// deterministic RNG, places the mix with one sched.Place call on the
+// cheapest hub device that admits everything (falling back to the
 // most capable device plus phone-side degradation when none does), then
 // replays the admitted set on a shared merged interpreter while the
 // degraded remainder is billed as duty-cycled fallback sensing.
@@ -61,7 +61,7 @@ type FleetRunConfig struct {
 	Precision interp.Precision
 
 	// DisableCSE turns off the DAG compile pass's cross-app sharing,
-	// folding and fusion: the scheduler bills every condition standalone
+	// folding and fusion: the placement bills every condition standalone
 	// and the hub executes one instance per plan node. The ablation knob
 	// for quantifying what common-subgraph elimination buys the fleet.
 	DisableCSE bool
@@ -70,6 +70,16 @@ type FleetRunConfig struct {
 	// the ledger (phone states, phone.fallback for degraded sensing, hub
 	// device draw) in cell order.
 	Telemetry telemetry.Set
+}
+
+// compileOptions returns the DAG compile options the fleet both places
+// and replays under: the shared graph the hub runs, or with DisableCSE
+// every rewrite off, one instance per plan node.
+func (cfg FleetRunConfig) compileOptions() ir.CompileOptions {
+	if cfg.DisableCSE {
+		return ir.NoOpt()
+	}
+	return ir.CompileOptions{}
 }
 
 // FleetCell reports one phone of the population.
@@ -307,29 +317,19 @@ func placeFleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, *sensor.Trac
 	// Place the mix on the cheapest device that admits everything; when
 	// none does, the most capable device carries what fits and the rest
 	// degrades.
-	var s *sched.Scheduler
-	var dev hub.Device
-	for _, cand := range hub.Devices() {
-		cs := sched.NewWithOptions(cand, sched.Options{DisableSharing: cfg.DisableCSE})
-		for j, plan := range plans {
-			if _, err := cs.Add(uint16(j+1), plan, cell.Priorities[j]); err != nil {
-				return cell, nil, nil, err
-			}
-		}
-		s, dev = cs, cand
-		if len(cs.FallbackSet()) == 0 {
-			break
-		}
-	}
-	cell.Device = dev.Name
-	cell.Admitted = len(s.HubSet())
-	cell.Degraded = len(s.FallbackSet())
-	cell.CycleFrac, cell.RAMFrac, cell.SharedNodes = s.Utilization()
+	r := sched.Place(hub.Devices(), plans, cell.Priorities, cfg.compileOptions())
+	cell.Device = r.Device.Name
+	cell.Admitted = len(r.Admitted)
+	cell.Degraded = len(plans) - len(r.Admitted)
+	cell.CycleFrac, cell.RAMFrac, cell.SharedNodes = r.CycleFrac, r.RAMFrac, r.SharedNodes
 
 	cell.DurationSec = float64(tr.Len()) * (1 / tr.RateHz)
-	hubPlans := s.HubPlans()
+	hubPlans := make([]*core.Plan, len(r.Admitted))
+	for k, j := range r.Admitted {
+		hubPlans[k] = plans[j]
+	}
 	if len(hubPlans) > 0 {
-		cell.HubEnergyMJ = dev.ActivePowerMW * cell.DurationSec
+		cell.HubEnergyMJ = r.Device.ActivePowerMW * cell.DurationSec
 	}
 	return cell, tr, hubPlans, nil
 }
@@ -368,14 +368,9 @@ func replayAdmitted(cfg FleetRunConfig, tr *sensor.Trace, durSec float64, hubPla
 		ph.Advance(durSec)
 	} else {
 		// The admitted set executes as one DAG-compiled shared plan:
-		// identical subgraphs run once, exactly as the scheduler billed
-		// them. With CSE disabled the pass is fully ablated and every
-		// plan node gets its own instance.
-		copts := ir.CompileOptions{}
-		if cfg.DisableCSE {
-			copts = ir.NoOpt()
-		}
-		sp, err := ir.CompilePlans(core.DefaultCatalog(), copts, hubPlans...)
+		// identical subgraphs run once, exactly as the placement billed
+		// them.
+		sp, err := ir.CompilePlans(core.DefaultCatalog(), cfg.compileOptions(), hubPlans...)
 		if err != nil {
 			return r, err
 		}

@@ -12,10 +12,18 @@
 # ALLOWLIST (default: scripts/testonly_api.allow) holds the names kept on
 # purpose, one per line as "name  # reason". The script exits 1 when a
 # listed name is not on the allowlist, and notes allowlist entries that no
-# longer match anything. Run from the repository root.
+# longer match anything.
+#
+# It then notes, without failing, the exported functions and methods that
+# only swbench/ and tests reach: those linked into the swbench binary and
+# into no production binary (cmd/*, examples/*). The linker keeps only
+# what a binary can call, so methods that share a name are told apart.
+# Inlining is off for the module's packages, so a function every caller
+# inlines still shows. Run from the repository root.
 set -eu
 
 allow="${1:-$(dirname "$0")/testonly_api.allow}"
+status=0
 
 find . -name '*.go' ! -name '*_test.go' -print | sort |
     awk -v allow="$allow" '
@@ -68,4 +76,25 @@ find . -name '*.go' ! -name '*_test.go' -print | sort |
                 for (i = 1; i <= bad; i++) print "  " unlisted[i]
                 exit 1
             }
-        }'
+        }' || status=$?
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/prod"
+noinline='-gcflags=sidewinder/...=-l'
+# syms prints the module's function symbols linked into the binaries, a
+# pointer receiver and a method value's -fm suffix stripped.
+syms() {
+    for f in "$@"; do go tool nm "$f"; done |
+        awk '$2 == "T" || $2 == "t" { print $3 }' |
+        sed -E -n 's/\(\*([A-Za-z0-9_]+)\)/\1/; s/-fm$//; s/^sidewinder\/(internal\/)/\1/p; /^sidewinder\./p' | sort -u
+}
+if go build "$noinline" -o "$tmp/prod/" ./cmd/... ./examples/... &&
+    (cd swbench && go build "$noinline" -o "$tmp/swbench" .); then
+    syms "$tmp"/prod/* > "$tmp/prod.txt"
+    syms "$tmp/swbench" | comm -23 - "$tmp/prod.txt" |
+        awk -F. '$NF ~ /^[A-Z]/ { print "testonly-api: note: " $0 " is reached only from swbench/ and tests" }'
+else
+    echo "testonly-api: note: the binaries did not build; API reached only from swbench/ is not listed"
+fi
+exit $status
