@@ -24,7 +24,7 @@ BENCH_PKGS = . ./internal/interp ./internal/telemetry ./internal/dsp ./internal/
 
 .PHONY: verify fmt build vet staticcheck test race bench bench-telemetry \
 	bench-baseline bench-check cover cover-check fuzz soak chaos fleetd-stress \
-	swbench-check profile-eval loc loc-delta testonly-api
+	swbench-check profile-eval profile-optin loc loc-delta testonly-api
 
 verify: fmt build vet staticcheck race
 	@echo "verify clean — consider 'make fuzz' (FUZZTIME=$(FUZZTIME) per target) for parser/framing changes"
@@ -106,6 +106,19 @@ profile-eval:
 	$(GO) run ./cmd/sidewinder-eval -experiment all -robot-min 2 -audio-min 2 \
 		-human-min 4 -workers 1 -cpuprofile eval-cpu.prof > /dev/null
 	$(GO) tool pprof -top -nodecount=25 eval-cpu.prof
+
+# profile-optin is profile-eval's twin for the opt-in sweeps: it
+# CPU-profiles `-experiment fleet`, `adaptive` and `crash` at the
+# benchmark's optin-sweeps scale (2/2/4-minute traces, one worker), one
+# profile each, and prints the top functions of the three merged.
+OPTIN_EXPERIMENTS = fleet adaptive crash
+profile-optin:
+	$(GO) build -o bin/sidewinder-eval ./cmd/sidewinder-eval
+	for e in $(OPTIN_EXPERIMENTS); do \
+		bin/sidewinder-eval -experiment $$e -robot-min 2 -audio-min 2 -human-min 4 \
+			-workers 1 -cpuprofile optin-$$e-cpu.prof > /dev/null || exit 1; \
+	done
+	$(GO) tool pprof -top -nodecount=25 bin/sidewinder-eval $(OPTIN_EXPERIMENTS:%=optin-%-cpu.prof)
 
 # loc prints the production Go lines per package and in total: non-blank,
 # non-comment lines of every non-test .go file outside swbench/. Simplicity

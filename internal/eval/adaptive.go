@@ -32,7 +32,10 @@ type AdaptiveResult struct {
 // audio trio spans the interesting policy regimes: sirens and music earn
 // the Q15 rung (the FFT chain keeps the LM4F120, the feature chain idles
 // the MSP430), music's decimation rung gets vetoed by re-admission, and
-// phrase's false wakes drive the AIMD threshold axis.
+// phrase's false wakes drive the AIMD threshold axis. Sirens earns its
+// rung only on traces a few minutes long or more: over 2-minute audio
+// traces it adopts nothing, and its adaptive arm stays on the pushed
+// program throughout.
 func adaptiveSweepApps(w *Workload) []struct {
 	app    *apps.App
 	traces []*sensor.Trace
@@ -53,12 +56,14 @@ func adaptiveSweepApps(w *Workload) []struct {
 	return out
 }
 
-// Adaptive runs the feedback-loop experiment (ROADMAP item 1): every
+// Adaptive runs the closed-loop adaptation experiment (DESIGN §15): every
 // application replays its traces under Oracle, static Sidewinder and
 // adaptive Sidewinder. Both Sidewinder arms bill the hub with the
 // load-proportional power model, so the delta is purely what the policy
 // engine's re-parameterizations (threshold strictness, Q15 demotion,
-// decimation + window stretch) are worth. Cells fan out through the
+// decimation + window stretch) are worth. The two arms come from
+// sim.AdaptiveArms, so for each trace they share one hub pass of the
+// pushed program for the length of this call. Cells fan out through the
 // worker pool and aggregate in enqueue order; the engine itself is
 // driven only by the trace, so the table is byte-identical at any worker
 // count (TestRunAdaptiveWorkerInvariance).
@@ -71,13 +76,14 @@ func Adaptive(w *Workload) (*AdaptiveResult, error) {
 	cfg := adapt.DefaultConfig()
 	cfg.Patience = 3
 	cfg.Cooldown = 6
+	static, adaptive := sim.AdaptiveArms(cfg)
 	arms := []struct {
 		name string
 		s    sim.Strategy
 	}{
 		{"Oracle", sim.Oracle{}},
-		{"Static Sidewinder", sim.AdaptiveSidewinder{Config: cfg, Frozen: true}},
-		{"Adaptive Sidewinder", sim.AdaptiveSidewinder{Config: cfg}},
+		{"Static Sidewinder", static},
+		{"Adaptive Sidewinder", adaptive},
 	}
 
 	var b runBatch

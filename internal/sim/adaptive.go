@@ -54,6 +54,49 @@ type AdaptiveSidewinder struct {
 
 	// Telemetry behaves exactly as on Sidewinder.
 	Telemetry telemetry.Set
+
+	// passes, set by AdaptiveArms, shares the pushed program's hub pass
+	// between the arms it returns.
+	passes *onceMemo[basePassKey, basePass]
+}
+
+// AdaptiveArms returns the experiment's static control arm and adaptive
+// arm under cfg. The hub decides the wakes and the phone replays them
+// (paper §3, §4.2), so both arms run the same hub pass over a trace until
+// the adaptive arm first adopts a new program, and at short traces it may
+// never adopt one. The two arms therefore share one pass of the pushed
+// program per trace: the first arm to reach a trace runs it, and the other
+// copies its firings chunk by chunk. A run with telemetry enabled runs its
+// own pass, so its interpreter profile and stage spans stay its own.
+// Nothing is kept beyond the two arms.
+func AdaptiveArms(cfg adapt.Config) (static, adaptive AdaptiveSidewinder) {
+	passes := newOnceMemo[basePassKey, basePass]()
+	return AdaptiveSidewinder{Config: cfg, Frozen: true, passes: passes},
+		AdaptiveSidewinder{Config: cfg, passes: passes}
+}
+
+// basePassKey identifies a pass of the pushed program: the trace, and the
+// program's IR text and precision, which fix its compiled machine and the
+// channels it reads.
+type basePassKey struct {
+	tr   *sensor.Trace
+	text string
+	prec interp.Precision
+}
+
+// basePass is a program's whole-trace fire list, run on one fresh machine
+// a simBlock chunk at a time as replayHub runs it: chunk c's sorted,
+// duplicate-free firings are fires[offs[c]:offs[c+1]].
+type basePass struct {
+	fires fireList
+	offs  []int
+}
+
+// chunk returns the firings of the chunk starting at sample base. The
+// slice belongs to the pass; callers copy it.
+func (p basePass) chunk(base int) fireList {
+	c := base / simBlock
+	return p.fires[p.offs[c]:p.offs[c+1]]
 }
 
 // Name implements Strategy.
@@ -138,13 +181,28 @@ func (t *truthTracker) nextExpiry() int {
 	return t.truth[t.order[t.next]].End + t.tol + 1
 }
 
-// adaptiveProgram is one compiled, admitted hub configuration: its
-// interpreter and the trace channels it reads.
+// adaptiveProgram is one compiled, admitted hub configuration: its plan,
+// its interpreter and the trace channels it reads.
 type adaptiveProgram struct {
+	plan    *core.Plan
 	m       *interp.Machine
 	chs     []core.SensorChannel
 	data    [][]float64
 	powerMW float64
+}
+
+// pass runs the program's machine over the trace's n samples, chunk by
+// chunk as replayHub does, and returns its fire list.
+func (p *adaptiveProgram) pass(n int) basePass {
+	var bp basePass
+	for base := 0; base < n; base += simBlock {
+		start := len(bp.fires)
+		p.m.Run(p.chs, p.data, base, min(base+simBlock, n), bp.fires.add)
+		bp.fires = bp.fires[:start+len(bp.fires[start:].set())]
+		bp.offs = append(bp.offs, start)
+	}
+	bp.offs = append(bp.offs, len(bp.fires))
+	return bp
 }
 
 // Run implements Strategy.
@@ -196,16 +254,30 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		return &adaptiveProgram{m: m, chs: exec.Channels, data: data, powerMW: dev.LoadPowerMW(f, i)}, nil
+		return &adaptiveProgram{plan: plan, m: m, chs: exec.Channels, data: data, powerMW: dev.LoadPowerMW(f, i)}, nil
 	}
 
-	cur, err := build(engine.Knobs())
+	pushedKnobs := engine.Knobs()
+	cur, err := build(pushedKnobs)
 	if err != nil {
 		return nil, err
 	}
 	engine.TakeDirty() // the pushed configuration is not an adaptation
 
 	n := tr.Len()
+	// While the pushed program is resident, its firings come from the pass
+	// the arms share, when they share one. A program adopted later starts
+	// from fresh state and runs its own machine, even at the pushed knobs.
+	pushed := cur
+	var shared *basePass
+	if s.passes != nil && !s.Telemetry.Enabled() {
+		key := basePassKey{tr: tr, text: ir.CompileToText(cur.plan), prec: pushedKnobs.Precision}
+		bp, err := s.passes.get(key, func() (basePass, error) { return cur.pass(n), nil })
+		if err != nil {
+			return nil, err
+		}
+		shared = &bp
+	}
 	ph := power.NewPhone(power.Nexus4())
 	dt := 1 / tr.RateHz
 	hold := int(swIdleHoldSec * tr.RateHz)
@@ -276,10 +348,16 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		if pending != nil {
 			cur, pending = pending, nil
 		}
-		cur.m.Run(cur.chs, cur.data, base, end, f.add)
+		if shared != nil && cur == pushed {
+			// Copy: replayHub reuses f's backing array across chunks.
+			f = append(f, shared.chunk(base)...)
+		} else {
+			cur.m.Run(cur.chs, cur.data, base, end, f.add)
+			f = f.set()
+		}
 		hubMJ += cur.powerMW * float64(end-base) * dt
 		staticMJ += staticMW * float64(end-base) * dt
-		return f.set()
+		return f
 	}, visit, tracker.nextExpiry)
 	intervals := w.close(n)
 	// Score (but no longer act on) events whose window ran off the trace.

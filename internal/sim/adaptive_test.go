@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +14,7 @@ import (
 	"sidewinder/internal/core"
 	"sidewinder/internal/hub"
 	"sidewinder/internal/interp"
+	"sidewinder/internal/ir"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/telemetry"
 	"sidewinder/internal/tracegen"
@@ -252,5 +256,162 @@ func TestAdaptiveValidation(t *testing.T) {
 	}
 	if k := r.Adapt.FinalKnobs; k.Decimation != 1 || k.Precision != interp.Float64 {
 		t.Errorf("single-rung ladder escaped baseline: %+v", k)
+	}
+}
+
+// sameAdaptiveResult reports whether got equals want field by field, with
+// every power figure and hub energy compared bit for bit.
+func sameAdaptiveResult(got, want *Result) bool {
+	if !reflect.DeepEqual(got, want) {
+		return false
+	}
+	g, w := got.Power, want.Power
+	ga, wa := got.Adapt, want.Adapt
+	for _, p := range [][2]float64{
+		{g.AsleepSec, w.AsleepSec}, {g.WakingSec, w.WakingSec}, {g.AwakeSec, w.AwakeSec},
+		{g.SleepingSec, w.SleepingSec}, {g.PhoneAvgMW, w.PhoneAvgMW}, {g.HubMW, w.HubMW},
+		{g.TotalAvgMW, w.TotalAvgMW}, {ga.StaticMJ, wa.StaticMJ}, {ga.AdaptedMJ, wa.AdaptedMJ},
+		{ga.SavingsMJ, wa.SavingsMJ}, {ga.MissedRate, wa.MissedRate},
+	} {
+		if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAdaptiveArmsMatchUnsharedRuns: each arm AdaptiveArms returns runs
+// exactly as a standalone AdaptiveSidewinder with its own hub pass, on
+// every corpus combo, whichever arm reaches a trace first. The corpus
+// adopts new programs (music, phrase), so an arm that kept copying the
+// shared pass after a swap would differ; and the arms must really share,
+// one pass per combo, or the comparison proves nothing.
+func TestAdaptiveArmsMatchUnsharedRuns(t *testing.T) {
+	cfg := adaptiveTestConfig()
+	combos := adaptiveCombos(t)
+	static, adaptive := AdaptiveArms(cfg)
+	adoptions := 0
+	for ci, combo := range combos {
+		arms := []AdaptiveSidewinder{static, adaptive}
+		if ci%2 == 1 {
+			arms[0], arms[1] = adaptive, static
+		}
+		for _, arm := range arms {
+			got, err := arm.Run(combo.tr, combo.app)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", arm.Name(), combo.app.Name, err)
+			}
+			want, err := AdaptiveSidewinder{Config: cfg, Frozen: arm.Frozen}.Run(combo.tr, combo.app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameAdaptiveResult(got, want) {
+				t.Errorf("%s/%s: shared pass\n%+v\n%+v\nown pass\n%+v\n%+v",
+					arm.Name(), combo.app.Name, got, got.Adapt, want, want.Adapt)
+			}
+			adoptions += got.Adapt.Adoptions
+		}
+	}
+	if adoptions == 0 {
+		t.Error("no arm adopted a program; the comparison never leaves the shared pass")
+	}
+	if n := len(static.passes.entries); n != len(combos) {
+		t.Errorf("%d shared passes for %d combos", n, len(combos))
+	}
+}
+
+// TestAdaptiveArmsShareOnePass: arms running in parallel hold one shared
+// pass per distinct (trace, pushed program text, precision) key, derived
+// here from the pushed knobs, and every run still equals a standalone
+// one; and the memo runs each key's pass exactly once however many
+// goroutines ask for it at the same time.
+func TestAdaptiveArmsShareOnePass(t *testing.T) {
+	cfg := adaptiveTestConfig()
+	acfg := tracegen.NewAudioConfig(5, 30*time.Second, tracegen.OfficeAudio)
+	audio, err := tracegen.Audio(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	robot := robotTrace(t, 0.5)
+	combos := []struct {
+		app *apps.App
+		tr  *sensor.Trace
+	}{{apps.Steps(), robot}, {apps.Transitions(), robot}, {apps.Sirens(), audio}}
+
+	cat := core.DefaultCatalog()
+	knobs := adapt.NewEngine(cfg).Knobs()
+	keys := map[basePassKey]bool{}
+	var want [2][]*Result
+	for _, combo := range combos {
+		base, err := combo.app.Wake.Validate(cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := adapt.Reparameterize(cat, base, knobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[basePassKey{tr: combo.tr, text: ir.CompileToText(plan), prec: knobs.Precision}] = true
+		for a, frozen := range []bool{true, false} {
+			r, err := AdaptiveSidewinder{Config: cfg, Frozen: frozen}.Run(combo.tr, combo.app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[a] = append(want[a], r)
+		}
+	}
+
+	static, adaptive := AdaptiveArms(cfg)
+	const callers = 32
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			k, a := c%len(combos), c/len(combos)%2
+			arm := []AdaptiveSidewinder{static, adaptive}[a]
+			got, err := arm.Run(combos[k].tr, combos[k].app)
+			if err != nil {
+				t.Errorf("caller %d: %v", c, err)
+				return
+			}
+			if !sameAdaptiveResult(got, want[a][k]) {
+				t.Errorf("caller %d: %s/%s differs from its standalone run", c, arm.Name(), combos[k].app.Name)
+			}
+		}(c)
+	}
+	wg.Wait()
+	if len(static.passes.entries) != len(keys) {
+		t.Errorf("%d shared passes, the runs have %d distinct keys", len(static.passes.entries), len(keys))
+	}
+	for k := range static.passes.entries {
+		if !keys[k] {
+			t.Errorf("shared pass under an unexpected key (%s, prec %d)", k.tr.Name, k.prec)
+		}
+	}
+
+	// Hammer one memo from many goroutines over a few keys.
+	m := newOnceMemo[basePassKey, basePass]()
+	const nKeys = 3
+	var runs [nKeys]atomic.Int32
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			k := c % nKeys
+			p, err := m.get(basePassKey{text: fmt.Sprint(k)}, func() (basePass, error) {
+				runs[k].Add(1)
+				return basePass{offs: []int{0, k}}, nil
+			})
+			if err != nil || p.offs[1] != k {
+				t.Errorf("caller %d: got %+v, %v", c, p, err)
+			}
+		}(c)
+	}
+	wg.Wait()
+	for k := range runs {
+		if n := runs[k].Load(); n != 1 {
+			t.Errorf("key %d ran its pass %d times, want once", k, n)
+		}
 	}
 }

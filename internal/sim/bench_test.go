@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sidewinder/internal/adapt"
 	"sidewinder/internal/apps"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/tracegen"
@@ -72,6 +73,44 @@ func BenchmarkFleetSweep(b *testing.B) {
 		}
 		if res[3].Admitted == 0 {
 			b.Fatal("nothing admitted: the benchmark replays nothing")
+		}
+	}
+}
+
+// BenchmarkAdaptiveArms runs the adaptive experiment's two Sidewinder arms
+// over a seeded 2-minute office-audio trace with the siren condition and a
+// 2-minute robot trace with the step condition, pinning the shared-pass
+// path's allocations (make bench-check). Every op takes a fresh pair of
+// arms from AdaptiveArms, so each op runs one hub pass per trace.
+func BenchmarkAdaptiveArms(b *testing.B) {
+	audio, err := tracegen.Audio(tracegen.NewAudioConfig(1, 2*time.Minute, tracegen.OfficeAudio))
+	if err != nil {
+		b.Fatal(err)
+	}
+	robot, err := tracegen.Robot(tracegen.RobotConfig{Seed: 1, Duration: 2 * time.Minute, IdleFraction: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := adapt.DefaultConfig()
+	cfg.Patience = 3
+	cfg.Cooldown = 6
+	combos := []struct {
+		tr  *sensor.Trace
+		app *apps.App
+	}{{audio, apps.Sirens()}, {robot, apps.Steps()}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		static, adaptive := AdaptiveArms(cfg)
+		for _, c := range combos {
+			for _, arm := range []AdaptiveSidewinder{static, adaptive} {
+				res, err := arm.Run(c.tr, c.app)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Power.WakeUps == 0 {
+					b.Fatal("no wake-ups: the benchmark replays nothing")
+				}
+			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"sidewinder/internal/apps"
 	"sidewinder/internal/core"
@@ -180,7 +179,9 @@ func FleetRun(cfg FleetRunConfig) (*FleetResult, error) {
 // hub admitted: the hub decides the wakes and the phone only replays them
 // (paper §3, §4.2). So cells that share a (trace, admitted set) key, within
 // a population or across populations, share one replay; device and
-// fallback energy stay per cell. The shared replays live for one call.
+// fallback energy stay per cell. Each pool app is validated, and its
+// plan's IR text rendered, once per call. The shared replays and plans
+// live for one call.
 func FleetSweep(cfgs []FleetRunConfig) ([]*FleetResult, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sim: fleet needs at least one population")
@@ -199,13 +200,18 @@ func FleetSweep(cfgs []FleetRunConfig) ([]*FleetResult, error) {
 			return nil, fmt.Errorf("sim: fleet populations of one sweep must agree on workers, precision and CSE")
 		}
 	}
-	return fleetSweep(cfgs, newFleetMemo())
+	pools, err := newFleetPools()
+	if err != nil {
+		return nil, err
+	}
+	return fleetSweep(cfgs, pools, newOnceMemo[fleetKey, fleetReplay]())
 }
 
-// fleetSweep fans every cell of every population out at once, sharing
-// replays through memo, then assembles the results population by
-// population. Cell k of the fan is cell k-off[j] of population j.
-func fleetSweep(cfgs []FleetRunConfig, memo *fleetMemo) ([]*FleetResult, error) {
+// fleetSweep fans every cell of every population out at once, drawing
+// apps from pools and sharing replays through memo, then assembles the
+// results population by population. Cell k of the fan is cell k-off[j] of
+// population j.
+func fleetSweep(cfgs []FleetRunConfig, pools fleetPools, memo *onceMemo[fleetKey, fleetReplay]) ([]*FleetResult, error) {
 	off := make([]int, len(cfgs)+1)
 	for j, cfg := range cfgs {
 		off[j+1] = off[j] + cfg.Devices
@@ -213,7 +219,7 @@ func fleetSweep(cfgs []FleetRunConfig, memo *fleetMemo) ([]*FleetResult, error) 
 	outs, err := parallel.Map(cfgs[0].Workers, off[len(cfgs)], func(k int) (FleetCell, error) {
 		j := sort.SearchInts(off, k+1) - 1
 		rng := rand.New(rand.NewSource(cfgs[j].Seed + int64(k-off[j])*fleetCellSeed))
-		return fleetCell(cfgs[j], rng, memo)
+		return fleetCell(cfgs[j], pools, rng, memo)
 	})
 	if err != nil {
 		return nil, err
@@ -246,11 +252,12 @@ func fleetSweep(cfgs []FleetRunConfig, memo *fleetMemo) ([]*FleetResult, error) 
 }
 
 // fleetCell draws, places and replays one phone of the population.
-func fleetCell(cfg FleetRunConfig, rng *rand.Rand, memo *fleetMemo) (FleetCell, error) {
-	cell, tr, hubPlans, err := placeFleetCell(cfg, rng)
+func fleetCell(cfg FleetRunConfig, pools fleetPools, rng *rand.Rand, memo *onceMemo[fleetKey, fleetReplay]) (FleetCell, error) {
+	cell, tr, admitted, err := placeFleetCell(cfg, pools, rng)
 	if err != nil {
 		return cell, err
 	}
+	hubPlans := plansOf(admitted)
 	// The channels are resolved per cell, before the memo, so a missing
 	// channel names this cell's own mix.
 	chs := planChannels(hubPlans)
@@ -258,7 +265,7 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand, memo *fleetMemo) (FleetCell, 
 	if err != nil {
 		return cell, err
 	}
-	r, err := memo.replay(fleetKeyOf(tr, hubPlans), func() (fleetReplay, error) {
+	r, err := memo.get(fleetKeyOf(tr, admitted), func() (fleetReplay, error) {
 		return replayAdmitted(cfg, tr, cell.DurationSec, hubPlans, chs, data)
 	})
 	if err != nil {
@@ -283,55 +290,97 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand, memo *fleetMemo) (FleetCell, 
 	return cell, nil
 }
 
-// placeFleetCell draws one phone's modality, trace and app mix and places
-// the mix on a hub device. It returns the cell with its draw, placement,
-// duration and hub energy filled in, the trace, and the admitted plans in
-// ascending condition-ID order.
-func placeFleetCell(cfg FleetRunConfig, rng *rand.Rand) (FleetCell, *sensor.Trace, []*core.Plan, error) {
+// fleetApp is one pool application as a sweep draws it: its wake
+// condition validated and its plan's IR text rendered once per sweep. The
+// plan is shared by every cell that draws the app and never mutated.
+type fleetApp struct {
+	name string
+	plan *core.Plan
+	text string
+}
+
+// fleetPools holds one sweep's accel and audio app pools, in the order
+// apps.AccelApps and apps.AudioApps list them.
+type fleetPools struct{ accel, audio []fleetApp }
+
+// newFleetPools validates every pool application once.
+func newFleetPools() (fleetPools, error) {
+	cat := core.DefaultCatalog()
+	pool := func(list []*apps.App) ([]fleetApp, error) {
+		out := make([]fleetApp, len(list))
+		for i, app := range list {
+			plan, err := app.Wake.Validate(cat)
+			if err != nil {
+				return nil, fmt.Errorf("sim: fleet validating %s: %w", app.Name, err)
+			}
+			out[i] = fleetApp{name: app.Name, plan: plan, text: ir.CompileToText(plan)}
+		}
+		return out, nil
+	}
+	accel, err := pool(apps.AccelApps())
+	if err != nil {
+		return fleetPools{}, err
+	}
+	audio, err := pool(apps.AudioApps())
+	if err != nil {
+		return fleetPools{}, err
+	}
+	return fleetPools{accel: accel, audio: audio}, nil
+}
+
+// placeFleetCell draws one phone's modality, trace and app mix from pools
+// and places the mix on a hub device. It returns the cell with its draw,
+// placement, duration and hub energy filled in, the trace, and the
+// admitted apps in ascending condition-ID order.
+func placeFleetCell(cfg FleetRunConfig, pools fleetPools, rng *rand.Rand) (FleetCell, *sensor.Trace, []fleetApp, error) {
 	var cell FleetCell
 
 	// Draw the modality first: traces are single-modality, so the app mix
 	// must agree with the trace before either is chosen.
-	pool, traces := apps.AccelApps(), cfg.Accel
+	pool, traces := pools.accel, cfg.Accel
 	cell.Modality = "accel"
 	if len(cfg.Accel) == 0 || (len(cfg.Audio) > 0 && rng.Intn(2) == 1) {
-		pool, traces = apps.AudioApps(), cfg.Audio
+		pool, traces = pools.audio, cfg.Audio
 		cell.Modality = "audio"
 	}
 	tr := traces[rng.Intn(len(traces))]
 	cell.Trace = tr.Name
 
-	cat := core.DefaultCatalog()
-	plans := make([]*core.Plan, 0, cfg.AppsPerDevice)
+	drawn := make([]fleetApp, 0, cfg.AppsPerDevice)
 	for j := 0; j < cfg.AppsPerDevice; j++ {
 		app := pool[rng.Intn(len(pool))]
-		plan, err := app.Wake.Validate(cat)
-		if err != nil {
-			return cell, nil, nil, fmt.Errorf("sim: fleet validating %s: %w", app.Name, err)
-		}
-		plans = append(plans, plan)
-		cell.Apps = append(cell.Apps, app.Name)
+		drawn = append(drawn, app)
+		cell.Apps = append(cell.Apps, app.name)
 		cell.Priorities = append(cell.Priorities, rng.Intn(3))
 	}
 
 	// Place the mix on the cheapest device that admits everything; when
 	// none does, the most capable device carries what fits and the rest
 	// degrades.
-	r := sched.Place(hub.Devices(), plans, cell.Priorities, cfg.compileOptions())
+	r := sched.Place(hub.Devices(), plansOf(drawn), cell.Priorities, cfg.compileOptions())
 	cell.Device = r.Device.Name
 	cell.Admitted = len(r.Admitted)
-	cell.Degraded = len(plans) - len(r.Admitted)
+	cell.Degraded = len(drawn) - len(r.Admitted)
 	cell.CycleFrac, cell.RAMFrac, cell.SharedNodes = r.CycleFrac, r.RAMFrac, r.SharedNodes
 
 	cell.DurationSec = float64(tr.Len()) * (1 / tr.RateHz)
-	hubPlans := make([]*core.Plan, len(r.Admitted))
+	admitted := make([]fleetApp, len(r.Admitted))
 	for k, j := range r.Admitted {
-		hubPlans[k] = plans[j]
+		admitted[k] = drawn[j]
 	}
-	if len(hubPlans) > 0 {
+	if len(admitted) > 0 {
 		cell.HubEnergyMJ = r.Device.ActivePowerMW * cell.DurationSec
 	}
-	return cell, tr, hubPlans, nil
+	return cell, tr, admitted, nil
+}
+
+// plansOf returns the apps' plans, in order.
+func plansOf(list []fleetApp) []*core.Plan {
+	plans := make([]*core.Plan, len(list))
+	for i, app := range list {
+		plans[i] = app.plan
+	}
+	return plans
 }
 
 // planChannels returns the union of the plans' channels, in first-use
@@ -407,44 +456,14 @@ type fleetKey struct {
 	plans string
 }
 
-// fleetKeyOf returns the key of replaying plans over tr.
-func fleetKeyOf(tr *sensor.Trace, plans []*core.Plan) fleetKey {
-	texts := make([]string, len(plans))
-	for i, plan := range plans {
-		texts[i] = ir.CompileToText(plan)
+// fleetKeyOf returns the key of replaying the admitted apps over tr.
+func fleetKeyOf(tr *sensor.Trace, admitted []fleetApp) fleetKey {
+	texts := make([]string, len(admitted))
+	for i, app := range admitted {
+		texts[i] = app.text
 	}
 	slices.Sort(texts)
 	return fleetKey{tr: tr, plans: strings.Join(slices.Compact(texts), "\x00")}
-}
-
-// fleetMemo shares replays between the cells of one sweep. Each entry is
-// computed once, by the first cell to reach it; cells of the parallel fan
-// that reach it meanwhile wait for that replay.
-type fleetMemo struct {
-	mu      sync.Mutex
-	entries map[fleetKey]*fleetEntry
-}
-
-func newFleetMemo() *fleetMemo { return &fleetMemo{entries: make(map[fleetKey]*fleetEntry)} }
-
-// fleetEntry is one key's replay, or the error that stopped it.
-type fleetEntry struct {
-	once sync.Once
-	r    fleetReplay
-	err  error
-}
-
-// replay returns the replay for k, running run only if no cell has.
-func (m *fleetMemo) replay(k fleetKey, run func() (fleetReplay, error)) (fleetReplay, error) {
-	m.mu.Lock()
-	e := m.entries[k]
-	if e == nil {
-		e = &fleetEntry{}
-		m.entries[k] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.r, e.err = run() })
-	return e.r, e.err
 }
 
 // mean of a sample (0 for empty).

@@ -5,15 +5,15 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"sidewinder/internal/apps"
-	"sidewinder/internal/core"
 	"sidewinder/internal/interp"
+	"sidewinder/internal/ir"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/telemetry"
 	"sidewinder/internal/tracegen"
@@ -34,6 +34,19 @@ func memoSweepConfigs(t *testing.T, prec interp.Precision, noCSE bool, workers i
 	return cfgs
 }
 
+// fleetMemo returns a fresh replay memo.
+func fleetMemo() *onceMemo[fleetKey, fleetReplay] { return newOnceMemo[fleetKey, fleetReplay]() }
+
+// testPools returns freshly validated app pools.
+func testPools(t *testing.T) fleetPools {
+	t.Helper()
+	pools, err := newFleetPools()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pools
+}
+
 // cellRNG is the RNG fleetSweep gives cell i of a population.
 func cellRNG(cfg FleetRunConfig, i int) *rand.Rand {
 	return rand.New(rand.NewSource(cfg.Seed + int64(i)*fleetCellSeed))
@@ -43,7 +56,9 @@ func cellRNG(cfg FleetRunConfig, i int) *rand.Rand {
 // equals the same cell replayed on its own, with a memo of its own, field
 // by field and its phone energy split bit for bit, in both precisions and
 // with the DAG compile pass ablated. The sweep must really share replays,
-// or the comparison proves nothing.
+// or the comparison proves nothing, and the plans its cells share must
+// come out of the parallel sweep as they went in (-race also watches
+// them).
 func TestFleetSweepMatchesUnmemoizedCells(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -56,15 +71,20 @@ func TestFleetSweepMatchesUnmemoizedCells(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfgs := memoSweepConfigs(t, tc.prec, tc.noCSE, 4)
-			memo := newFleetMemo()
-			res, err := fleetSweep(cfgs, memo)
+			pools, memo := testPools(t), fleetMemo()
+			res, err := fleetSweep(cfgs, pools, memo)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, app := range slices.Concat(pools.accel, pools.audio) {
+				if got := ir.CompileToText(app.plan); got != app.text {
+					t.Errorf("%s: the sweep changed the shared plan:\n%s\nwas\n%s", app.name, got, app.text)
+				}
 			}
 			hubCells := 0
 			for j, cfg := range cfgs {
 				for i, got := range res[j].Cells {
-					want, err := fleetCell(cfg, cellRNG(cfg, i), newFleetMemo())
+					want, err := fleetCell(cfg, testPools(t), cellRNG(cfg, i), fleetMemo())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -130,26 +150,20 @@ func TestFleetKeyIgnoresOrderAndDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pools := testPools(t)
 	for _, tc := range []struct {
 		tr   *sensor.Trace
-		apps []*apps.App
+		apps []fleetApp
 	}{
-		{accel[1], apps.AccelApps()},
-		{audio, apps.AudioApps()},
+		{accel[1], pools.accel},
+		{audio, pools.audio},
 	} {
-		var plans []*core.Plan
-		for _, app := range tc.apps {
-			plan, err := app.Wake.Validate(core.DefaultCatalog())
-			if err != nil {
-				t.Fatal(err)
-			}
-			plans = append(plans, plan)
-		}
-		shuffled := []*core.Plan{plans[2], plans[0], plans[1], plans[0]}
+		shuffled := []fleetApp{tc.apps[2], tc.apps[0], tc.apps[1], tc.apps[0]}
 		for _, prec := range []interp.Precision{interp.Float64, interp.Q15} {
 			for _, noCSE := range []bool{false, true} {
 				cfg := FleetRunConfig{Precision: prec, DisableCSE: noCSE}
-				replay := func(plans []*core.Plan) (fleetKey, fleetReplay) {
+				replay := func(admitted []fleetApp) (fleetKey, fleetReplay) {
+					plans := plansOf(admitted)
 					chs := planChannels(plans)
 					data, err := traceChannels(tc.tr, chs, "the test mix")
 					if err != nil {
@@ -160,9 +174,9 @@ func TestFleetKeyIgnoresOrderAndDuplicates(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return fleetKeyOf(tc.tr, plans), r
+					return fleetKeyOf(tc.tr, admitted), r
 				}
-				k1, r1 := replay(plans)
+				k1, r1 := replay(tc.apps)
 				k2, r2 := replay(shuffled)
 				name := fmt.Sprintf("%s prec=%d nocse=%v", tc.tr.Name, prec, noCSE)
 				if k1 != k2 {
@@ -176,7 +190,7 @@ func TestFleetKeyIgnoresOrderAndDuplicates(t *testing.T) {
 				}
 			}
 		}
-		if reflect.DeepEqual(planChannels(plans), planChannels(shuffled)) && len(planChannels(plans)) > 1 {
+		if plans := plansOf(tc.apps); reflect.DeepEqual(planChannels(plans), planChannels(plansOf(shuffled))) && len(planChannels(plans)) > 1 {
 			t.Errorf("%s: permuting did not change the channel order", tc.tr.Name)
 		}
 	}
@@ -188,18 +202,18 @@ func TestFleetKeyIgnoresOrderAndDuplicates(t *testing.T) {
 // however many goroutines ask for it at the same time.
 func TestFleetSweepReplaysEachKeyOnce(t *testing.T) {
 	cfgs := memoSweepConfigs(t, interp.Float64, false, 4)
-	memo := newFleetMemo()
-	if _, err := fleetSweep(cfgs, memo); err != nil {
+	pools, memo := testPools(t), fleetMemo()
+	if _, err := fleetSweep(cfgs, pools, memo); err != nil {
 		t.Fatal(err)
 	}
 	keys := map[fleetKey]bool{}
 	for _, cfg := range cfgs {
 		for i := 0; i < cfg.Devices; i++ {
-			_, tr, hubPlans, err := placeFleetCell(cfg, cellRNG(cfg, i))
+			_, tr, admitted, err := placeFleetCell(cfg, pools, cellRNG(cfg, i))
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys[fleetKeyOf(tr, hubPlans)] = true
+			keys[fleetKeyOf(tr, admitted)] = true
 		}
 	}
 	if len(memo.entries) != len(keys) {
@@ -207,7 +221,7 @@ func TestFleetSweepReplaysEachKeyOnce(t *testing.T) {
 	}
 
 	// Hammer one memo from many goroutines over a few keys.
-	m := newFleetMemo()
+	m := fleetMemo()
 	const nKeys, callers = 3, 32
 	var runs [nKeys]atomic.Int32
 	var wg sync.WaitGroup
@@ -216,7 +230,7 @@ func TestFleetSweepReplaysEachKeyOnce(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			k := c % nKeys
-			r, err := m.replay(fleetKey{plans: fmt.Sprint(k)}, func() (fleetReplay, error) {
+			r, err := m.get(fleetKey{plans: fmt.Sprint(k)}, func() (fleetReplay, error) {
 				runs[k].Add(1)
 				return fleetReplay{wakes: k}, nil
 			})
@@ -240,11 +254,11 @@ func TestFleetMissingChannelNamesEachCellsMix(t *testing.T) {
 	accel, _ := fleetTraces(t)
 	// Audio mixes over an accel trace: every cell lacks the microphone.
 	cfg := FleetRunConfig{Devices: 24, AppsPerDevice: 2, Seed: 5, Workers: 1, Audio: accel[:1]}
-	memo := newFleetMemo()
+	pools, memo := testPools(t), fleetMemo()
 	mixOf := map[fleetKey]string{}
 	shared := false
 	for i := 0; i < cfg.Devices; i++ {
-		cell, err := fleetCell(cfg, cellRNG(cfg, i), memo)
+		cell, err := fleetCell(cfg, pools, cellRNG(cfg, i), memo)
 		if err == nil {
 			t.Fatalf("cell %d: replayed audio apps over an accel trace", i)
 		}
@@ -252,11 +266,11 @@ func TestFleetMissingChannelNamesEachCellsMix(t *testing.T) {
 		if want := "required by the fleet mix " + mix; !strings.HasSuffix(err.Error(), want) {
 			t.Errorf("cell %d: error %q does not end %q", i, err, want)
 		}
-		_, tr, hubPlans, err := placeFleetCell(cfg, cellRNG(cfg, i))
+		_, tr, admitted, err := placeFleetCell(cfg, pools, cellRNG(cfg, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := fleetKeyOf(tr, hubPlans)
+		k := fleetKeyOf(tr, admitted)
 		if first, ok := mixOf[k]; ok && first != mix {
 			shared = true
 		} else if !ok {
