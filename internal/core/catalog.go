@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // ValueKind classifies the data flowing over a pipeline edge.
@@ -215,8 +216,14 @@ func paddedLen(n int) int {
 
 // DefaultCatalog returns the platform catalog of the prototype (paper
 // §3.6). The cost and memory figures model a 4-byte-float implementation
-// of each algorithm written natively for the hub.
-func DefaultCatalog() *Catalog {
+// of each algorithm written natively for the hub. It is built once and
+// shared by every caller, so neither it nor a *Meta it returns may be
+// modified.
+func DefaultCatalog() *Catalog { return defaultCatalog() }
+
+var defaultCatalog = sync.OnceValue(buildDefaultCatalog)
+
+func buildDefaultCatalog() *Catalog {
 	sustainSpec := ParamSpec{
 		Name: "sustain", Type: IntParam,
 		Default: Number(1), Min: 1, Max: 1e6,

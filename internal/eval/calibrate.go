@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"sidewinder/internal/apps"
 	"sidewinder/internal/interp"
@@ -160,14 +159,16 @@ func geometric(lo, hi float64, n int) []float64 {
 // paRecallsAll runs pa on every (trace, app) pair, starting with
 // pairs[first], and returns the results keyed by truthKey when every pair
 // recalls as much as its Always-Awake ceiling in aa; otherwise it returns
-// nil and the index of a pair that fell short. For traces listed in truths, recall is measured against
-// that baseline instead of trace labels (human traces, §5.5). Pairs fan
-// through the pool and stop early once any pair falls short; the verdict
-// is deterministic even though the set of pairs actually simulated is not,
-// and when every pair passes, every pair ran.
+// nil and the index of the pair that fell short first in that order. For
+// traces listed in truths, recall is measured against that baseline
+// instead of trace labels (human traces, §5.5). Pairs fan through the pool
+// and stop early once any pair falls short; parallel.All runs the same
+// pairs at every schedule, so the returned index, and with it the next
+// threshold's order, is deterministic. When every pair passes, every pair
+// ran.
 func paRecallsAll(workers int, pa sim.PredefinedActivity, pairs []calibrationPair, first int, truths map[string][]sensor.Event, aa map[string]*sim.Result) (map[string]*sim.Result, int, error) {
 	results := make([]*sim.Result, len(pairs))
-	var short atomic.Int64
+	short := make([]bool, len(pairs))
 	ok, err := parallel.All(workers, len(pairs), func(j int) (bool, error) {
 		i := (first + j) % len(pairs)
 		tr, app := pairs[i].tr, pairs[i].app
@@ -180,14 +181,18 @@ func paRecallsAll(workers int, pa sim.PredefinedActivity, pairs []calibrationPai
 			res.RescoreAgainst(truth, int(app.MatchTolSec*tr.RateHz))
 		}
 		results[i] = res
-		if res.Recall < aa[key].Recall-1e-9 {
-			short.Store(int64(i))
-			return false, nil
-		}
-		return true, nil
+		short[i] = res.Recall < aa[key].Recall-1e-9
+		return !short[i], nil
 	})
-	if err != nil || !ok {
-		return nil, int(short.Load()), err
+	if err != nil {
+		return nil, 0, err
+	}
+	if !ok {
+		for j := range pairs {
+			if i := (first + j) % len(pairs); short[i] {
+				return nil, i, nil
+			}
+		}
 	}
 	ran := make(map[string]*sim.Result, len(pairs))
 	for i, p := range pairs {

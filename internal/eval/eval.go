@@ -160,8 +160,14 @@ func GenerateWorkload(o Options) (*Workload, error) {
 	audioEnvs := tracegen.AudioEnvironments()
 	humanProfiles := tracegen.HumanProfiles()
 
-	gen := make([]func() (*sensor.Trace, error), 0,
-		len(robotConfigs)+len(audioEnvs)+len(humanProfiles))
+	// The audio traces go first: they take most of the generation time,
+	// so started last they would be the tail of the fan-out.
+	nAudio, nRobot := len(audioEnvs), len(robotConfigs)
+	gen := make([]func() (*sensor.Trace, error), 0, nAudio+nRobot+len(humanProfiles))
+	for i, env := range audioEnvs {
+		cfg := tracegen.NewAudioConfig(o.Seed+int64(i)*101, o.AudioDuration, env)
+		gen = append(gen, func() (*sensor.Trace, error) { return tracegen.Audio(cfg) })
+	}
 	for i := range robotConfigs {
 		cfg, group := robotConfigs[i], robotGroups[i]
 		gen = append(gen, func() (*sensor.Trace, error) {
@@ -172,10 +178,6 @@ func GenerateWorkload(o Options) (*Workload, error) {
 			tr.Meta["group"] = fmt.Sprintf("%d", group)
 			return tr, nil
 		})
-	}
-	for i, env := range audioEnvs {
-		cfg := tracegen.NewAudioConfig(o.Seed+int64(i)*101, o.AudioDuration, env)
-		gen = append(gen, func() (*sensor.Trace, error) { return tracegen.Audio(cfg) })
 	}
 	for i, prof := range humanProfiles {
 		cfg := tracegen.HumanConfig{
@@ -193,9 +195,9 @@ func GenerateWorkload(o Options) (*Workload, error) {
 		return nil, err
 	}
 	return &Workload{
-		RobotRuns:  traces[:len(robotConfigs)],
-		Audio:      traces[len(robotConfigs) : len(robotConfigs)+len(audioEnvs)],
-		Human:      traces[len(robotConfigs)+len(audioEnvs):],
+		Audio:      traces[:nAudio],
+		RobotRuns:  traces[nAudio : nAudio+nRobot],
+		Human:      traces[nAudio+nRobot:],
 		Workers:    o.Workers,
 		Telemetry:  o.Telemetry,
 		Precision:  o.Precision,

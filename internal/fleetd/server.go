@@ -430,20 +430,40 @@ var errBeforeResume = errors.New("fleetd: event frame before resume")
 type session struct {
 	conn   net.Conn
 	bw     *bufio.Writer
+	wire   []byte // writeFrame's encode scratch
 	dev    uint64
 	opened bool
 	handle *sessionHandle
 }
 
-// connBuf is a connection's read buffer and reply writer. Only the
-// connection's own goroutine touches them, and the link decoder copies
-// what it reads, so both return to connBufPool when the connection ends.
-// Clients that open a connection per session (fleetload, a resuming
-// fleet) would otherwise make these 32 KiB most of the ingest path's
-// garbage.
+// writeFrame encodes one protocol frame into the session's scratch and
+// writes it to the reply writer, which copies it.
+func (sess *session) writeFrame(t link.MsgType, payload []byte) error {
+	wire, err := link.AppendEncode(sess.wire[:0], link.Frame{Type: t, Payload: payload})
+	if err != nil {
+		return err
+	}
+	sess.wire = wire
+	_, err = sess.bw.Write(wire)
+	return err
+}
+
+// writeAck writes one event acknowledgement.
+func (sess *session) writeAck(seq uint32, status byte) error {
+	return sess.writeFrame(MsgEventAck, EventAck{Seq: seq, Status: status}.Encode())
+}
+
+// connBuf is a connection's read buffer, reply writer, reply encode
+// scratch and decoded-frame slice. Only the connection's own goroutine
+// touches them, and the link decoder copies every payload it decodes, so
+// all four return to connBufPool when the connection ends. Clients that
+// open a connection per session (fleetload, a resuming fleet) would
+// otherwise make these 32 KiB most of the ingest path's garbage.
 type connBuf struct {
-	read []byte
-	bw   *bufio.Writer
+	read   []byte
+	bw     *bufio.Writer
+	wire   []byte
+	frames []link.Frame
 }
 
 var connBufPool = sync.Pool{New: func() any {
@@ -465,15 +485,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	var dec link.Decoder
 	cb := connBufPool.Get().(*connBuf)
 	cb.bw.Reset(conn)
-	defer func() {
-		cb.bw.Reset(nil)
-		connBufPool.Put(cb)
-	}()
 	sess := &session{
 		conn:   conn,
 		bw:     cb.bw,
+		wire:   cb.wire,
 		handle: &sessionHandle{conn: conn, done: make(chan struct{})},
 	}
+	defer func() {
+		cb.bw.Reset(nil)
+		cb.wire = sess.wire
+		clear(cb.frames[:cap(cb.frames)])
+		connBufPool.Put(cb)
+	}()
 	buf := cb.read
 	defer close(sess.handle.done) // after this, the reader ingests nothing more
 	defer func() {
@@ -497,7 +520,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		n, rerr := conn.Read(buf)
 		if n > 0 {
-			frames, _ := dec.Feed(buf[:n])
+			frames, _ := dec.FeedAppend(cb.frames[:0], buf[:n])
+			cb.frames = frames
 			// The decoder's taxonomy counters classify damage for us:
 			// corrupt frames (line damage) are skipped — later frames in
 			// the same chunk still decode — while a malformed frame
@@ -549,7 +573,6 @@ func (s *Server) serveConn(conn net.Conn) {
 
 func (s *Server) handleFrame(f link.Frame, sess *session) error {
 	s.cRxFrames.Inc()
-	bw := sess.bw
 	if f.Type == MsgResume {
 		// A resume opens the session: version check, single-introduction
 		// check, registry connect and session takeover.
@@ -572,7 +595,7 @@ func (s *Server) handleFrame(f link.Frame, sess *session) error {
 			Shard:    uint16(s.registry.ShardIndex(r.DeviceID)),
 			AckedSeq: s.registry.AckedSeq(r.DeviceID),
 		}
-		return writeFrame(bw, MsgResumeAck, ack.Encode())
+		return sess.writeFrame(MsgResumeAck, ack.Encode())
 	}
 	if !sess.opened {
 		return fmt.Errorf("%w (type 0x%02x)", errBeforeResume, byte(f.Type))
@@ -588,20 +611,20 @@ func (s *Server) handleFrame(f link.Frame, sess *session) error {
 		// the resume watermark depends on. Acks are still issued at
 		// enqueue, so liveness answers do not wait for the worker. A shed
 		// heartbeat bills nothing: it carries no energy.
-		return s.ingest(bw, ingestItem{dev: sess.dev, kind: itemHeartbeat, hb: hb}, hb.Seq, 0)
+		return s.ingest(sess, ingestItem{dev: sess.dev, kind: itemHeartbeat, hb: hb}, hb.Seq, 0)
 	case MsgDeviceWake:
 		w, err := DecodeWakeEvent(f.Payload)
 		if err != nil {
 			return err
 		}
-		return s.ingest(bw, ingestItem{dev: sess.dev, kind: itemWake, wake: w},
+		return s.ingest(sess, ingestItem{dev: sess.dev, kind: itemWake, wake: w},
 			w.Seq, s.cfg.ShedWakeCostMJ)
 	case MsgDeviceEnergy:
 		e, err := DecodeEnergyEvent(f.Payload)
 		if err != nil {
 			return err
 		}
-		return s.ingest(bw, ingestItem{dev: sess.dev, kind: itemEnergy, energy: e},
+		return s.ingest(sess, ingestItem{dev: sess.dev, kind: itemEnergy, energy: e},
 			e.Seq, e.MJ)
 	case MsgBye:
 		b, err := DecodeBye(f.Payload)
@@ -631,7 +654,7 @@ func (s *Server) handleFrame(f link.Frame, sess *session) error {
 		case <-s.killCh:
 			return fmt.Errorf("fleetd: killed, bye from device %d dropped", sess.dev)
 		}
-		return writeFrame(bw, MsgByeAck, sum.Encode())
+		return sess.writeFrame(MsgByeAck, sum.Encode())
 	default:
 		return fmt.Errorf("fleetd: unexpected frame type 0x%02x: %w", byte(f.Type), link.ErrLengthMismatch)
 	}
@@ -647,10 +670,10 @@ func (s *Server) handleFrame(f link.Frame, sess *session) error {
 // never a silent drop. An accepted ack is a durability promise: the item
 // is in a queue, the acked watermark has advanced past it, and drain
 // applies every queued item before exit.
-func (s *Server) ingest(bw *bufio.Writer, item ingestItem, seq uint32, shedCostMJ float64) error {
+func (s *Server) ingest(sess *session, item ingestItem, seq uint32, shedCostMJ float64) error {
 	if s.registry.AlreadyAcked(item.dev, seq) {
 		s.cDedupAcks.Inc()
-		return writeAck(bw, seq, AckDup)
+		return sess.writeAck(seq, AckDup)
 	}
 	item.at = time.Now()
 	ok, err := s.enqueue(s.queues[s.registry.ShardIndex(item.dev)], item)
@@ -659,14 +682,14 @@ func (s *Server) ingest(bw *bufio.Writer, item ingestItem, seq uint32, shedCostM
 	}
 	if ok {
 		s.registry.MarkAcked(item.dev, seq)
-		return writeAck(bw, seq, AckAccepted)
+		return sess.writeAck(seq, AckAccepted)
 	}
 	s.registry.RecordShed(item.dev, shedCostMJ)
 	if shedCostMJ > 0 {
 		s.ledger.AddEnergyMJ(telemetry.PhoneFallback, shedCostMJ)
 	}
 	s.cSheds.Inc()
-	return writeAck(bw, seq, AckShed)
+	return sess.writeAck(seq, AckShed)
 }
 
 // enqueue puts item on q, waiting up to enqueueWait for room; false means
@@ -946,19 +969,4 @@ func writeJSON(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// writeFrame encodes and writes one protocol frame.
-func writeFrame(w io.Writer, t link.MsgType, payload []byte) error {
-	wire, err := link.Encode(link.Frame{Type: t, Payload: payload})
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(wire)
-	return err
-}
-
-// writeAck writes one event acknowledgement.
-func writeAck(w io.Writer, seq uint32, status byte) error {
-	return writeFrame(w, MsgEventAck, EventAck{Seq: seq, Status: status}.Encode())
 }

@@ -127,6 +127,7 @@ func TestBackpressureShedsAreCountedAndBilled(t *testing.T) {
 	s.registry.Connect(1)
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
+	sess := &session{bw: bw}
 
 	ackFor := func() EventAck {
 		t.Helper()
@@ -148,7 +149,7 @@ func TestBackpressureShedsAreCountedAndBilled(t *testing.T) {
 	}
 
 	// First energy frame fits the depth-1 queue.
-	if err := s.ingest(bw, ingestItem{dev: 1, kind: itemEnergy,
+	if err := s.ingest(sess, ingestItem{dev: 1, kind: itemEnergy,
 		energy: EnergyEvent{Seq: 1, Component: telemetry.HubDevice, MJ: 5}}, 1, 5); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
@@ -157,7 +158,7 @@ func TestBackpressureShedsAreCountedAndBilled(t *testing.T) {
 	}
 
 	// Second energy frame: queue full, must shed and bill its 7 mJ.
-	if err := s.ingest(bw, ingestItem{dev: 1, kind: itemEnergy,
+	if err := s.ingest(sess, ingestItem{dev: 1, kind: itemEnergy,
 		energy: EnergyEvent{Seq: 2, Component: telemetry.HubDevice, MJ: 7}}, 2, 7); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestBackpressureShedsAreCountedAndBilled(t *testing.T) {
 	}
 
 	// Shed wake: bills the configured wake fallback cost.
-	if err := s.ingest(bw, ingestItem{dev: 1, kind: itemWake,
+	if err := s.ingest(sess, ingestItem{dev: 1, kind: itemWake,
 		wake: WakeEvent{Seq: 3}}, 3, s.cfg.ShedWakeCostMJ); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
@@ -205,7 +206,8 @@ func TestFullQueueWaitsBeforeShedding(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	if err := s.ingest(bw, wake(1), 1, s.cfg.ShedWakeCostMJ); err != nil {
+	sess := &session{bw: bw}
+	if err := s.ingest(sess, wake(1), 1, s.cfg.ShedWakeCostMJ); err != nil {
 		t.Fatalf("ingest seq 1: %v", err)
 	}
 
@@ -213,7 +215,7 @@ func TestFullQueueWaitsBeforeShedding(t *testing.T) {
 	// once the wait has run out.
 	s.enqueueWait = 10 * time.Millisecond
 	began := time.Now()
-	if err := s.ingest(bw, wake(2), 2, s.cfg.ShedWakeCostMJ); err != nil {
+	if err := s.ingest(sess, wake(2), 2, s.cfg.ShedWakeCostMJ); err != nil {
 		t.Fatalf("ingest seq 2: %v", err)
 	}
 	if waited := time.Since(began); waited < s.enqueueWait {
@@ -223,7 +225,7 @@ func TestFullQueueWaitsBeforeShedding(t *testing.T) {
 	// Seq 3 finds the queue full too; the "worker" takes seq 1 off it.
 	s.enqueueWait = time.Minute
 	done := make(chan error, 1)
-	go func() { done <- s.ingest(bw, wake(3), 3, s.cfg.ShedWakeCostMJ) }()
+	go func() { done <- s.ingest(sess, wake(3), 3, s.cfg.ShedWakeCostMJ) }()
 	if got := (<-s.queues[0]).wake.Seq; got != 1 {
 		t.Fatalf("dequeued seq %d, want 1", got)
 	}
@@ -248,7 +250,7 @@ func TestFullQueueWaitsBeforeShedding(t *testing.T) {
 
 	// Seq 4 waits behind seq 3; a drain cuts the wait short, unacked.
 	buf.Reset()
-	go func() { done <- s.ingest(bw, wake(4), 4, s.cfg.ShedWakeCostMJ) }()
+	go func() { done <- s.ingest(sess, wake(4), 4, s.cfg.ShedWakeCostMJ) }()
 	close(s.drainCh)
 	if err := <-done; err == nil {
 		t.Fatal("ingest during drain succeeded, want an error")

@@ -81,11 +81,18 @@ type outstanding struct {
 // a lossy Endpoint. It implements Port: Send is reliable, SendLossy
 // bypasses the protocol, and Tick drives timeouts — callers must tick
 // regularly (the manager and hub node do so once per Service pass).
+//
+// Buffer ownership: Send keeps the caller's frame until it is acked (it may
+// be retransmitted), so a payload handed to Send must not be reused. The
+// data envelope and the ack payload are built in ARQ-owned scratch, which
+// is safe because the endpoint copies a frame onto the wire before Send
+// returns.
 type ARQ struct {
 	ep      *Endpoint
 	cfg     ARQConfig
-	sendq   []Frame // reliable frames not yet transmitted
-	out     *outstanding
+	sendq   frameQueue // reliable frames not yet transmitted
+	out     outstanding
+	sending bool // out holds an unacknowledged frame
 	nextSeq byte
 	expect  byte
 	// expectAny makes the receiver adopt the next data frame's sequence
@@ -93,9 +100,12 @@ type ARQ struct {
 	// side lost its receive state) and Resync (the peer lost its send
 	// state), so the two sides can re-converge after a crash.
 	expectAny bool
-	delivered []Frame // decoded inbound frames awaiting Receive
-	dead      []Frame // reliable frames abandoned after MaxRetries
+	delivered frameQueue // decoded inbound frames awaiting Receive
+	dead      []Frame    // reliable frames abandoned after MaxRetries
 	stats     ARQStats
+
+	env []byte  // the data envelope: seq | inner type | inner payload
+	ack [1]byte // the ack payload: the acknowledged sequence number
 
 	// Telemetry handles, nil (no-op) until SetTelemetry attaches them.
 	cRetransmits *telemetry.Counter
@@ -133,7 +143,7 @@ func (a *ARQ) Send(f Frame) error {
 	if len(f.Payload) > 0xFFFF-2 {
 		return fmt.Errorf("link: ARQ payload too large: %d", len(f.Payload))
 	}
-	a.sendq = append(a.sendq, f)
+	a.sendq.push(f)
 	a.stats.DataSent++
 	a.transmitNext()
 	return nil
@@ -150,21 +160,16 @@ func (a *ARQ) SendLossy(f Frame) error {
 // Receive pops the oldest delivered frame, draining the wire first.
 func (a *ARQ) Receive() (Frame, bool) {
 	a.drain()
-	if len(a.delivered) == 0 {
-		return Frame{}, false
-	}
-	f := a.delivered[0]
-	a.delivered = a.delivered[1:]
-	return f, true
+	return a.delivered.pop()
 }
 
 // Pending returns the number of frames ready or queued for Receive.
-func (a *ARQ) Pending() int { return len(a.delivered) + a.ep.Pending() }
+func (a *ARQ) Pending() int { return a.delivered.len() + a.ep.Pending() }
 
 // Idle reports that no reliable frame is in flight or queued and nothing
 // awaits Receive on either the ARQ or the wire below it.
 func (a *ARQ) Idle() bool {
-	return a.out == nil && len(a.sendq) == 0 && len(a.delivered) == 0 &&
+	return !a.sending && a.sendq.len() == 0 && a.delivered.len() == 0 &&
 		a.ep.Pending() == 0 && a.ep.Idle()
 }
 
@@ -183,7 +188,7 @@ func (a *ARQ) TakeDead() []Frame {
 func (a *ARQ) Tick() {
 	a.ep.Tick()
 	a.drain()
-	if a.out == nil {
+	if !a.sending {
 		a.transmitNext()
 		return
 	}
@@ -196,7 +201,7 @@ func (a *ARQ) Tick() {
 		a.cDead.Inc()
 		a.trace.Instant1("frame.dead", "link", "seq", float64(a.out.seq))
 		a.dead = append(a.dead, a.out.frame)
-		a.out = nil
+		a.out, a.sending = outstanding{}, false
 		a.transmitNext()
 		return
 	}
@@ -211,19 +216,22 @@ func (a *ARQ) Tick() {
 
 // transmitNext sends the head of the queue if the line is free.
 func (a *ARQ) transmitNext() {
-	if a.out != nil || len(a.sendq) == 0 {
+	if a.sending {
 		return
 	}
-	f := a.sendq[0]
-	a.sendq = a.sendq[1:]
+	f, ok := a.sendq.pop()
+	if !ok {
+		return
+	}
 	seq := a.nextSeq
 	a.nextSeq++
-	a.out = &outstanding{
+	a.out = outstanding{
 		frame:     f,
 		seq:       seq,
 		timeout:   a.cfg.TimeoutTicks,
 		ticksLeft: a.cfg.TimeoutTicks,
 	}
+	a.sending = true
 	// The 2-byte ARQ header is protocol overhead on the first
 	// transmission too.
 	a.stats.OverheadBytes += 2
@@ -234,18 +242,12 @@ func (a *ARQ) transmitNext() {
 // wire, returning the wire size for overhead accounting. Send pre-checks
 // the payload bound, so the wrapped frame always encodes.
 func (a *ARQ) transmit(f Frame, seq byte) int {
-	payload := make([]byte, 0, len(f.Payload)+2)
-	payload = append(payload, seq, byte(f.Type))
-	payload = append(payload, f.Payload...)
-	wrapped := Frame{Type: MsgArqData, Payload: payload}
-	if err := a.ep.Send(wrapped); err != nil {
-		return 0
-	}
-	wire, err := Encode(wrapped)
+	a.env = append(append(a.env[:0], seq, byte(f.Type)), f.Payload...)
+	n, err := a.ep.send(Frame{Type: MsgArqData, Payload: a.env})
 	if err != nil {
 		return 0
 	}
-	return len(wire)
+	return n
 }
 
 // Reboot models this side's CPU losing power: the send queue, the
@@ -255,9 +257,9 @@ func (a *ARQ) transmit(f Frame, seq byte) int {
 // resume talking to a phone that kept its counters. Session statistics
 // survive — they describe traffic that really happened.
 func (a *ARQ) Reboot() {
-	a.sendq = nil
-	a.out = nil
-	a.delivered = nil
+	a.sendq.reset()
+	a.out, a.sending = outstanding{}, false
+	a.delivered.reset()
 	a.dead = nil
 	a.nextSeq = 0
 	a.expect = 0
@@ -277,8 +279,8 @@ func (a *ARQ) Resync() { a.expectAny = true }
 // count. A crashed hub is silent: acking while dead would hide the crash
 // from the peer's retransmission logic.
 func (a *ARQ) Blackhole() int {
-	n := len(a.delivered)
-	a.delivered = nil
+	n := a.delivered.len()
+	a.delivered.reset()
 	return n + a.ep.Blackhole()
 }
 
@@ -300,12 +302,10 @@ func (a *ARQ) drain() {
 			seq := f.Payload[0]
 			// Ack everything decodable, even duplicates: the dup means
 			// our previous ack was lost.
-			ack := Frame{Type: MsgArqAck, Payload: []byte{seq}}
-			a.ep.Send(ack)
+			a.ack[0] = seq
+			n, _ := a.ep.send(Frame{Type: MsgArqAck, Payload: a.ack[:]})
 			a.stats.AcksSent++
-			if wire, err := Encode(ack); err == nil {
-				a.stats.OverheadBytes += len(wire)
-			}
+			a.stats.OverheadBytes += n
 			if a.expectAny {
 				a.expect = seq
 				a.expectAny = false
@@ -315,26 +315,28 @@ func (a *ARQ) drain() {
 				continue
 			}
 			a.expect++
+			// The decoder copied the payload for this frame alone, so the
+			// inner payload can alias it.
 			inner := Frame{Type: MsgType(f.Payload[1])}
 			if len(f.Payload) > 2 {
-				inner.Payload = append([]byte(nil), f.Payload[2:]...)
+				inner.Payload = f.Payload[2:]
 			}
-			a.delivered = append(a.delivered, inner)
+			a.delivered.push(inner)
 			a.stats.DataReceived++
 		case MsgArqAck:
 			if len(f.Payload) != 1 {
 				a.stats.Malformed++
 				continue
 			}
-			if a.out == nil || f.Payload[0] != a.out.seq {
+			if !a.sending || f.Payload[0] != a.out.seq {
 				a.stats.StaleAcks++
 				continue
 			}
-			a.out = nil
+			a.out, a.sending = outstanding{}, false
 			a.stats.DataAcked++
 			a.transmitNext()
 		default:
-			a.delivered = append(a.delivered, f)
+			a.delivered.push(f)
 		}
 	}
 }

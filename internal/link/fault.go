@@ -3,6 +3,7 @@ package link
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // FaultConfig parameterizes the deterministic fault injector on an
@@ -94,6 +95,13 @@ type injector struct {
 	rng   *rand.Rand
 	held  []heldChunk
 	stats FaultStats
+
+	// Scratch reused across calls: due is transmit's and tickHeld's
+	// result, mangled is mangle's copy of the frame being sent. Both stay
+	// valid until the next transmit or tickHeld; a held frame keeps its
+	// own copy.
+	due     [][]byte
+	mangled []byte
 }
 
 func newInjector(cfg FaultConfig) *injector {
@@ -114,7 +122,7 @@ func (in *injector) dropHeld() { in.held = nil }
 func (in *injector) transmit(wire []byte) [][]byte {
 	in.stats.FramesSent++
 	prevHeld := len(in.held)
-	var out [][]byte
+	in.due = in.due[:0]
 	if chunk, ok := in.mangle(wire); ok {
 		if in.cfg.DelayProb > 0 && in.rng.Float64() < in.cfg.DelayProb {
 			ticks := in.cfg.DelayTicks
@@ -122,14 +130,14 @@ func (in *injector) transmit(wire []byte) [][]byte {
 				ticks = 1
 			}
 			in.stats.FramesDelayed++
-			in.held = append(in.held, heldChunk{wire: chunk, ttl: 1 + in.rng.Intn(ticks)})
+			in.held = append(in.held, heldChunk{wire: slices.Clone(chunk), ttl: 1 + in.rng.Intn(ticks)})
 		} else {
-			out = append(out, chunk)
+			in.due = append(in.due, chunk)
 		}
 	}
 	// Age only the frames that were already held before this
 	// transmission; the freshly delayed frame keeps its full jitter.
-	return append(out, in.age(prevHeld)...)
+	return in.age(prevHeld)
 }
 
 // mangle applies drop/truncate/corruption to one frame's bytes, returning
@@ -139,7 +147,8 @@ func (in *injector) mangle(wire []byte) ([]byte, bool) {
 		in.stats.FramesDropped++
 		return nil, false
 	}
-	out := append([]byte(nil), wire...)
+	out := append(in.mangled[:0], wire...)
+	in.mangled = out
 	if in.cfg.TruncateProb > 0 && in.rng.Float64() < in.cfg.TruncateProb {
 		in.stats.FramesTruncated++
 		out = out[:in.rng.Intn(len(out))]
@@ -177,23 +186,26 @@ func (in *injector) mangle(wire []byte) ([]byte, bool) {
 
 // tickHeld advances all jitter timers and returns the chunks whose delay
 // has elapsed, in the order they were held.
-func (in *injector) tickHeld() [][]byte { return in.age(len(in.held)) }
+func (in *injector) tickHeld() [][]byte {
+	in.due = in.due[:0]
+	return in.age(len(in.held))
+}
 
-// age decrements the ttl of the first n held chunks and releases those
-// that reached zero.
+// age decrements the ttl of the first n held chunks, appends those that
+// reached zero to due and returns it.
 func (in *injector) age(n int) [][]byte {
-	var due [][]byte
 	rest := in.held[:0]
 	for i, h := range in.held {
 		if i < n {
 			h.ttl--
 		}
 		if h.ttl <= 0 {
-			due = append(due, h.wire)
+			in.due = append(in.due, h.wire)
 			continue
 		}
 		rest = append(rest, h)
 	}
+	clear(in.held[len(rest):])
 	in.held = rest
-	return due
+	return in.due
 }

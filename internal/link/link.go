@@ -22,6 +22,7 @@ package link
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sidewinder/internal/telemetry"
 )
@@ -134,27 +135,41 @@ func crc16(data []byte) uint16 {
 // Encode serializes a frame with byte stuffing and CRC. The wire format is
 // FLAG | stuffed(type, len16, payload, crc16) | FLAG. A payload beyond the
 // 16-bit length field yields ErrPayloadTooLarge.
-func Encode(f Frame) ([]byte, error) {
-	if len(f.Payload) > 0xFFFF {
-		return nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(f.Payload))
-	}
-	raw := make([]byte, 0, len(f.Payload)+5)
-	raw = append(raw, byte(f.Type), byte(len(f.Payload)>>8), byte(len(f.Payload)))
-	raw = append(raw, f.Payload...)
-	crc := crc16(raw)
-	raw = append(raw, byte(crc>>8), byte(crc))
+func Encode(f Frame) ([]byte, error) { return AppendEncode(nil, f) }
 
-	out := make([]byte, 0, len(raw)+8)
-	out = append(out, flagByte)
-	for _, b := range raw {
-		if b == flagByte || b == escapeByte {
-			out = append(out, escapeByte, b^escapeXor)
-			continue
-		}
-		out = append(out, b)
+// AppendEncode appends f's wire bytes, as Encode builds them, to dst and
+// returns the extended slice. It stuffs the header, payload and CRC in one
+// pass, folding each byte into the CRC as it goes, so encoding into a
+// reused buffer allocates nothing once the buffer has grown. On error dst
+// comes back unchanged.
+func AppendEncode(dst []byte, f Frame) ([]byte, error) {
+	n := len(f.Payload)
+	if n > 0xFFFF {
+		return dst, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, n)
 	}
-	out = append(out, flagByte)
-	return out, nil
+	// Room for the flags, header and CRC with a few escapes.
+	dst = slices.Grow(dst, n+13)
+	dst = append(dst, flagByte)
+	crc := uint16(0xFFFF)
+	for _, b := range [3]byte{byte(f.Type), byte(n >> 8), byte(n)} {
+		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
+		dst = appendStuffed(dst, b)
+	}
+	for _, b := range f.Payload {
+		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
+		dst = appendStuffed(dst, b)
+	}
+	dst = appendStuffed(dst, byte(crc>>8))
+	dst = appendStuffed(dst, byte(crc))
+	return append(dst, flagByte), nil
+}
+
+// appendStuffed appends one body byte, escaping the two framing bytes.
+func appendStuffed(dst []byte, b byte) []byte {
+	if b == flagByte || b == escapeByte {
+		return append(dst, escapeByte, b^escapeXor)
+	}
+	return append(dst, b)
 }
 
 // Decoder is a streaming frame decoder: feed it wire bytes, collect frames.
@@ -162,6 +177,7 @@ type Decoder struct {
 	buf     []byte
 	inFrame bool
 	escaped bool
+	slab    []byte // where short payloads are copied to (see ownCopy)
 
 	corrupt   int // CRC failures and short frames (line damage)
 	malformed int // length mismatches (sender bugs)
@@ -172,8 +188,12 @@ type Decoder struct {
 // the same call still decode, and the first error encountered is returned
 // alongside them. Cumulative error counts are available via Corrupt and
 // Malformed.
-func (d *Decoder) Feed(data []byte) ([]Frame, error) {
-	var frames []Frame
+func (d *Decoder) Feed(data []byte) ([]Frame, error) { return d.FeedAppend(nil, data) }
+
+// FeedAppend is Feed appending the completed frames to frames, so a caller
+// that keeps its frame slice decodes without allocating one per call.
+// Each decoded payload is a fresh copy the caller owns.
+func (d *Decoder) FeedAppend(frames []Frame, data []byte) ([]Frame, error) {
 	var firstErr error
 	for _, b := range data {
 		if b == flagByte {
@@ -248,9 +268,32 @@ func (d *Decoder) complete() (Frame, error) {
 	}
 	out := Frame{Type: MsgType(body[0])}
 	if len(payload) > 0 {
-		out.Payload = append([]byte(nil), payload...)
+		out.Payload = d.ownCopy(payload)
 	}
 	return out, nil
+}
+
+// Payloads of at most slabMax bytes (acks, heartbeats, wakes) are copied
+// into a slab of slabSize bytes shared by the frames decoded after one
+// another, so they cost no allocation each; longer ones get their own.
+const (
+	slabSize = 512
+	slabMax  = 64
+)
+
+// ownCopy copies a decoded payload into memory no other frame uses. A
+// copy carved from the slab has its capacity capped at its length, so
+// appending to it reallocates instead of overwriting a neighbour.
+func (d *Decoder) ownCopy(p []byte) []byte {
+	if len(p) > slabMax {
+		return slices.Clone(p)
+	}
+	if cap(d.slab)-len(d.slab) < len(p) {
+		d.slab = make([]byte, 0, slabSize)
+	}
+	start := len(d.slab)
+	d.slab = append(d.slab, p...)
+	return d.slab[start:len(d.slab):len(d.slab)]
 }
 
 // Port is the frame channel the manager and hub node speak through. The
@@ -260,8 +303,12 @@ func (d *Decoder) complete() (Frame, error) {
 type Port interface {
 	// Send transmits a frame; over an ARQ port delivery is guaranteed
 	// within the bounded retransmission budget or reported via TakeDead.
+	// The port may keep the frame until it is delivered, so the caller
+	// must not reuse its payload.
 	Send(Frame) error
-	// SendLossy transmits fire-and-forget: the frame may be lost.
+	// SendLossy transmits fire-and-forget: the frame may be lost. The
+	// frame is on the wire (or lost) when SendLossy returns, so the caller
+	// may reuse its payload.
 	SendLossy(Frame) error
 	// Receive pops the oldest delivered frame.
 	Receive() (Frame, bool)
@@ -274,11 +321,63 @@ type Port interface {
 	Pending() int
 }
 
+// frameQueue is a FIFO of frames that keeps its backing array: a pop
+// advances head, the queue rewinds to the array's start whenever it
+// drains, and an append that finds the array full slides the live frames
+// down before growing it.
+type frameQueue struct {
+	buf  []Frame
+	head int
+}
+
+func (q *frameQueue) len() int { return len(q.buf) - q.head }
+
+// compact makes room at the tail by sliding the live frames down, when
+// popped slots sit at the front of a full array.
+func (q *frameQueue) compact() {
+	if q.head == 0 || len(q.buf) < cap(q.buf) {
+		return
+	}
+	n := copy(q.buf, q.buf[q.head:])
+	clear(q.buf[n:])
+	q.buf, q.head = q.buf[:n], 0
+}
+
+func (q *frameQueue) push(f Frame) {
+	q.compact()
+	q.buf = append(q.buf, f)
+}
+
+func (q *frameQueue) pop() (Frame, bool) {
+	if q.head == len(q.buf) {
+		return Frame{}, false
+	}
+	f := q.buf[q.head]
+	q.buf[q.head] = Frame{}
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return f, true
+}
+
+// reset empties the queue, dropping its frames' payloads.
+func (q *frameQueue) reset() {
+	clear(q.buf)
+	q.buf, q.head = q.buf[:0], 0
+}
+
 // Endpoint is one end of a simulated serial pipe.
+//
+// Buffer ownership: Send encodes into the endpoint's own wire scratch,
+// which stays valid only until the next Send; the peer's decoder copies
+// every payload it delivers, so a received frame's payload belongs to
+// the receiver.
 type Endpoint struct {
 	peer      *Endpoint
-	inbox     []Frame
+	inbox     frameQueue
 	dec       Decoder
+	wire      []byte // Send's encode scratch
 	baud      int
 	sentBytes int
 	busySec   float64
@@ -348,10 +447,17 @@ func (e *Endpoint) FaultStats() FaultStats {
 // inbox; Send itself only fails for local errors such as an unencodable
 // frame (ErrPayloadTooLarge).
 func (e *Endpoint) Send(f Frame) error {
-	wire, err := Encode(f)
+	_, err := e.send(f)
+	return err
+}
+
+// send is Send returning the frame's wire size.
+func (e *Endpoint) send(f Frame) (int, error) {
+	wire, err := AppendEncode(e.wire[:0], f)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	e.wire = wire
 	e.sentBytes += len(wire)
 	e.busySec += float64(len(wire)*10) / float64(e.baud)
 	e.cTxFrames.Inc()
@@ -359,7 +465,7 @@ func (e *Endpoint) Send(f Frame) error {
 	e.trace.Instant1("frame.send", "link", "msg_type", float64(f.Type))
 	if e.faults == nil {
 		e.deliver(wire)
-		return nil
+		return len(wire), nil
 	}
 	droppedBefore := e.faults.stats.FramesDropped
 	for _, chunk := range e.faults.transmit(wire) {
@@ -369,18 +475,20 @@ func (e *Endpoint) Send(f Frame) error {
 		e.cTxDropped.Add(int64(d))
 		e.trace.Instant1("frame.drop", "link", "msg_type", float64(f.Type))
 	}
-	return nil
+	return len(wire), nil
 }
 
 // SendLossy is Send: a raw endpoint offers no stronger guarantee.
 func (e *Endpoint) SendLossy(f Frame) error { return e.Send(f) }
 
-// deliver feeds wire bytes into the peer's decoder.
+// deliver feeds wire bytes into the peer's decoder, which appends the
+// frames straight to the peer's inbox.
 func (e *Endpoint) deliver(chunk []byte) {
 	// Decode errors are recorded by the peer's decoder counters; damaged
 	// frames simply never arrive.
-	frames, _ := e.peer.dec.Feed(chunk)
-	e.peer.inbox = append(e.peer.inbox, frames...)
+	in := &e.peer.inbox
+	in.compact()
+	in.buf, _ = e.peer.dec.FeedAppend(in.buf, chunk)
 }
 
 // Tick releases any fault-delayed transmissions whose jitter has elapsed.
@@ -398,17 +506,10 @@ func (e *Endpoint) Tick() {
 func (e *Endpoint) Idle() bool { return e.faults == nil || e.faults.heldCount() == 0 }
 
 // Receive pops the oldest pending frame.
-func (e *Endpoint) Receive() (Frame, bool) {
-	if len(e.inbox) == 0 {
-		return Frame{}, false
-	}
-	f := e.inbox[0]
-	e.inbox = e.inbox[1:]
-	return f, true
-}
+func (e *Endpoint) Receive() (Frame, bool) { return e.inbox.pop() }
 
 // Pending returns the number of undelivered frames.
-func (e *Endpoint) Pending() int { return len(e.inbox) }
+func (e *Endpoint) Pending() int { return e.inbox.len() }
 
 // SentBytes returns the total wire bytes this endpoint transmitted.
 func (e *Endpoint) SentBytes() int { return e.sentBytes }
@@ -430,8 +531,8 @@ func (e *Endpoint) RxMalformed() int { return e.dec.Malformed() }
 // hit the UART, but nobody reads them. Wire and fault accounting already
 // happened on the sender's side and is unaffected.
 func (e *Endpoint) Blackhole() int {
-	n := len(e.inbox)
-	e.inbox = e.inbox[:0]
+	n := e.inbox.len()
+	e.inbox.reset()
 	return n
 }
 
@@ -440,7 +541,7 @@ func (e *Endpoint) Blackhole() int {
 // are all gone. Wire statistics (bytes, busy time, fault tallies) survive
 // — they describe what already happened on the line.
 func (e *Endpoint) Reboot() {
-	e.inbox = nil
+	e.inbox.reset()
 	e.dec.reset()
 	if e.faults != nil {
 		e.faults.dropHeld()

@@ -63,6 +63,10 @@ type HubNode struct {
 	crash *resilience.CrashInjector
 	epoch uint32
 
+	// pong is the heartbeat reply's payload, reused across replies:
+	// SendLossy is done with it when it returns.
+	pong [resilience.HeartbeatSize]byte
+
 	// Telemetry handles, nil (no-op) until SetTelemetry attaches them.
 	// profile survives rebuild(): every new merged machine re-attaches it,
 	// so per-stage attribution spans condition loads and removals.
@@ -111,14 +115,15 @@ func (r *ring) push(v float64) {
 	}
 }
 
-// snapshot returns the buffered samples oldest-first.
-func (r *ring) snapshot() []float64 {
-	out := make([]float64, r.fill)
-	start := (r.next - r.fill + len(r.data)) % len(r.data)
-	for i := 0; i < r.fill; i++ {
-		out[i] = r.data[(start+i)%len(r.data)]
+// runs returns the buffered samples oldest-first as two runs of the
+// ring's own storage: from the oldest sample to the array's end, then from
+// its start up to the newest. Until the ring first wraps the second run is
+// empty.
+func (r *ring) runs() (older, newer []float64) {
+	if r.fill < len(r.data) {
+		return r.data[:r.fill], nil
 	}
-	return out
+	return r.data[r.next:], r.data[:r.next]
 }
 
 // NewHubNode builds a hub runtime on one end of the link — a raw
@@ -246,8 +251,8 @@ func (h *HubNode) Service() error {
 				h.dropFrame()
 				continue
 			}
-			pong := link.Frame{Type: link.MsgPong, Payload: resilience.Heartbeat{Seq: hb.Seq, Epoch: h.epoch}.Encode()}
-			if err := h.ep.SendLossy(pong); err != nil {
+			copy(h.pong[:], resilience.Heartbeat{Seq: hb.Seq, Epoch: h.epoch}.Encode())
+			if err := h.ep.SendLossy(link.Frame{Type: link.MsgPong, Payload: h.pong[:]}); err != nil {
 				return err
 			}
 		default:
@@ -375,7 +380,9 @@ func (h *HubNode) Feed(ch core.SensorChannel, v float64) error {
 		// fires.
 		for _, pc := range c.plan.Channels {
 			if r := h.rings[pc]; r != nil {
-				payload := encodeData(c.id, pc, r.snapshot())
+				// A fresh payload: a reliable port keeps it until acked.
+				older, newer := r.runs()
+				payload := encodeData(c.id, pc, older, newer)
 				if err := h.ep.Send(link.Frame{Type: link.MsgData, Payload: payload}); err != nil {
 					return err
 				}

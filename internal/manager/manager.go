@@ -64,11 +64,16 @@ type Manager struct {
 	sup            *resilience.Supervisor
 	reprovisioning bool
 	reprov         ReprovisionStats
+	reprovWire     []byte // scratch the tally measures each re-sent push in
 
 	// adaptive holds the per-condition policy engines (adaptive.go):
 	// started by EnableAdaptive, or threshold-only by a condition's first
 	// Feedback verdict. A condition without one runs as pushed.
 	adaptive map[uint16]*adaptState
+
+	// ping is the heartbeat probe's payload, reused across probes:
+	// SendLossy is done with it when it returns.
+	ping [resilience.HeartbeatSize]byte
 
 	// Telemetry handles, nil (no-op) until SetTelemetry attaches them.
 	cWakes   *telemetry.Counter
@@ -167,13 +172,20 @@ func compileIR(plan *core.Plan) string { return ir.CompileToText(plan) }
 // link layer's bounded retry budget. The hub treats a duplicate push with
 // identical IR as idempotent and simply re-acks.
 func (m *Manager) Repush(id uint16) error {
+	_, err := m.repush(id)
+	return err
+}
+
+// repush is Repush returning the frame it sent.
+func (m *Manager) repush(id uint16) (link.Frame, error) {
 	st, ok := m.pushes[id]
 	if !ok {
-		return fmt.Errorf("manager: unknown condition %d", id)
+		return link.Frame{}, fmt.Errorf("manager: unknown condition %d", id)
 	}
 	st.acked = false
 	st.err = nil
-	return m.ep.Send(link.Frame{Type: link.MsgConfigPush, Payload: encodeConfigPush(id, st.irText)})
+	f := link.Frame{Type: link.MsgConfigPush, Payload: encodeConfigPush(id, st.irText)}
+	return f, m.ep.Send(f)
 }
 
 // Remove unloads a condition from the hub and forgets its listener.
@@ -291,8 +303,8 @@ func (m *Manager) superviseTick() error {
 		// Probes bypass the ARQ: a queue of retransmissions to a dead hub
 		// must not delay (or reorder) liveness traffic, and a lost ping is
 		// just one more miss.
-		hb := resilience.Heartbeat{Seq: act.Seq}
-		if err := m.ep.SendLossy(link.Frame{Type: link.MsgPing, Payload: hb.Encode()}); err != nil {
+		copy(m.ping[:], resilience.Heartbeat{Seq: act.Seq}.Encode())
+		if err := m.ep.SendLossy(link.Frame{Type: link.MsgPing, Payload: m.ping[:]}); err != nil {
 			return err
 		}
 	}
@@ -332,25 +344,25 @@ func (m *Manager) reprovisionAll() error {
 	m.reprovisioning = true
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		if err := m.Repush(id); err != nil {
+		if err := m.reprovision(id); err != nil {
 			return err
 		}
-		m.accountReprovision(id)
 	}
 	return nil
 }
 
-// accountReprovision tallies one re-sent config push.
-func (m *Manager) accountReprovision(id uint16) {
-	st := m.pushes[id]
-	if st == nil {
-		return
+// reprovision re-sends one condition's config push and tallies it.
+func (m *Manager) reprovision(id uint16) error {
+	f, err := m.repush(id)
+	if err != nil {
+		return err
 	}
 	m.reprov.Frames++
-	f := link.Frame{Type: link.MsgConfigPush, Payload: encodeConfigPush(id, st.irText)}
-	if wire, err := link.Encode(f); err == nil {
+	if wire, err := link.AppendEncode(m.reprovWire[:0], f); err == nil {
+		m.reprovWire = wire
 		m.reprov.Bytes += len(wire)
 	}
+	return nil
 }
 
 // settleReprovision checks whether the recovery round has completed:
@@ -366,10 +378,9 @@ func (m *Manager) settleReprovision() error {
 			continue
 		}
 		if st.err != nil && errors.Is(st.err, link.ErrLinkDown) {
-			if err := m.Repush(id); err != nil {
+			if err := m.reprovision(id); err != nil {
 				return err
 			}
-			m.accountReprovision(id)
 			settled = false
 		}
 	}

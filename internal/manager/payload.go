@@ -85,18 +85,25 @@ func decodeWake(p []byte) (id uint16, value float64, sampleIndex int64, err erro
 }
 
 // dataPayload is condID u16 | chanLen u8 | chan | count u32 | f32 samples.
-func encodeData(id uint16, ch core.SensorChannel, samples []float64) []byte {
+// The samples may come in several runs, which the payload concatenates.
+func encodeData(id uint16, ch core.SensorChannel, runs ...[]float64) []byte {
 	name := string(ch)
-	out := make([]byte, 2+1+len(name)+4+4*len(samples))
+	count := 0
+	for _, run := range runs {
+		count += len(run)
+	}
+	out := make([]byte, 2+1+len(name)+4+4*count)
 	binary.LittleEndian.PutUint16(out, id)
 	out[2] = byte(len(name))
 	copy(out[3:], name)
 	off := 3 + len(name)
-	binary.LittleEndian.PutUint32(out[off:], uint32(len(samples)))
+	binary.LittleEndian.PutUint32(out[off:], uint32(count))
 	off += 4
-	for _, v := range samples {
-		binary.LittleEndian.PutUint32(out[off:], math.Float32bits(float32(v)))
-		off += 4
+	for _, run := range runs {
+		for _, v := range run {
+			binary.LittleEndian.PutUint32(out[off:], math.Float32bits(float32(v)))
+			off += 4
+		}
 	}
 	return out
 }

@@ -66,11 +66,14 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 }
 
 // All reports whether pred holds for every index 0..n-1, fanning the calls
-// through a bounded pool. Once any call reports false or fails, remaining
-// unstarted items are skipped, so pred must have no side effects beyond its
-// answer: the boolean result is deterministic, but which items run on a
-// false outcome is not. A pred error yields (false, err); when several
-// items error the lowest-indexed completed one is returned.
+// through a bounded pool of w workers. Item i runs exactly when items
+// 0..i-w all returned true, so once an item reports false or fails, at most
+// w-1 later items still run. pred must have no side effects beyond its
+// answer. Which items run depends only on the answers and w, never on
+// scheduling, so a run's work (and its allocation count) is reproducible;
+// an item waits while one w or more places before it is still running. A
+// pred error yields (false, err), the lowest-indexed error when several
+// items fail.
 func All(workers, n int, pred func(i int) (bool, error)) (bool, error) {
 	workers = clamp(workers, n)
 	if workers == 1 {
@@ -86,28 +89,46 @@ func All(workers, n int, pred func(i int) (bool, error)) (bool, error) {
 		return true, nil
 	}
 	errs := make([]error, n)
-	var next atomic.Int64
-	var stopped atomic.Bool
+	var (
+		mu   sync.Mutex
+		cond = sync.NewCond(&mu)
+		next int // the next item to claim
+		// done is the number of items at the front, 0..done-1, that have
+		// returned; failAt is the lowest item known to have returned false
+		// or failed (n while none has).
+		done, failAt = 0, n
+		returned     = make([]bool, n)
+	)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for !stopped.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+			mu.Lock()
+			defer mu.Unlock()
+			for next < n {
+				i := next
+				next++
+				// Item i may run once items 0..i-workers have returned
+				// true; a failure among them settles that it must not.
+				for done <= i-workers && failAt > i-workers {
+					cond.Wait()
+				}
+				if failAt <= i-workers {
 					return
 				}
+				mu.Unlock()
 				ok, err := pred(i)
-				if err != nil {
-					errs[i] = err
-					stopped.Store(true)
-					return
+				mu.Lock()
+				errs[i] = err
+				if (err != nil || !ok) && i < failAt {
+					failAt = i
 				}
-				if !ok {
-					stopped.Store(true)
-					return
+				returned[i] = true
+				for done < n && returned[done] {
+					done++
 				}
+				cond.Broadcast()
 			}
 		}()
 	}
@@ -115,7 +136,7 @@ func All(workers, n int, pred func(i int) (bool, error)) (bool, error) {
 	if err := firstError(errs); err != nil {
 		return false, err
 	}
-	return !stopped.Load(), nil
+	return failAt == n, nil
 }
 
 // firstError returns the lowest-indexed non-nil error.

@@ -3,8 +3,10 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrdersResults(t *testing.T) {
@@ -95,6 +97,34 @@ func TestAllSkipsAfterFalse(t *testing.T) {
 	}
 	if ran.Load() != 4 {
 		t.Fatalf("serial All ran %d items, want 4", ran.Load())
+	}
+}
+
+// TestAllRunSetIsDeterministic: with w workers, item i runs exactly when
+// items 0..i-w all returned true, however the calls interleave. Random
+// delays shuffle the completion order; the set that ran must not move.
+func TestAllRunSetIsDeterministic(t *testing.T) {
+	const n, workers, fail = 40, 4, 11
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		delays := make([]time.Duration, n)
+		for i := range delays {
+			delays[i] = time.Duration(rng.Intn(300)) * time.Microsecond
+		}
+		ran := make([]atomic.Bool, n)
+		ok, err := All(workers, n, func(i int) (bool, error) {
+			ran[i].Store(true)
+			time.Sleep(delays[i])
+			return i != fail, nil
+		})
+		if err != nil || ok {
+			t.Fatalf("trial %d: got %v, %v", trial, ok, err)
+		}
+		for i := range ran {
+			if want := i < fail+workers; ran[i].Load() != want {
+				t.Fatalf("trial %d: item %d ran = %v, want %v", trial, i, ran[i].Load(), want)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"sidewinder/internal/adapt"
 	"sidewinder/internal/apps"
+	"sidewinder/internal/resilience"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/tracegen"
 )
@@ -111,6 +112,39 @@ func BenchmarkAdaptiveArms(b *testing.B) {
 					b.Fatal("no wake-ups: the benchmark replays nothing")
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkCrashRun replays one cell of the crash experiment's shape: the
+// steps condition over a seeded 2-minute robot run through the full
+// manager/ARQ/hub testbed, with the hub failing every 30 s on average (5 s
+// mean outages) under a supervisor that pings every 8 samples and falls
+// back to duty cycling. It pins the testbed data path's allocations (make
+// bench-check): link frames, acks, heartbeats, data buffers and recovery
+// re-pushes.
+func BenchmarkCrashRun(b *testing.B) {
+	tr, err := tracegen.Robot(tracegen.RobotConfig{Seed: 1, Duration: 2 * time.Minute, IdleFraction: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := CrashRunConfig{
+		Crash: resilience.CrashProfile{
+			Seed: 0xC5A5, MTBFTicks: 30 * tr.RateHz,
+			MeanDownTicks: 5 * tr.RateHz, MaxDownTicks: int(20 * tr.RateHz),
+		},
+		Supervisor: crashSupervisor(),
+		Fallback:   FallbackDutyCycle,
+	}
+	app := apps.Steps()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := CrashRun(tr, app, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Crash.Crashes == 0 || res.DeliveredWakes == 0 {
+			b.Fatal("no crash or no delivered wake: the benchmark exercises nothing")
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"sidewinder/internal/core"
 	"sidewinder/internal/interp"
@@ -57,15 +58,26 @@ func (f fireList) set() fireList {
 // sorted and duplicate-free, to the fire list it is given, and w replays
 // them, handing each sample it handles to visit and honouring until as
 // wakeWindow.replay does. The list holds one chunk and is reused across
-// chunks.
+// chunks, and across runs through fireLists.
 func replayHub(w *wakeWindow, n int, pass func(f fireList, base, end int) fireList, visit func(i int, hit bool), until func() int) {
-	f := make(fireList, 0, simBlock)
+	fp := fireLists.Get().(*fireList)
+	f := *fp
 	for base := 0; base < n; base += simBlock {
 		end := min(base+simBlock, n)
 		f = pass(f[:0], base, end)
 		w.replay(f, base, end, visit, until)
 	}
+	*fp = f[:0]
+	fireLists.Put(fp)
 }
+
+// fireLists holds replayHub's chunk lists between runs, which the
+// simulation workers run concurrently. A pass only appends to the list it
+// is given, so a returned list is replayHub's own to hand back.
+var fireLists = sync.Pool{New: func() any {
+	f := make(fireList, 0, simBlock)
+	return &f
+}}
 
 // wakeWindow drives the phone from hub firings: a firing wakes a sleeping
 // phone and opens a delivery interval preBuffer samples back; once the
