@@ -103,8 +103,13 @@ func PeakToMeanRatioInto(spec []complex128, mags, x []float64, sampleRate float6
 	if err != nil {
 		return 0, 0, spec, mags, err
 	}
-	mags = MagnitudesInto(mags, spec)
-	half := mags[1 : len(mags)/2+1]
+	if cap(mags) < len(spec) {
+		mags = make([]float64, len(spec))
+	}
+	mags = mags[:len(spec)]
+	// Only bins 1..n/2 are read, so only their magnitudes are taken; the
+	// rest of mags is scratch.
+	half := MagnitudesInto(mags[1:1], spec[1:len(spec)/2+1])
 	best := 0
 	var sum float64
 	for i, m := range half {

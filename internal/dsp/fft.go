@@ -102,6 +102,60 @@ func twiddles(n int) []complex128 {
 	return v.([]complex128)
 }
 
+// stageCache memoizes the fused-stage plan per transform size. Plans are
+// immutable once published, like twiddleCache's tables.
+var stageCache sync.Map // int -> *fftStages
+
+// fftStages is the plan the fast path runs for one size n >= 4: the
+// butterflies two radix-2 stages at a time, sizes m and 2m for m = 2, 8,
+// 32, ..., then the size-n stage alone when log2 n is odd.
+type fftStages struct {
+	// fwd and inv hold, per fused pair and butterfly index k < h = m/2,
+	// the stage-m twiddle of k and the stage-2m twiddles of k and k+h;
+	// the pair of half h starts at index (h-1)/3. inv is fwd conjugated.
+	fwd, inv [][3]complex128
+	// fwdLast and invLast are the lone size-n stage's twiddles (nil when
+	// log2 n is even).
+	fwdLast, invLast []complex128
+	// rev maps a 4-point group g of the bit-reversed order to the input
+	// position of its first point: group g reads x[rev[g]], x[rev[g]+n/2],
+	// x[rev[g]+n/4] and x[rev[g]+3n/4].
+	rev []int
+}
+
+// stages returns the fused-stage plan of size n (a power of two >= 4).
+func stages(n int) *fftStages {
+	if v, ok := stageCache.Load(n); ok {
+		return v.(*fftStages)
+	}
+	tw := twiddles(n)
+	conj := func(w complex128) complex128 { return complex(real(w), -imag(w)) }
+	st := &fftStages{}
+	for m := 2; 2*m <= n; m *= 4 {
+		h := m / 2
+		for k := 0; k < h; k++ {
+			w := [3]complex128{tw[k*(n/m)], tw[k*(n/(2*m))], tw[(k+h)*(n/(2*m))]}
+			st.fwd = append(st.fwd, w)
+			st.inv = append(st.inv, [3]complex128{conj(w[0]), conj(w[1]), conj(w[2])})
+		}
+	}
+	if bits.Len(uint(n))%2 == 0 { // log2 n odd
+		st.fwdLast = tw
+		st.invLast = make([]complex128, len(tw))
+		for k, w := range tw {
+			st.invLast[k] = conj(w)
+		}
+	}
+	q := n / 4
+	shift := bits.UintSize - uint(bits.Len(uint(q-1)))
+	st.rev = make([]int, q)
+	for g := range st.rev {
+		st.rev[g] = int(bits.Reverse(uint(g)) >> shift)
+	}
+	v, _ := stageCache.LoadOrStore(n, st)
+	return v.(*fftStages)
+}
+
 func fftInternal(x []complex128, inverse bool) error {
 	n := len(x)
 	if n == 0 {
@@ -113,6 +167,21 @@ func fftInternal(x []complex128, inverse bool) error {
 
 	for _, p := range bitrevSwaps(n) {
 		x[p[0]], x[p[1]] = x[p[1]], x[p[0]]
+	}
+
+	// The fast path runs the loop below's butterflies on the same operands,
+	// two stages per pass. Only the compiler's operand order can differ,
+	// and that moves no bit unless an input NaN's payload is in play, so
+	// it takes finite input only (DESIGN §5 item 6).
+	if n >= 4 && finite(x) {
+		st := stages(n)
+		pairs, last := st.fwd, st.fwdLast
+		if inverse {
+			pairs, last = st.inv, st.invLast
+		}
+		firstPair(x, &pairs[0])
+		fusedStages(x, pairs, last)
+		return nil
 	}
 
 	// Table lookups replace the incremental w *= wStep recurrence: no
@@ -140,6 +209,74 @@ func fftInternal(x []complex128, inverse bool) error {
 	return nil
 }
 
+// finite reports whether every part of x is finite: v - v is +0 for a
+// finite v and NaN for an infinity or a NaN, and a NaN survives the sums.
+func finite(x []complex128) bool {
+	var re, im float64
+	for _, c := range x {
+		re += real(c) - real(c)
+		im += imag(c) - imag(c)
+	}
+	return re+im == 0
+}
+
+// butterfly4 runs one 4-point group through a fused stage pair: the
+// first stage's butterflies (a, b) and (c, d) with twiddle wa, then the
+// second's (a, c) with wb and (b, d) with wc. It returns the group in
+// place order.
+func butterfly4(a, b, c, d, wa, wb, wc complex128) (complex128, complex128, complex128, complex128) {
+	ob := b * wa
+	a, b = a+ob, a-ob
+	od := d * wa
+	c, d = c+od, c-od
+	oc := c * wb
+	od = d * wc
+	return a + oc, b + od, a - oc, b - od
+}
+
+// firstPair runs the size-2 and size-4 stages over the 4-point groups of
+// the bit-reversed x, with the pair's three twiddles hoisted.
+func firstPair(x []complex128, w *[3]complex128) {
+	wa, wb, wc := w[0], w[1], w[2]
+	for i := 0; i+4 <= len(x); i += 4 {
+		g := x[i : i+4 : i+4]
+		g[0], g[1], g[2], g[3] = butterfly4(g[0], g[1], g[2], g[3], wa, wb, wc)
+	}
+}
+
+// fusedStages runs every stage after the first pair: the pairs of sizes
+// m and 2m for m = 8, 32, ... (half h = m/2 = 4, 16, ...), each as h
+// 4-point groups per block of 2m, then the lone size-n stage when last
+// is non-nil.
+func fusedStages(x []complex128, pairs [][3]complex128, last []complex128) {
+	n := len(x)
+	for h := 4; 4*h <= n; h *= 4 {
+		ws := pairs[(h-1)/3 : (h-1)/3+h]
+		for s := 0; s < n; s += 4 * h {
+			q0 := x[s : s+h]
+			q1 := x[s+h : s+2*h]
+			q2 := x[s+2*h : s+3*h]
+			q3 := x[s+3*h : s+4*h]
+			// Equal lengths let the compiler drop the loop's bounds checks.
+			q1, q2, q3, ws := q1[:len(q0)], q2[:len(q0)], q3[:len(q0)], ws[:len(q0)]
+			for k := range ws {
+				w := &ws[k]
+				q0[k], q1[k], q2[k], q3[k] = butterfly4(q0[k], q1[k], q2[k], q3[k], w[0], w[1], w[2])
+			}
+		}
+	}
+	if last != nil {
+		lo, hi := x[:n/2], x[n/2:]
+		hi, last = hi[:len(lo)], last[:len(lo)]
+		for k, w := range last {
+			even := lo[k]
+			odd := hi[k] * w
+			lo[k] = even + odd
+			hi[k] = even - odd
+		}
+	}
+}
+
 // FFTReal transforms a real-valued signal into its complex spectrum. The
 // input is zero-padded to the next power of two. The returned slice has the
 // padded length and is freshly allocated; per-sample hot paths should use
@@ -165,6 +302,12 @@ func FFTRealInto(dst []complex128, x []float64) ([]complex128, error) {
 		dst = make([]complex128, n)
 	}
 	dst = dst[:n]
+	if n >= 4 && realFastOK(x) {
+		st := stages(n)
+		realFirstPair(dst, x, st.rev, &st.fwd[0])
+		fusedStages(dst, st.fwd, st.fwdLast)
+		return dst, nil
+	}
 	for i, v := range x {
 		dst[i] = complex(v, 0)
 	}
@@ -175,6 +318,69 @@ func FFTRealInto(dst []complex128, x []float64) ([]complex128, error) {
 		return dst, err
 	}
 	return dst, nil
+}
+
+// realFastBound bounds the real fast path's input magnitudes: every sum
+// of its first stage pair, at most 4·2^1020 = 2^1022, stays finite, so no
+// twiddle's -0 part meets an infinity and every imaginary part it skips
+// is +0.
+const realFastBound = 0x1p1020
+
+// realFastOK reports whether every |x[i]| < realFastBound: v*16 overflows
+// exactly when |v| >= 2^1020, and as in finite, v - v is +0 for a finite
+// v and NaN otherwise.
+func realFastOK(x []float64) bool {
+	const scale = 0x1p1024 / realFastBound
+	var z float64
+	for _, v := range x {
+		v *= scale
+		z += v - v
+	}
+	return z == 0
+}
+
+// realFirstPair writes the size-2 and size-4 stages of the transform of
+// x, zero-padded to len(dst), into dst. It reads each bit-reversed
+// 4-point group (a, b, c, d) straight from x, a padded position reading
+// +0, and computes firstPair in real arithmetic. Every imaginary part is
+// +0, w0 = tw[0] = (1, -0), w2 = tw[n/4] = (wr, wi) = (cos(-π/2), -1)
+// with cos(-π/2) ≈ 6.1e-17 > 0, and under realFastOK every value is
+// finite, so each complex operation reduces to the real ones below:
+//   - b*w0 = (b*1 - 0*(-0), b*(-0) + 0*1) = (b + 0, +0), and so for d;
+//   - d1*w2 = (d1*wr - 0*wi, d1*wi + 0*wr) = (d1*wr + 0, d1*wi + 0);
+//   - s1*w0 = (s1 + 0, +0), and s0 = a + (b + 0) is never -0, so
+//     s0 ± (s1 + 0) = s0 ± s1;
+//   - d's + 0 moves s1 and d1 only between -0 and +0, which the size-4
+//     stage maps alike, so it is dropped;
+//   - the size-4 stage's +0 + ti is ti, as ti is never -0, and +0 - ti
+//     stays 0 - ti.
+//
+// Each + 0 that remains turns a -0 into +0 where the complex operations
+// do.
+func realFirstPair(dst []complex128, x []float64, rev []int, w *[3]complex128) {
+	n := len(dst)
+	q0, q1 := x[:n/4], x[n/4:n/2]
+	q2, q3 := x[n/2:min(len(x), 3*n/4)], x[min(len(x), 3*n/4):]
+	wr, wi := real(w[2]), imag(w[2])
+	for g, r := range rev {
+		a, c := q0[r], q1[r]
+		var b, d float64
+		if r < len(q2) {
+			b = q2[r]
+		}
+		if r < len(q3) {
+			d = q3[r]
+		}
+		bp := b + 0
+		s0, d0 := a+bp, a-bp
+		s1, d1 := c+d, c-d
+		tr, ti := d1*wr+0, d1*wi+0
+		o := dst[4*g : 4*g+4 : 4*g+4]
+		o[0] = complex(s0+s1, 0)
+		o[1] = complex(d0+tr, ti)
+		o[2] = complex(s0-s1, 0)
+		o[3] = complex(d0-tr, 0-ti)
+	}
 }
 
 // Magnitudes returns |X[k]| for each spectral bin.
@@ -245,21 +451,32 @@ func BandPassFFT(x []float64, low, high, sampleRate float64) ([]float64, error) 
 	return fftFilter(x, sampleRate, func(f float64) bool { return f >= low && f <= high })
 }
 
-// fftFilter zeroes every bin whose center frequency fails keep, preserving
-// conjugate symmetry so the output stays real.
+// fftFilter zeroes every bin whose center frequency fails keep,
+// preserving conjugate symmetry so the output stays real.
 func fftFilter(x []float64, sampleRate float64, keep func(freq float64) bool) ([]float64, error) {
 	if len(x) == 0 {
 		return nil, nil
 	}
-	out, _, err := fftFilterInto(nil, nil, x, sampleRate, keep)
+	out, _, err := fftFilterInto(nil, nil, x, binMask(NextPowerOfTwo(len(x)), sampleRate, keep))
 	return out, err
 }
 
-// fftFilterInto is fftFilter with caller-owned scratch: dst receives the
+// binMask reports, for bins k = 0..n/2 of a length-n transform, whether
+// keep rejects the bin's center frequency.
+func binMask(n int, sampleRate float64, keep func(freq float64) bool) []bool {
+	drop := make([]bool, n/2+1)
+	for k := range drop {
+		drop[k] = !keep(BinFrequency(k, n, sampleRate))
+	}
+	return drop
+}
+
+// fftFilterInto is fftFilter with caller-owned scratch and a precomputed
+// mask: drop is binMask of the padded length of x, dst receives the
 // filtered block and spec is the spectrum workspace, both grown only when
 // too small. It returns the (possibly reallocated) slices so streaming
 // callers such as BlockFilter amortize their buffers across blocks.
-func fftFilterInto(dst []float64, spec []complex128, x []float64, sampleRate float64, keep func(freq float64) bool) ([]float64, []complex128, error) {
+func fftFilterInto(dst []float64, spec []complex128, x []float64, drop []bool) ([]float64, []complex128, error) {
 	if len(x) == 0 {
 		return dst[:0], spec, nil
 	}
@@ -268,8 +485,8 @@ func fftFilterInto(dst []float64, spec []complex128, x []float64, sampleRate flo
 		return dst, spec, err
 	}
 	n := len(spec)
-	for k := 0; k <= n/2; k++ {
-		if !keep(BinFrequency(k, n, sampleRate)) {
+	for k, d := range drop {
+		if d {
 			spec[k] = 0
 			if k != 0 && k != n/2 {
 				spec[n-k] = 0

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -144,5 +145,162 @@ func TestIFFTScalingMatchesComplexDivision(t *testing.T) {
 			oracleIFFT(want)
 			requireSameBits(t, fmt.Sprintf("IFFT(%v)", in), got, want)
 		}
+	}
+}
+
+// edgeValues are finite values that pass both fast-path gates: signed
+// zeros, subnormals, and magnitudes just under the real path's bound.
+var edgeValues = []float64{
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.Float64frombits(0x000FFFFFFFFFFFFF), -math.Float64frombits(0x000FFFFFFFFFFFFF),
+	math.Nextafter(realFastBound, 0), -math.Nextafter(realFastBound, 0),
+}
+
+// realOracle is the textbook transform of x zero-padded to n.
+func realOracle(x []float64, n int) []complex128 {
+	want := make([]complex128, n)
+	for i, v := range x {
+		want[i] = complex(v, 0)
+	}
+	oracleFFT(want, false)
+	return want
+}
+
+// everyGroup returns every real vector of length l over pool. At l = 4
+// (and l = 3, padded to 4) the transform is the first stage pair alone,
+// so a signed zero it gets wrong reaches an output bin instead of being
+// masked by a later stage's +0, and a NaN it skips is not hidden among
+// the NaNs of later overflows.
+func everyGroup(l int, pool []float64) [][]float64 {
+	vecs := [][]float64{nil}
+	for ; l > 0; l-- {
+		var next [][]float64
+		for _, v := range vecs {
+			for _, p := range pool {
+				next = append(next, append(v[:len(v):len(v)], p))
+			}
+		}
+		vecs = next
+	}
+	return vecs
+}
+
+// TestFFTFastPathMatchesOracle checks the gated fast paths against the
+// textbook kernel bit for bit on the finite edge values they accept, and
+// the real path on lengths n, n-1 and n/2+1 (the padded case). The
+// accepted inputs include magnitudes whose sums overflow to ±Inf (and
+// Inf - Inf to the default NaN) in later stages. Real inputs at or beyond
+// the real path's bound, infinities and NaNs included, must take the
+// fallback and match too.
+func TestFFTFastPathMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	edge := func() float64 {
+		if rng.Intn(4) == 0 {
+			return rng.NormFloat64()
+		}
+		return edgeValues[rng.Intn(len(edgeValues))]
+	}
+	// scaled returns ±limit·u for u in [1/2, 1): just under the real
+	// bound, or far beyond it where first-stage sums overflow.
+	scaled := func(limit float64) func() float64 {
+		return func() float64 { return math.Copysign(limit*(0.5+rng.Float64()/2), rng.NormFloat64()) }
+	}
+	huge, over := scaled(realFastBound), scaled(math.MaxFloat64)
+	beyond := []float64{realFastBound, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0xFFF8000000000001)}
+	// Every 4-point group over the signed zeros, ± the smallest subnormal
+	// (whose differences underflow to a signed zero when multiplied by
+	// cos(-π/2)) and ± the largest magnitude the real path accepts.
+	zeros := []float64{0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Nextafter(realFastBound, 0), -math.Nextafter(realFastBound, 0)}
+	// Every 4-point group over 1 and values the real path refuses, each
+	// refused value in each position.
+	refused := []float64{1, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.NaN()}
+	var nanParts, infParts int
+	count := func(spec []complex128) {
+		for _, c := range spec {
+			for _, v := range []float64{real(c), imag(c)} {
+				if math.IsNaN(v) {
+					nanParts++
+				} else if math.IsInf(v, 0) {
+					infParts++
+				}
+			}
+		}
+	}
+
+	for n := 4; n <= 4096; n <<= 1 {
+		edgeC := make([]complex128, n)
+		hugeC := make([]complex128, n)
+		overC := make([]complex128, n)
+		for i := range edgeC {
+			edgeC[i] = complex(edge(), edge())
+			hugeC[i] = complex(huge(), huge())
+			overC[i] = complex(over(), over())
+		}
+		for v, in := range [][]complex128{edgeC, hugeC, overC} {
+			if !finite(in) {
+				t.Fatalf("n=%d complex input %d misses the fast path", n, v)
+			}
+			for _, inverse := range []bool{false, true} {
+				got := append([]complex128(nil), in...)
+				want := append([]complex128(nil), in...)
+				if inverse {
+					if err := IFFT(got); err != nil {
+						t.Fatal(err)
+					}
+					oracleIFFT(want)
+				} else {
+					if err := FFT(got); err != nil {
+						t.Fatal(err)
+					}
+					oracleFFT(want, false)
+				}
+				count(got)
+				requireSameBits(t, fmt.Sprintf("n=%d complex input %d inverse=%v", n, v, inverse), got, want)
+			}
+		}
+
+		for _, l := range []int{n, n - 1, n/2 + 1} {
+			edgeR := make([]float64, l)
+			hugeR := make([]float64, l)
+			overR := make([]float64, l)
+			special := make([]float64, l)
+			for i := range edgeR {
+				edgeR[i] = edge()
+				hugeR[i] = huge()
+				overR[i] = over()
+				special[i] = rng.NormFloat64()
+			}
+			special[rng.Intn(l)] = beyond[rng.Intn(len(beyond))]
+			inputs := [][]float64{edgeR, hugeR, overR, special}
+			if n == 4 {
+				inputs = append(inputs, everyGroup(l, zeros)...)
+				inputs = append(inputs, everyGroup(l, refused)...)
+			}
+			for v, x := range inputs {
+				what := fmt.Sprintf("n=%d len=%d real input %d", n, l, v)
+				if l <= 4 {
+					what += fmt.Sprint(" ", x)
+				}
+				inBound := !slices.ContainsFunc(x, func(v float64) bool { return !(math.Abs(v) < realFastBound) })
+				if realFastOK(x) != inBound {
+					t.Fatalf("%s: fast path = %v", what, !inBound)
+				}
+				got, err := FFTRealInto(nil, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inBound {
+					count(got)
+				}
+				requireSameBits(t, what, got, realOracle(x, n))
+			}
+		}
+	}
+	if nanParts == 0 || infParts == 0 {
+		t.Fatalf("the fast paths reached no overflow: %d NaN and %d Inf parts", nanParts, infParts)
 	}
 }

@@ -140,15 +140,12 @@ const (
 // Butterworth biquad whose state carries across blocks — the form an
 // FPU-less MCU can actually run in real time (paper §4).
 type BlockFilter struct {
-	kind       BlockFilterKind
-	cutoff     float64
-	sampleRate float64
-	buf        []float64
-	blockSize  int
-	out        []float64
-	spec       []complex128
-	keep       func(freq float64) bool
-	bqQ        *BiquadQ15 // Q15 IIR backend (nil for FFT)
+	buf       []float64
+	blockSize int
+	out       []float64
+	spec      []complex128
+	drop      []bool     // FFT backend: bins 0..blockSize/2 the mask zeroes
+	bqQ       *BiquadQ15 // Q15 IIR backend (nil for FFT)
 }
 
 // NewBlockFilter returns an FFT-based block filter.
@@ -162,18 +159,15 @@ func NewBlockFilter(kind BlockFilterKind, cutoff, sampleRate float64, blockSize 
 	if cutoff < 0 || cutoff > sampleRate/2 {
 		return nil, fmt.Errorf("dsp: cutoff %g Hz outside [0, Nyquist=%g]", cutoff, sampleRate/2)
 	}
-	f := &BlockFilter{
-		kind:       kind,
-		cutoff:     cutoff,
-		sampleRate: sampleRate,
-		buf:        make([]float64, 0, blockSize),
-		blockSize:  blockSize,
-	}
-	f.keep = func(freq float64) bool { return freq <= f.cutoff }
+	keep := func(freq float64) bool { return freq <= cutoff }
 	if kind == HighPass {
-		f.keep = func(freq float64) bool { return freq >= f.cutoff }
+		keep = func(freq float64) bool { return freq >= cutoff }
 	}
-	return f, nil
+	return &BlockFilter{
+		buf:       make([]float64, 0, blockSize),
+		blockSize: blockSize,
+		drop:      binMask(blockSize, sampleRate, keep),
+	}, nil
 }
 
 // NewIIRBlockFilterQ15 returns a block filter realized by a streaming
@@ -194,12 +188,9 @@ func NewIIRBlockFilterQ15(kind BlockFilterKind, cutoff, sampleRate float64, bloc
 		return nil, err
 	}
 	return &BlockFilter{
-		kind:       kind,
-		cutoff:     cutoff,
-		sampleRate: sampleRate,
-		buf:        make([]float64, 0, blockSize),
-		blockSize:  blockSize,
-		bqQ:        bq.Q15(),
+		buf:       make([]float64, 0, blockSize),
+		blockSize: blockSize,
+		bqQ:       bq.Q15(),
 	}, nil
 }
 
@@ -248,7 +239,7 @@ func (f *BlockFilter) emit() (block []float64, ok bool) {
 		f.buf = f.buf[:0]
 		return f.out, true
 	default:
-		out, spec, err := fftFilterInto(f.out, f.spec, f.buf, f.sampleRate, f.keep)
+		out, spec, err := fftFilterInto(f.out, f.spec, f.buf, f.drop)
 		f.out, f.spec = out, spec
 		f.buf = f.buf[:0]
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 	"sidewinder/internal/interp"
 	"sidewinder/internal/ir"
 	"sidewinder/internal/power"
+	"sidewinder/internal/telemetry"
 	"sidewinder/internal/tracegen"
 )
 
@@ -218,8 +219,9 @@ type replayCase struct {
 // through the window either with replay or with the per-sample oracle and
 // returns the window and a log of what the caller's visit saw act:
 // firings, wake verdicts and deadline expiries, each with its sample
-// index.
-func replayRun(c replayCase, perSample bool) (*wakeWindow, []string) {
+// index. timed attaches a telemetry clock, the only reader of the
+// window's simulated time.
+func replayRun(c replayCase, perSample, timed bool) (*wakeWindow, []string) {
 	rng := rand.New(rand.NewSource(int64(c.n) ^ int64(c.hold)<<20))
 	var fires fireList
 	for i := 0; i < c.n; i++ {
@@ -228,6 +230,9 @@ func replayRun(c replayCase, perSample bool) (*wakeWindow, []string) {
 		}
 	}
 	w := newWakeWindow(power.NewPhone(power.Nexus4()), c.rate, c.preBuffer, c.hold)
+	if timed {
+		w.c.tclk = &telemetry.Clock{}
+	}
 	var log []string
 	next := 0
 	visit := func(i int, hit bool) {
@@ -264,7 +269,8 @@ func replayRun(c replayCase, perSample bool) (*wakeWindow, []string) {
 
 // TestReplayMatchesPerSample checks the quiet-run replay against the
 // per-sample loop it replaced: the same delivered intervals, wake-ups,
-// visit log and, bit for bit, every state's dwell and the clock.
+// visit log and, bit for bit, every state's dwell, with and without a
+// telemetry clock, and with one, the simulated time it is stamped with.
 func TestReplayMatchesPerSample(t *testing.T) {
 	const b = simBlock
 	cases := []replayCase{
@@ -285,31 +291,34 @@ func TestReplayMatchesPerSample(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			wantW, wantLog := replayRun(c, true)
-			gotW, gotLog := replayRun(c, false)
-			wantC, gotC := &wantW.c, &gotW.c
-			if want, got := wantW.close(c.n), gotW.close(c.n); !reflect.DeepEqual(got, want) {
-				t.Fatalf("intervals = %v, want %v", got, want)
-			}
-			if !reflect.DeepEqual(gotLog, wantLog) {
-				t.Fatalf("visit log = %v, want %v", gotLog, wantLog)
-			}
-			if got, want := gotC.ph.WakeUps(), wantC.ph.WakeUps(); got != want {
-				t.Fatalf("wake-ups = %d, want %d", got, want)
-			}
-			if gotC.ph.State() != wantC.ph.State() {
-				t.Fatalf("final state = %s, want %s", gotC.ph.State(), wantC.ph.State())
-			}
-			for s := power.Asleep; s <= power.FallingAsleep; s++ {
-				if got, want := gotC.ph.Dwell(s), wantC.ph.Dwell(s); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s dwell = %v, want %v", s, got, want)
+			for _, timed := range []bool{false, true} {
+				wantW, wantLog := replayRun(c, true, timed)
+				gotW, gotLog := replayRun(c, false, timed)
+				wantC, gotC := &wantW.c, &gotW.c
+				if want, got := wantW.close(c.n), gotW.close(c.n); !reflect.DeepEqual(got, want) {
+					t.Fatalf("timed=%v: intervals = %v, want %v", timed, got, want)
 				}
-			}
-			if math.Float64bits(gotC.t) != math.Float64bits(wantC.t) {
-				t.Fatalf("clock = %v, want %v", gotC.t, wantC.t)
-			}
-			if c.density > 0 && wantC.ph.WakeUps() == 0 {
-				t.Fatal("no wake-ups: case is vacuous")
+				if !reflect.DeepEqual(gotLog, wantLog) {
+					t.Fatalf("timed=%v: visit log = %v, want %v", timed, gotLog, wantLog)
+				}
+				if got, want := gotC.ph.WakeUps(), wantC.ph.WakeUps(); got != want {
+					t.Fatalf("timed=%v: wake-ups = %d, want %d", timed, got, want)
+				}
+				if gotC.ph.State() != wantC.ph.State() {
+					t.Fatalf("timed=%v: final state = %s, want %s", timed, gotC.ph.State(), wantC.ph.State())
+				}
+				for s := power.Asleep; s <= power.FallingAsleep; s++ {
+					if got, want := gotC.ph.Dwell(s), wantC.ph.Dwell(s); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("timed=%v: %s dwell = %v, want %v", timed, s, got, want)
+					}
+				}
+				if timed && (math.Float64bits(gotC.t) != math.Float64bits(wantC.t) ||
+					math.Float64bits(gotC.tclk.NowUS()) != math.Float64bits(wantC.tclk.NowUS())) {
+					t.Fatalf("clock = %v (%v us), want %v (%v us)", gotC.t, gotC.tclk.NowUS(), wantC.t, wantC.tclk.NowUS())
+				}
+				if c.density > 0 && wantC.ph.WakeUps() == 0 {
+					t.Fatal("no wake-ups: case is vacuous")
+				}
 			}
 		})
 	}

@@ -48,9 +48,14 @@ func (c *clock) advance(dt float64) {
 
 // advanceSteps equals k successive advance(dt) calls on a phone that is
 // asleep or awake: it cannot change state, so no transition hook reads the
-// telemetry clock in between, and the clock is set once at the end.
+// telemetry clock in between, and the clock is set once at the end. Its
+// one caller, wakeWindow.replay, reads c.t only through the telemetry
+// clock, so without one the per-step sum is skipped.
 func (c *clock) advanceSteps(dt float64, k int) {
 	c.ph.AdvanceSteps(dt, k)
+	if c.tclk == nil {
+		return
+	}
 	t := c.t
 	for ; k > 0; k-- {
 		t += dt
