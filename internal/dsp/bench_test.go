@@ -77,3 +77,37 @@ func BenchmarkPeakToMeanRatioInto(b *testing.B) {
 		sinkF = ratio
 	}
 }
+
+// BenchmarkFusedStages keeps the cost of the stage pairs after the first
+// visible on both paths at n = 1024: the AVX kernel (skipped where the
+// CPU lacks it) and the Go loop it falls back to. Each iteration restores
+// the input first, so the values stay in range; both paths pay that copy.
+func BenchmarkFusedStages(b *testing.B) {
+	x := benchSignal(1024)
+	in := make([]complex128, len(x))
+	for i, v := range x {
+		in[i] = complex(v, 0)
+	}
+	buf := make([]complex128, len(in))
+	t := &stages(len(in)).fwd
+	avx := useAVX
+	b.Cleanup(func() { useAVX = avx })
+	for _, kernel := range []bool{true, false} {
+		name := "go"
+		if kernel {
+			name = "kernel"
+		}
+		b.Run(name, func(b *testing.B) {
+			if kernel && !avx {
+				b.Skip("no AVX kernel on this CPU or GOARCH")
+			}
+			useAVX = kernel
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(buf, in)
+				fusedStages(buf, t)
+			}
+			sinkF = real(buf[0])
+		})
+	}
+}

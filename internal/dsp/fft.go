@@ -110,17 +110,29 @@ var stageCache sync.Map // int -> *fftStages
 // butterflies two radix-2 stages at a time, sizes m and 2m for m = 2, 8,
 // 32, ..., then the size-n stage alone when log2 n is odd.
 type fftStages struct {
-	// fwd and inv hold, per fused pair and butterfly index k < h = m/2,
-	// the stage-m twiddle of k and the stage-2m twiddles of k and k+h;
-	// the pair of half h starts at index (h-1)/3. inv is fwd conjugated.
-	fwd, inv [][3]complex128
-	// fwdLast and invLast are the lone size-n stage's twiddles (nil when
-	// log2 n is even).
-	fwdLast, invLast []complex128
+	// fwd and inv are the forward tables and their conjugates
+	// (conjugation is exact).
+	fwd, inv stageTables
 	// rev maps a 4-point group g of the bit-reversed order to the input
 	// position of its first point: group g reads x[rev[g]], x[rev[g]+n/2],
 	// x[rev[g]+n/4] and x[rev[g]+3n/4].
 	rev []int
+}
+
+// stageTables holds one direction's twiddles of a fused-stage plan.
+type stageTables struct {
+	// pairs holds, per fused pair and butterfly index k < h = m/2, the
+	// stage-m twiddle of k and the stage-2m twiddles of k and k+h; the
+	// pair of half h starts at index (h-1)/3.
+	pairs [][3]complex128
+	// vec holds the pairs of half h >= 4 in the AVX kernel's layout: per
+	// butterfly pair (k, k+1) and each of the three twiddles w, w' of k
+	// and k+1, the four real parts (re w, re w, re w', re w') and then
+	// the four signed imaginary parts (-im w, im w, -im w', im w'), 24
+	// float64s in all. The k of pairs index j >= 1 starts at 12(j-1).
+	vec []float64
+	// last is the lone size-n stage's twiddles (nil when log2 n is even).
+	last []complex128
 }
 
 // stages returns the fused-stage plan of size n (a power of two >= 4).
@@ -135,15 +147,17 @@ func stages(n int) *fftStages {
 		h := m / 2
 		for k := 0; k < h; k++ {
 			w := [3]complex128{tw[k*(n/m)], tw[k*(n/(2*m))], tw[(k+h)*(n/(2*m))]}
-			st.fwd = append(st.fwd, w)
-			st.inv = append(st.inv, [3]complex128{conj(w[0]), conj(w[1]), conj(w[2])})
+			st.fwd.pairs = append(st.fwd.pairs, w)
+			st.inv.pairs = append(st.inv.pairs, [3]complex128{conj(w[0]), conj(w[1]), conj(w[2])})
 		}
 	}
+	st.fwd.vec = kernelTwiddles(st.fwd.pairs)
+	st.inv.vec = kernelTwiddles(st.inv.pairs)
 	if bits.Len(uint(n))%2 == 0 { // log2 n odd
-		st.fwdLast = tw
-		st.invLast = make([]complex128, len(tw))
+		st.fwd.last = tw
+		st.inv.last = make([]complex128, len(tw))
 		for k, w := range tw {
-			st.invLast[k] = conj(w)
+			st.inv.last[k] = conj(w)
 		}
 	}
 	q := n / 4
@@ -154,6 +168,23 @@ func stages(n int) *fftStages {
 	}
 	v, _ := stageCache.LoadOrStore(n, st)
 	return v.(*fftStages)
+}
+
+// kernelTwiddles lays out pairs[1:], the entries of every pair of half
+// h >= 4 (h is even, so the k pairs tile each pair), in stageTables.vec's
+// layout. Negation is exact, so
+// each lane's product x*(re, re) + swap(x)*(-im, im) is Go's complex
+// product, part by part.
+func kernelTwiddles(pairs [][3]complex128) []float64 {
+	vec := make([]float64, 0, 12*max(len(pairs)-1, 0))
+	for j := 1; j+1 < len(pairs); j += 2 {
+		for t := range 3 {
+			w0, w1 := pairs[j][t], pairs[j+1][t]
+			vec = append(vec, real(w0), real(w0), real(w1), real(w1),
+				-imag(w0), imag(w0), -imag(w1), imag(w1))
+		}
+	}
+	return vec
 }
 
 func fftInternal(x []complex128, inverse bool) error {
@@ -175,12 +206,12 @@ func fftInternal(x []complex128, inverse bool) error {
 	// it takes finite input only (DESIGN §5 item 6).
 	if n >= 4 && finite(x) {
 		st := stages(n)
-		pairs, last := st.fwd, st.fwdLast
+		t := &st.fwd
 		if inverse {
-			pairs, last = st.inv, st.invLast
+			t = &st.inv
 		}
-		firstPair(x, &pairs[0])
-		fusedStages(x, pairs, last)
+		firstPair(x, &t.pairs[0])
+		fusedStages(x, t)
 		return nil
 	}
 
@@ -212,6 +243,9 @@ func fftInternal(x []complex128, inverse bool) error {
 // finite reports whether every part of x is finite: v - v is +0 for a
 // finite v and NaN for an infinity or a NaN, and a NaN survives the sums.
 func finite(x []complex128) bool {
+	if useAVX {
+		return finiteAVX(x)
+	}
 	var re, im float64
 	for _, c := range x {
 		re += real(c) - real(c)
@@ -246,12 +280,22 @@ func firstPair(x []complex128, w *[3]complex128) {
 
 // fusedStages runs every stage after the first pair: the pairs of sizes
 // m and 2m for m = 8, 32, ... (half h = m/2 = 4, 16, ...), each as h
-// 4-point groups per block of 2m, then the lone size-n stage when last
-// is non-nil.
-func fusedStages(x []complex128, pairs [][3]complex128, last []complex128) {
+// 4-point groups per block of 2m, then the lone size-n stage when t.last
+// is non-nil. With useAVX set, fusedPairAVX runs each block's groups from
+// t.vec, the same operations as the Go loop's butterfly4 two groups at a
+// time (DESIGN §5 item 6); the Go loop is the fallback and its reference.
+func fusedStages(x []complex128, t *stageTables) {
 	n := len(x)
 	for h := 4; 4*h <= n; h *= 4 {
-		ws := pairs[(h-1)/3 : (h-1)/3+h]
+		j := (h - 1) / 3
+		if useAVX {
+			wv := t.vec[12*(j-1) : 12*(j-1+h)]
+			for s := 0; s < n; s += 4 * h {
+				fusedPairAVX(x[s:s+4*h], wv)
+			}
+			continue
+		}
+		ws := t.pairs[j : j+h]
 		for s := 0; s < n; s += 4 * h {
 			q0 := x[s : s+h]
 			q1 := x[s+h : s+2*h]
@@ -265,7 +309,7 @@ func fusedStages(x []complex128, pairs [][3]complex128, last []complex128) {
 			}
 		}
 	}
-	if last != nil {
+	if last := t.last; last != nil {
 		lo, hi := x[:n/2], x[n/2:]
 		hi, last = hi[:len(lo)], last[:len(lo)]
 		for k, w := range last {
@@ -304,8 +348,8 @@ func FFTRealInto(dst []complex128, x []float64) ([]complex128, error) {
 	dst = dst[:n]
 	if n >= 4 && realFastOK(x) {
 		st := stages(n)
-		realFirstPair(dst, x, st.rev, &st.fwd[0])
-		fusedStages(dst, st.fwd, st.fwdLast)
+		realFirstPair(dst, x, st.rev, &st.fwd.pairs[0])
+		fusedStages(dst, &st.fwd)
 		return dst, nil
 	}
 	for i, v := range x {
@@ -331,6 +375,9 @@ const realFastBound = 0x1p1020
 // v and NaN otherwise.
 func realFastOK(x []float64) bool {
 	const scale = 0x1p1024 / realFastBound
+	if useAVX {
+		return realFastOKAVX(x, scale)
+	}
 	var z float64
 	for _, v := range x {
 		v *= scale

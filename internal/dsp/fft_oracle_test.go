@@ -91,6 +91,25 @@ func oracleInputs(rng *rand.Rand, n int) [][]complex128 {
 	return [][]complex128{noise, sprinkled, allSpecial, impulse}
 }
 
+// kernelOnAndOff runs test twice: as the subtest "kernel" with the AVX
+// kernel on (skipped where the CPU or GOARCH lacks it), and as "go" with
+// it forced off, so the Go loops stay checked on every host.
+func kernelOnAndOff(t *testing.T, test func(t *testing.T)) {
+	avx := useAVX
+	t.Cleanup(func() { useAVX = avx })
+	t.Run("kernel", func(t *testing.T) {
+		if !avx {
+			t.Skip("no AVX kernel on this CPU or GOARCH")
+		}
+		useAVX = true
+		test(t)
+	})
+	t.Run("go", func(t *testing.T) {
+		useAVX = false
+		test(t)
+	})
+}
+
 func requireSameBits(t *testing.T, what string, got, want []complex128) {
 	t.Helper()
 	for i := range want {
@@ -107,6 +126,10 @@ func requireSameBits(t *testing.T, what string, got, want []complex128) {
 // inverse, random or special-valued input, for every power of two up to
 // 4096.
 func TestFFTMatchesOracleBitForBit(t *testing.T) {
+	kernelOnAndOff(t, fftMatchesOracleBitForBit)
+}
+
+func fftMatchesOracleBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 1; n <= 4096; n <<= 1 {
 		for v, in := range oracleInputs(rng, n) {
@@ -134,6 +157,10 @@ func TestFFTMatchesOracleBitForBit(t *testing.T) {
 // the runtime rewrites included, with no butterfly in between (n = 1 is
 // the identity transform, so IFFT is the scaling alone).
 func TestIFFTScalingMatchesComplexDivision(t *testing.T) {
+	kernelOnAndOff(t, ifftScalingMatchesComplexDivision)
+}
+
+func ifftScalingMatchesComplexDivision(t *testing.T) {
 	for _, re := range specials {
 		for _, im := range specials {
 			in := complex(re, im)
@@ -194,6 +221,10 @@ func everyGroup(l int, pool []float64) [][]float64 {
 // the real path's bound, infinities and NaNs included, must take the
 // fallback and match too.
 func TestFFTFastPathMatchesOracle(t *testing.T) {
+	kernelOnAndOff(t, fftFastPathMatchesOracle)
+}
+
+func fftFastPathMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	edge := func() float64 {
 		if rng.Intn(4) == 0 {
