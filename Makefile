@@ -100,25 +100,30 @@ swbench-check:
 
 # profile-eval CPU-profiles the paper evaluation at the benchmark's
 # paper-eval scale (every `-experiment all` table at 2/2/4-minute traces,
-# one worker) and prints the top functions, so an optimization can name
-# the layer it targets from a rerunnable profile.
+# one worker) four times and prints the top functions of the four profiles
+# merged, so an optimization can name the layer it targets from a
+# rerunnable profile. One run gives about 1 s of samples, too few for a
+# steady flat share.
 profile-eval:
-	$(GO) run ./cmd/sidewinder-eval -experiment all -robot-min 2 -audio-min 2 \
-		-human-min 4 -workers 1 -cpuprofile eval-cpu.prof > /dev/null
-	$(GO) tool pprof -top -nodecount=25 eval-cpu.prof
+	$(GO) build -o bin/sidewinder-eval ./cmd/sidewinder-eval
+	for i in 1 2 3 4; do \
+		bin/sidewinder-eval -experiment all -robot-min 2 -audio-min 2 -human-min 4 \
+			-workers 1 -cpuprofile eval-cpu-$$i.prof > /dev/null || exit 1; \
+	done
+	$(GO) tool pprof -top -nodecount=25 bin/sidewinder-eval eval-cpu-[1-4].prof
 
 # profile-optin is profile-eval's twin for the opt-in sweeps: it
 # CPU-profiles `-experiment fleet`, `adaptive` and `crash` at the
-# benchmark's optin-sweeps scale (2/2/4-minute traces, one worker), one
-# profile each, and prints the top functions of the three merged.
+# benchmark's optin-sweeps scale (2/2/4-minute traces, one worker), four
+# profiles each, and prints the top functions of the twelve merged.
 OPTIN_EXPERIMENTS = fleet adaptive crash
 profile-optin:
 	$(GO) build -o bin/sidewinder-eval ./cmd/sidewinder-eval
-	for e in $(OPTIN_EXPERIMENTS); do \
+	for e in $(OPTIN_EXPERIMENTS); do for i in 1 2 3 4; do \
 		bin/sidewinder-eval -experiment $$e -robot-min 2 -audio-min 2 -human-min 4 \
-			-workers 1 -cpuprofile optin-$$e-cpu.prof > /dev/null || exit 1; \
-	done
-	$(GO) tool pprof -top -nodecount=25 bin/sidewinder-eval $(OPTIN_EXPERIMENTS:%=optin-%-cpu.prof)
+			-workers 1 -cpuprofile optin-$$e-$$i-cpu.prof > /dev/null || exit 1; \
+	done; done
+	$(GO) tool pprof -top -nodecount=25 bin/sidewinder-eval $(OPTIN_EXPERIMENTS:%=optin-%-[1-4]-cpu.prof)
 
 # loc prints the production Go lines per package and in total: non-blank,
 # non-comment lines of every non-test .go file outside swbench/. Simplicity

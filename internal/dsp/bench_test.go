@@ -60,6 +60,27 @@ func BenchmarkBlockFilterFFT(b *testing.B) {
 	}
 }
 
+// BenchmarkGoertzelBank feeds the siren variant's bank shape, 16 detectors
+// at block 64, one 1024-sample buffer per op through Consume.
+func BenchmarkGoertzelBank(b *testing.B) {
+	bank, err := NewGoertzelBank(850, 1800, 4000, 64, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := benchSignal(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for src := x; len(src) > 0; {
+			n, best, ok := bank.Consume(src)
+			if ok {
+				sinkF = best
+			}
+			src = src[n:]
+		}
+	}
+}
+
 func BenchmarkPeakToMeanRatioInto(b *testing.B) {
 	x := benchSignal(1024)
 	var spec []complex128

@@ -103,12 +103,28 @@ func (f *Biquad) Reset() { f.z1, f.z2 = 0, 0 }
 // target-band amplitude to the block's RMS, a normalized "how tonal at
 // this frequency" score.
 type Goertzel struct {
-	coeff     float64
+	goertzelState
 	blockSize int
 
-	s1, s2 float64
 	energy float64
 	n      int
+}
+
+// goertzelState is one detector's recurrence: its coefficient and the last
+// two outputs of s0 = x + coeff*s1 - s2.
+type goertzelState struct {
+	coeff  float64
+	s1, s2 float64
+}
+
+// amp returns the target bin's amplitude over a block of blockSize
+// samples.
+func (g *goertzelState) amp(blockSize int) float64 {
+	power := g.s1*g.s1 + g.s2*g.s2 - g.coeff*g.s1*g.s2
+	if power < 0 {
+		power = 0
+	}
+	return math.Sqrt(power) * 2 / float64(blockSize)
 }
 
 // NewGoertzel returns a detector for the target frequency (Hz) at the
@@ -124,14 +140,15 @@ func NewGoertzel(freq, sampleRate float64, blockSize int) (*Goertzel, error) {
 		return nil, fmt.Errorf("dsp: goertzel block size must be >= 8, got %d", blockSize)
 	}
 	w := 2 * math.Pi * freq / sampleRate
-	return &Goertzel{coeff: 2 * math.Cos(w), blockSize: blockSize}, nil
+	return &Goertzel{goertzelState: goertzelState{coeff: 2 * math.Cos(w)}, blockSize: blockSize}, nil
 }
 
 // BlockSize returns the detector's block length.
 func (g *Goertzel) BlockSize() int { return g.blockSize }
 
 // Push processes one sample. At each block boundary it emits the
-// normalized target-band score and resets for the next block.
+// normalized target-band score and resets for the next block. It is the
+// reference GoertzelBank.Consume is tested against bit for bit.
 func (g *Goertzel) Push(x float64) (score float64, ok bool) {
 	s0 := x + g.coeff*g.s1 - g.s2
 	g.s2 = g.s1
@@ -141,38 +158,9 @@ func (g *Goertzel) Push(x float64) (score float64, ok bool) {
 	if g.n < g.blockSize {
 		return 0, false
 	}
-	return g.finish()
-}
-
-// pushRun feeds a run of samples that must not cross a block boundary
-// (len(src) <= blockSize - n); at an exact boundary it emits. Same math as
-// a Push loop with the recurrence state held in locals.
-func (g *Goertzel) pushRun(src []float64) (score float64, ok bool) {
-	s1, s2, energy := g.s1, g.s2, g.energy
-	for _, x := range src {
-		s0 := x + g.coeff*s1 - s2
-		s2 = s1
-		s1 = s0
-		energy += x * x
-	}
-	g.s1, g.s2, g.energy = s1, s2, energy
-	g.n += len(src)
-	if g.n < g.blockSize {
-		return 0, false
-	}
-	return g.finish()
-}
-
-// finish wraps up a full block: magnitude of the target bin normalized by
-// the block RMS, then state reset for the next block.
-func (g *Goertzel) finish() (score float64, ok bool) {
-	power := g.s1*g.s1 + g.s2*g.s2 - g.coeff*g.s1*g.s2
-	if power < 0 {
-		power = 0
-	}
-	amp := math.Sqrt(power) * 2 / float64(g.blockSize)
+	amp := g.amp(g.blockSize)
 	rms := math.Sqrt(g.energy / float64(g.blockSize))
-	g.s1, g.s2, g.energy, g.n = 0, 0, 0, 0
+	g.Reset()
 	if rms == 0 {
 		return 0, true
 	}
@@ -187,8 +175,15 @@ func (g *Goertzel) Reset() { g.s1, g.s2, g.energy, g.n = 0, 0, 0, 0 }
 // anywhere in [lo, hi]" feature cheap enough for the MSP430, unlike the
 // FFT chain (paper §4: the MSP430 "was unable to run the FFT-based
 // low-pass filter in real-time").
+//
+// Every detector sees the same samples at the same block phase, so the
+// bank keeps the block position and the block's energy, the sum of x*x a
+// detector would keep alone, once for all of them.
 type GoertzelBank struct {
-	dets []*Goertzel
+	dets      []goertzelState
+	blockSize int
+	n         int     // samples into the current block
+	energy    float64 // sum of squares of those samples
 }
 
 // NewGoertzelBank places n detectors evenly across [lo, hi] Hz.
@@ -199,7 +194,7 @@ func NewGoertzelBank(lo, hi, sampleRate float64, blockSize, n int) (*GoertzelBan
 	if lo > hi {
 		return nil, fmt.Errorf("dsp: goertzel bank lo %g > hi %g", lo, hi)
 	}
-	bank := &GoertzelBank{}
+	bank := &GoertzelBank{blockSize: blockSize}
 	for i := 0; i < n; i++ {
 		f := lo
 		if n > 1 {
@@ -209,7 +204,7 @@ func NewGoertzelBank(lo, hi, sampleRate float64, blockSize, n int) (*GoertzelBan
 		if err != nil {
 			return nil, err
 		}
-		bank.dets = append(bank.dets, det)
+		bank.dets = append(bank.dets, det.goertzelState)
 	}
 	return bank, nil
 }
@@ -220,46 +215,94 @@ func (b *GoertzelBank) Size() int { return len(b.dets) }
 // Push processes one sample through every detector; at block boundaries
 // it emits the best score across the bank.
 func (b *GoertzelBank) Push(x float64) (best float64, ok bool) {
-	for _, d := range b.dets {
-		score, done := d.Push(x)
-		if done {
-			ok = true
-			if score > best {
-				best = score
-			}
-		}
-	}
+	one := [1]float64{x}
+	_, best, ok = b.Consume(one[:])
 	return best, ok
 }
 
 // Consume ingests a prefix of src: exactly enough samples to reach the
-// next block boundary (all detectors share the same block size and phase),
-// or all of src if the boundary is out of reach. At a boundary it emits
-// the best score across the bank, exactly as a Push loop would.
+// next block boundary, or all of src if the boundary is out of reach. At a
+// boundary it emits the best score across the bank. Every detector's
+// state, the shared energy and every score are bit-identical to what a
+// Goertzel.Push loop per detector computes: each value goes through the
+// same operations in the same order.
 func (b *GoertzelBank) Consume(src []float64) (n int, best float64, ok bool) {
 	if len(b.dets) == 0 {
 		return len(src), 0, false
 	}
-	d0 := b.dets[0]
-	n = d0.blockSize - d0.n
-	if n > len(src) {
-		n = len(src)
+	n = min(b.blockSize-b.n, len(src))
+	run := src[:n]
+	energy := b.energy
+	for _, x := range run {
+		energy += x * x
 	}
-	for _, d := range b.dets {
-		score, done := d.pushRun(src[:n])
-		if done {
-			ok = true
-			if score > best {
+	b.energy = energy
+	b.recur(run)
+	b.n += n
+	if b.n < b.blockSize {
+		return n, 0, false
+	}
+	return n, b.finish(), true
+}
+
+// recur advances every detector's recurrence over run, four detectors per
+// pass so their independent dependency chains overlap, then the rest one
+// at a time.
+func (b *GoertzelBank) recur(run []float64) {
+	d := b.dets
+	for ; len(d) >= 4; d = d[4:] {
+		c0, c1, c2, c3 := d[0].coeff, d[1].coeff, d[2].coeff, d[3].coeff
+		a1, a2 := d[0].s1, d[0].s2
+		b1, b2 := d[1].s1, d[1].s2
+		e1, e2 := d[2].s1, d[2].s2
+		f1, f2 := d[3].s1, d[3].s2
+		for _, x := range run {
+			a0 := x + c0*a1 - a2
+			b0 := x + c1*b1 - b2
+			e0 := x + c2*e1 - e2
+			f0 := x + c3*f1 - f2
+			a2, a1 = a1, a0
+			b2, b1 = b1, b0
+			e2, e1 = e1, e0
+			f2, f1 = f1, f0
+		}
+		d[0].s1, d[0].s2 = a1, a2
+		d[1].s1, d[1].s2 = b1, b2
+		d[2].s1, d[2].s2 = e1, e2
+		d[3].s1, d[3].s2 = f1, f2
+	}
+	for i := range d {
+		c, s1, s2 := d[i].coeff, d[i].s1, d[i].s2
+		for _, x := range run {
+			s0 := x + c*s1 - s2
+			s2, s1 = s1, s0
+		}
+		d[i].s1, d[i].s2 = s1, s2
+	}
+}
+
+// finish wraps up a full block: the best of every detector's target-bin
+// amplitude over the block RMS (0 for a silent block), then the state
+// reset for the next block.
+func (b *GoertzelBank) finish() (best float64) {
+	rms := math.Sqrt(b.energy / float64(b.blockSize))
+	for i := range b.dets {
+		d := &b.dets[i]
+		if rms != 0 {
+			if score := d.amp(b.blockSize) / rms; score > best {
 				best = score
 			}
 		}
+		d.s1, d.s2 = 0, 0
 	}
-	return n, best, ok
+	b.energy, b.n = 0, 0
+	return best
 }
 
 // Reset clears every detector.
 func (b *GoertzelBank) Reset() {
-	for _, d := range b.dets {
-		d.Reset()
+	for i := range b.dets {
+		b.dets[i].s1, b.dets[i].s2 = 0, 0
 	}
+	b.energy, b.n = 0, 0
 }

@@ -1,7 +1,9 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -205,4 +207,123 @@ func TestGoertzelBankValidation(t *testing.T) {
 	if err != nil || bank.Size() != 1 {
 		t.Fatalf("single bank: %v", err)
 	}
+}
+
+// TestGoertzelBankMatchesPushBitForBit checks the bank's shared-energy,
+// four-wide Consume against one Goertzel.Push loop per detector: for banks
+// of 1, 3, 4, 5, 16 and 17 detectors at block 64, fed through Consume in
+// random chunks and through Push, every emission comes at the same sample
+// with the same score bits, including the silent and the near-silent
+// blocks, whose RMS is 0.
+func TestGoertzelBankMatchesPushBitForBit(t *testing.T) {
+	const (
+		rate  = 4000.0
+		block = 64
+		n     = 1 << 17
+	)
+	rng := rand.New(rand.NewSource(7))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Sin(2*math.Pi*1234*float64(i)/rate) + rng.NormFloat64()
+	}
+	silent := map[int]bool{}
+	for _, b := range []int{0, 5, 6, 1000, n/block - 1} {
+		silent[b] = true
+		clear(x[b*block : (b+1)*block])
+	}
+	// A tone at the bank's lowest detector so faint that every x*x
+	// underflows to 0: the block's RMS is 0 while that detector's
+	// amplitude is not, and the block still scores 0.
+	for _, b := range []int{9, 2000} {
+		silent[b] = true
+		for i := b * block; i < (b+1)*block; i++ {
+			x[i] = 1e-162 * math.Sin(2*math.Pi*850*float64(i)/rate)
+		}
+	}
+
+	type emission struct {
+		at    int
+		score uint64
+	}
+	for _, size := range []int{1, 3, 4, 5, 16, 17} {
+		bank, err := NewGoertzelBank(850, 1800, rate, block, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The reference: one detector per bank member, fed sample by
+		// sample, the best score taken in bank order.
+		refs := make([]*Goertzel, size)
+		for i, d := range bank.dets {
+			refs[i] = &Goertzel{goertzelState: goertzelState{coeff: d.coeff}, blockSize: block}
+		}
+		var want []emission
+		zeros := 0
+		for i, v := range x {
+			var best float64
+			var ok bool
+			for _, g := range refs {
+				if score, done := g.Push(v); done {
+					ok = true
+					if score > best {
+						best = score
+					}
+				}
+			}
+			if ok {
+				want = append(want, emission{i, math.Float64bits(best)})
+				if silent[i/block] {
+					if best != 0 {
+						t.Fatalf("%d detectors: silent block %d scored %v", size, i/block, best)
+					}
+					zeros++
+				}
+			}
+		}
+		if len(want) != n/block || zeros != len(silent) {
+			t.Fatalf("%d detectors: %d emissions (%d silent), want %d (%d)", size, len(want), zeros, n/block, len(silent))
+		}
+
+		for round := 0; round < 3; round++ {
+			bank.Reset()
+			var got []emission
+			for at := 0; at < n; {
+				chunk := x[at:min(n, at+1+rng.Intn(3*block))]
+				for len(chunk) > 0 {
+					k, best, ok := bank.Consume(chunk)
+					at += k
+					chunk = chunk[k:]
+					if ok {
+						got = append(got, emission{at - 1, math.Float64bits(best)})
+					}
+				}
+			}
+			if err := sameEmissions(got, want); err != "" {
+				t.Fatalf("%d detectors, chunking %d: %s", size, round, err)
+			}
+		}
+		bank.Reset()
+		var got []emission
+		for i, v := range x {
+			if best, ok := bank.Push(v); ok {
+				got = append(got, emission{i, math.Float64bits(best)})
+			}
+		}
+		if err := sameEmissions(got, want); err != "" {
+			t.Fatalf("%d detectors, Push: %s", size, err)
+		}
+	}
+}
+
+// sameEmissions compares two emission lists and describes the first
+// difference ("" when equal).
+func sameEmissions[E comparable](got, want []E) string {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return fmt.Sprintf("emission %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d emissions, want %d", len(got), len(want))
+	}
+	return ""
 }

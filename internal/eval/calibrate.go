@@ -58,17 +58,28 @@ func calibratePA(workers int, kind sim.PAKind, traces []*sensor.Trace, appList [
 	if kind == sim.SignificantSound {
 		grid = soundGrid
 	}
+	// The feature is graded against the whole grid once per trace, so a
+	// step only replays the phone over the samples whose level exceeds it.
+	// The grades live for this scan only.
+	graded, err := parallel.Map(workers, len(traces), func(i int) (*sim.PAGrades, error) {
+		return sim.GradePA(kind, traces[i], grid)
+	})
+	if err != nil {
+		return nil, err
+	}
+	grades := make(map[*sensor.Trace]*sim.PAGrades, len(traces))
+	for i, tr := range traces {
+		grades[tr] = graded[i]
+	}
 	// Each step first checks the pair that fell short at the step before:
 	// it is the likeliest to fall short again, and the verdict does not
 	// depend on the order.
 	binding := 0
+	scan := paScan{results: make([]*sim.Result, len(pairs)), short: make([]bool, len(pairs))}
 	for i := len(grid) - 1; i >= 0; i-- {
-		pa := sim.PredefinedActivity{Kind: kind, Threshold: grid[i]}
-		ran, short, err := paRecallsAll(workers, pa, pairs, binding, truths, aa)
-		if err != nil {
-			return nil, err
-		}
+		ran, short := scan.recallsAll(workers, grades, i, pairs, binding, truths, aa)
 		if ran != nil {
+			pa := sim.PredefinedActivity{Kind: kind, Threshold: grid[i]}
 			return &paCalibration{pa: pa, aaRes: aa, paRes: ran}, nil
 		}
 		binding = short
@@ -156,7 +167,15 @@ func geometric(lo, hi float64, n int) []float64 {
 	return out
 }
 
-// paRecallsAll runs pa on every (trace, app) pair, starting with
+// paScan is a calibration scan's per-pair scratch, reused from step to
+// step: each pair's result and whether it fell short.
+type paScan struct {
+	results []*sim.Result
+	short   []bool
+}
+
+// recallsAll runs the predefined activity at grid step step on every
+// (trace, app) pair, read from the pair's trace grades, starting with
 // pairs[first], and returns the results keyed by truthKey when every pair
 // recalls as much as its Always-Awake ceiling in aa; otherwise it returns
 // nil and the index of the pair that fell short first in that order. For
@@ -166,16 +185,14 @@ func geometric(lo, hi float64, n int) []float64 {
 // pairs at every schedule, so the returned index, and with it the next
 // threshold's order, is deterministic. When every pair passes, every pair
 // ran.
-func paRecallsAll(workers int, pa sim.PredefinedActivity, pairs []calibrationPair, first int, truths map[string][]sensor.Event, aa map[string]*sim.Result) (map[string]*sim.Result, int, error) {
-	results := make([]*sim.Result, len(pairs))
-	short := make([]bool, len(pairs))
-	ok, err := parallel.All(workers, len(pairs), func(j int) (bool, error) {
+func (s *paScan) recallsAll(workers int, grades map[*sensor.Trace]*sim.PAGrades, step int, pairs []calibrationPair, first int, truths map[string][]sensor.Event, aa map[string]*sim.Result) (map[string]*sim.Result, int) {
+	results, short := s.results, s.short
+	clear(short)
+	// Replaying graded traces cannot fail, so All returns no error.
+	ok, _ := parallel.All(workers, len(pairs), func(j int) (bool, error) {
 		i := (first + j) % len(pairs)
 		tr, app := pairs[i].tr, pairs[i].app
-		res, err := pa.Run(tr, app)
-		if err != nil {
-			return false, err
-		}
+		res := grades[tr].Run(app, step)
 		key := truthKey(tr, app)
 		if truth, ok := truths[key]; ok {
 			res.RescoreAgainst(truth, int(app.MatchTolSec*tr.RateHz))
@@ -184,13 +201,10 @@ func paRecallsAll(workers int, pa sim.PredefinedActivity, pairs []calibrationPai
 		short[i] = res.Recall < aa[key].Recall-1e-9
 		return !short[i], nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
 	if !ok {
 		for j := range pairs {
 			if i := (first + j) % len(pairs); short[i] {
-				return nil, i, nil
+				return nil, i
 			}
 		}
 	}
@@ -198,7 +212,7 @@ func paRecallsAll(workers int, pa sim.PredefinedActivity, pairs []calibrationPai
 	for i, p := range pairs {
 		ran[truthKey(p.tr, p.app)] = results[i]
 	}
-	return ran, 0, nil
+	return ran, 0
 }
 
 // truthKey identifies a (trace, app) baseline in the truths map.

@@ -1,18 +1,23 @@
 package eval
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sidewinder/internal/apps"
+	"sidewinder/internal/core"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/sim"
 )
 
-// plainScan is the calibration scan without fan-out, reordering or early
-// stop: every step checks the pairs in order against freshly run
-// Always-Awake ceilings.
-func plainScan(t *testing.T, kind sim.PAKind, traces []*sensor.Trace, appList []*apps.App, truths map[string][]sensor.Event) float64 {
+// plainScan is the calibration scan without grading, fan-out, reordering
+// or early stop: every step runs the predefined activity afresh at its
+// threshold on the pairs in order against freshly run Always-Awake
+// ceilings. It returns the threshold and, keyed by truthKey, that step's
+// results.
+func plainScan(t *testing.T, kind sim.PAKind, traces []*sensor.Trace, appList []*apps.App, truths map[string][]sensor.Event) (float64, map[string]*sim.Result) {
 	t.Helper()
 	pairs := calibrationPairs(traces, appList)
 	ceilings := make([]float64, len(pairs))
@@ -31,7 +36,7 @@ func plainScan(t *testing.T, kind sim.PAKind, traces []*sensor.Trace, appList []
 		grid = soundGrid
 	}
 	for g := len(grid) - 1; g >= 0; g-- {
-		all := true
+		ran := make(map[string]*sim.Result, len(pairs))
 		for i, p := range pairs {
 			res, err := (sim.PredefinedActivity{Kind: kind, Threshold: grid[g]}).Run(p.tr, p.app)
 			if err != nil {
@@ -41,16 +46,17 @@ func plainScan(t *testing.T, kind sim.PAKind, traces []*sensor.Trace, appList []
 				res.RescoreAgainst(truth, int(p.app.MatchTolSec*p.tr.RateHz))
 			}
 			if res.Recall < ceilings[i]-1e-9 {
-				all = false
+				ran = nil
 				break
 			}
+			ran[truthKey(p.tr, p.app)] = res
 		}
-		if all {
-			return grid[g]
+		if ran != nil {
+			return grid[g], ran
 		}
 	}
 	t.Fatal("plain scan found no threshold")
-	return 0
+	return 0, nil
 }
 
 // humanTruths is Figure 7's pseudo ground truth: Always-Awake detections.
@@ -67,10 +73,11 @@ func humanTruths(t *testing.T, w *Workload) map[string][]sensor.Event {
 	return truths
 }
 
-// TestCalibrationScanMatchesPlainScan checks that checking the binding
-// pair first, fanning out and stopping early change nothing: the scan
-// lands on the plain descending scan's threshold for both detector kinds
-// and for Figure 7's pseudo-truth path, serially and in parallel.
+// TestCalibrationScanMatchesPlainScan checks that grading each trace once,
+// checking the binding pair first, fanning out and stopping early change
+// nothing: the scan lands on the plain descending scan's threshold for
+// both detector kinds and for Figure 7's pseudo-truth path, serially and
+// in parallel, and its results equal the plain scan's in every field.
 func TestCalibrationScanMatchesPlainScan(t *testing.T) {
 	w := workload(t)
 	cases := []struct {
@@ -85,14 +92,22 @@ func TestCalibrationScanMatchesPlainScan(t *testing.T) {
 		{"human truths", sim.SignificantMotion, w.Human, []*apps.App{apps.Steps()}, humanTruths(t, w)},
 	}
 	for _, c := range cases {
-		want := plainScan(t, c.kind, c.traces, c.appList, c.truths)
+		want, wantRes := plainScan(t, c.kind, c.traces, c.appList, c.truths)
 		for _, workers := range []int{1, 2} {
 			cal, err := calibratePA(workers, c.kind, c.traces, c.appList, c.truths, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cal.pa.Threshold != want {
-				t.Errorf("%s, %d workers: threshold %.17g, plain scan %.17g", c.name, workers, cal.pa.Threshold, want)
+			if cal.pa != (sim.PredefinedActivity{Kind: c.kind, Threshold: want}) {
+				t.Errorf("%s, %d workers: calibrated %+v, plain scan threshold %.17g", c.name, workers, cal.pa, want)
+			}
+			if len(cal.paRes) != len(wantRes) {
+				t.Fatalf("%s, %d workers: %d results, plain scan %d", c.name, workers, len(cal.paRes), len(wantRes))
+			}
+			for key, w := range wantRes {
+				if got := cal.paRes[key]; !reflect.DeepEqual(got, w) {
+					t.Fatalf("%s, %d workers: %s: result %+v, plain scan %+v", c.name, workers, key, got, w)
+				}
 			}
 		}
 	}
@@ -186,6 +201,101 @@ func TestCalibrationCellsMatchFreshRuns(t *testing.T) {
 		}
 		if got, want := res.PowerMW["Predefined Activity"][app.Name], meanPower(fresh); got != want {
 			t.Errorf("Table 2 PA %s: %.17g mW, fresh runs %.17g mW", app.Name, got, want)
+		}
+	}
+}
+
+// streamedFires is the predefined-activity hub as it streamed before
+// grading, kept as the oracle: the samples whose window's standard
+// deviation (motion) or variance (sound) is at or above threshold.
+func streamedFires(t *testing.T, kind sim.PAKind, tr *sensor.Trace, threshold float64) []int {
+	t.Helper()
+	var values []float64
+	win := 1024
+	if kind == sim.SignificantMotion {
+		x, y, z := tr.Channels[core.AccelX], tr.Channels[core.AccelY], tr.Channels[core.AccelZ]
+		values = make([]float64, len(x))
+		for i := range values {
+			values[i] = math.Sqrt(x[i]*x[i] + y[i]*y[i] + z[i]*z[i])
+		}
+		win = int(0.5 * tr.RateHz)
+	} else {
+		values = tr.Channels[core.Mic]
+	}
+	if len(values) != tr.Len() {
+		t.Fatalf("%s: %d feature samples, trace has %d", tr.Name, len(values), tr.Len())
+	}
+	var fires []int
+	var sum, sumSq float64
+	for i, v := range values {
+		sum += v
+		sumSq += v * v
+		if i >= win {
+			old := values[i-win]
+			sum -= old
+			sumSq -= old * old
+		}
+		n := float64(min(i+1, win))
+		if int(n) < win {
+			continue
+		}
+		mean := sum / n
+		variance := sumSq/n - mean*mean
+		if variance < 0 {
+			variance = 0
+		}
+		feature := variance
+		if kind == sim.SignificantMotion {
+			feature = math.Sqrt(variance)
+		}
+		if feature >= threshold {
+			fires = append(fires, i)
+		}
+	}
+	return fires
+}
+
+// TestPAGradesMatchStreamedSignificance checks the graded traces a
+// calibration scans against the streamed detector: on a robot, a human
+// and an audio trace, the fire list read from the level runs at every step
+// of the motion or sound grid, whole and in chunks, is exactly the
+// streamed fire list at that step's threshold.
+func TestPAGradesMatchStreamedSignificance(t *testing.T) {
+	w := workload(t)
+	cases := []struct {
+		kind sim.PAKind
+		tr   *sensor.Trace
+		grid []float64
+	}{
+		{sim.SignificantMotion, w.RobotRuns[0], motionGrid},
+		{sim.SignificantMotion, w.Human[0], motionGrid},
+		{sim.SignificantSound, w.Audio[0], soundGrid},
+	}
+	for _, c := range cases {
+		g, err := sim.GradePA(c.kind, c.tr, c.grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.tr.Len()
+		distinct := map[int]bool{}
+		for step, threshold := range c.grid {
+			want := streamedFires(t, c.kind, c.tr, threshold)
+			distinct[len(want)] = true
+			if got := g.AppendFires(nil, step, 0, n); !slices.Equal(got, want) {
+				t.Fatalf("%s step %d (%g): %d graded fires, %d streamed", c.tr.Name, step, threshold, len(got), len(want))
+			}
+			for _, chunk := range []int{1024, 777} {
+				var got []int
+				for base := 0; base < n; base += chunk {
+					got = g.AppendFires(got, step, base, min(base+chunk, n))
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s step %d in chunks of %d: %d graded fires, %d streamed", c.tr.Name, step, chunk, len(got), len(want))
+				}
+			}
+		}
+		if len(distinct) < 3 {
+			t.Fatalf("%s: the grid yields only %d distinct fire counts; the test is vacuous", c.tr.Name, len(distinct))
 		}
 	}
 }

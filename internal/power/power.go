@@ -183,20 +183,48 @@ func (p *Phone) Advance(dt float64) {
 
 // AdvanceSteps moves simulated time forward by k steps of dt seconds. It
 // equals k successive Advance(dt) calls bit for bit: the same additions in
-// the same order, with the steps after a transition completes folded into
-// one tight loop over the settled state's dwell.
+// the same order, a transition's steps folded by AdvanceTransition and the
+// steps after it completes into one tight loop over the settled state's
+// dwell.
 func (p *Phone) AdvanceSteps(dt float64, k int) {
 	if !(dt > 0) {
 		return // Advance(dt) is a no-op, so k of them are too
 	}
-	for ; k > 0 && (p.state == WakingUp || p.state == FallingAsleep); k-- {
-		p.Advance(dt)
-	}
+	k -= p.AdvanceTransition(dt, k)
 	d := p.dwell[p.state]
 	for ; k > 0; k-- {
 		d += dt
 	}
 	p.dwell[p.state] = d
+}
+
+// AdvanceTransition moves a phone that is mid-transition forward by up to
+// k steps of dt seconds and returns how many it took: it stops after the
+// step in which the transition completes, so the caller can act on the
+// settled state before the next step. It equals that many successive
+// Advance(dt) calls bit for bit, the steps before completion folded into
+// one tight loop over the transition's dwell and time left. A phone that
+// is asleep or awake takes no step.
+func (p *Phone) AdvanceTransition(dt float64, k int) int {
+	if p.state != WakingUp && p.state != FallingAsleep {
+		return 0
+	}
+	if !(dt > 0) {
+		return k // Advance(dt) is a no-op, so the transition never completes
+	}
+	d, left := p.dwell[p.state], p.transitionLeft
+	for s := 1; s <= k; s++ {
+		if dt < left {
+			d += dt
+			left -= dt
+			continue
+		}
+		p.dwell[p.state], p.transitionLeft = d, left
+		p.Advance(dt)
+		return s
+	}
+	p.dwell[p.state], p.transitionLeft = d, left
+	return k
 }
 
 // Dwell returns the accumulated seconds spent in state s.

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -303,7 +304,87 @@ func TestStateEnergySumsToTotal(t *testing.T) {
 // through each transition, over step sizes that do and do not divide the
 // transition, and over non-positive and NaN steps (no-ops for both).
 func TestAdvanceStepsMatchesAdvance(t *testing.T) {
-	starts := map[string]func() *Phone{
+	starts := advanceStarts()
+	steps := []float64{1.0 / 50, 1.0 / 3, 0.3, 1.0 / 8000, 1, 2.5, 0, -0.1, math.NaN()}
+	counts := []int{0, 1, 2, 7, 49, 50, 51, 1000}
+	for name, start := range starts {
+		for _, dt := range steps {
+			for _, k := range counts {
+				want, got := start(), start()
+				var wantHooks, gotHooks int
+				want.SetTransitionHook(func(State, State) { wantHooks++ })
+				got.SetTransitionHook(func(State, State) { gotHooks++ })
+				for j := 0; j < k; j++ {
+					want.Advance(dt)
+				}
+				got.AdvanceSteps(dt, k)
+				samePhone(t, fmt.Sprintf("%s dt=%g k=%d", name, dt, k), got, want, gotHooks, wantHooks)
+			}
+		}
+	}
+}
+
+// TestAdvanceTransitionStopsAtCompletion pins AdvanceTransition(dt, k) to
+// successive Advance(dt) calls that stop after the one in which the
+// transition completes, or after k: the same step count and, bit for bit,
+// the same phone, from every state (a settled phone takes no step) and
+// over the step sizes and counts of TestAdvanceStepsMatchesAdvance.
+func TestAdvanceTransitionStopsAtCompletion(t *testing.T) {
+	steps := []float64{1.0 / 50, 1.0 / 3, 0.3, 1.0 / 8000, 1, 2.5, 0, -0.1, math.NaN()}
+	counts := []int{0, 1, 2, 7, 49, 50, 51, 1000, 9000}
+	completed := 0
+	for name, start := range advanceStarts() {
+		for _, dt := range steps {
+			for _, k := range counts {
+				want, got := start(), start()
+				var wantHooks, gotHooks int
+				want.SetTransitionHook(func(State, State) { wantHooks++ })
+				got.SetTransitionHook(func(State, State) { gotHooks++ })
+				from := want.State()
+				wantSteps := 0
+				if from == WakingUp || from == FallingAsleep {
+					for wantSteps < k && want.State() == from {
+						want.Advance(dt)
+						wantSteps++
+					}
+				}
+				if want.State() != from {
+					completed++
+				}
+				what := fmt.Sprintf("%s dt=%g k=%d", name, dt, k)
+				if s := got.AdvanceTransition(dt, k); s != wantSteps {
+					t.Fatalf("%s: %d steps, want %d", what, s, wantSteps)
+				}
+				samePhone(t, what, got, want, gotHooks, wantHooks)
+			}
+		}
+	}
+	if completed == 0 {
+		t.Fatal("no transition completed: the test is vacuous")
+	}
+}
+
+// samePhone fails the test unless got and want agree in state, wake-ups,
+// transition time left and every dwell, bit for bit, and saw as many
+// transition hooks.
+func samePhone(t *testing.T, what string, got, want *Phone, gotHooks, wantHooks int) {
+	t.Helper()
+	if got.state != want.state || got.wakeUps != want.wakeUps || gotHooks != wantHooks ||
+		math.Float64bits(got.transitionLeft) != math.Float64bits(want.transitionLeft) {
+		t.Fatalf("%s: state %s/%s, transition left %v/%v, hooks %d/%d",
+			what, got.state, want.state, got.transitionLeft, want.transitionLeft, gotHooks, wantHooks)
+	}
+	for s := State(0); int(s) < numStates; s++ {
+		if math.Float64bits(got.Dwell(s)) != math.Float64bits(want.Dwell(s)) {
+			t.Fatalf("%s: %s dwell %v, want %v", what, s, got.Dwell(s), want.Dwell(s))
+		}
+	}
+}
+
+// advanceStarts are phones in every state, including partway through each
+// transition, for the stepping differentials.
+func advanceStarts() map[string]func() *Phone {
+	return map[string]func() *Phone{
 		"asleep": func() *Phone { return NewPhone(Nexus4()) },
 		"awake":  func() *Phone { return NewPhoneAwake(Nexus4()) },
 		"waking": func() *Phone { p := NewPhone(Nexus4()); p.RequestWake(); return p },
@@ -321,31 +402,5 @@ func TestAdvanceStepsMatchesAdvance(t *testing.T) {
 			p.Advance(0.61)
 			return p
 		},
-	}
-	steps := []float64{1.0 / 50, 1.0 / 3, 0.3, 1.0 / 8000, 1, 2.5, 0, -0.1, math.NaN()}
-	counts := []int{0, 1, 2, 7, 49, 50, 51, 1000}
-	for name, start := range starts {
-		for _, dt := range steps {
-			for _, k := range counts {
-				want, got := start(), start()
-				var wantHooks, gotHooks int
-				want.SetTransitionHook(func(State, State) { wantHooks++ })
-				got.SetTransitionHook(func(State, State) { gotHooks++ })
-				for j := 0; j < k; j++ {
-					want.Advance(dt)
-				}
-				got.AdvanceSteps(dt, k)
-				if got.state != want.state || got.wakeUps != want.wakeUps || gotHooks != wantHooks ||
-					math.Float64bits(got.transitionLeft) != math.Float64bits(want.transitionLeft) {
-					t.Fatalf("%s dt=%g k=%d: state %s/%s, transition left %v/%v, hooks %d/%d",
-						name, dt, k, got.state, want.state, got.transitionLeft, want.transitionLeft, gotHooks, wantHooks)
-				}
-				for s := State(0); int(s) < numStates; s++ {
-					if math.Float64bits(got.Dwell(s)) != math.Float64bits(want.Dwell(s)) {
-						t.Fatalf("%s dt=%g k=%d: %s dwell %v, want %v", name, dt, k, s, got.Dwell(s), want.Dwell(s))
-					}
-				}
-			}
-		}
 	}
 }

@@ -130,21 +130,46 @@ func (w *wakeWindow) idle(i int) {
 // which nothing can act: no firing, idle a no-op (the phone Asleep, or
 // Awake within the hold since the last firing), and before until() when
 // until is non-nil (the first sample at which the caller's visit acts
-// without a firing). Transitions are stepped one sample at a time, so the
-// outcome is bit-identical to handling every sample.
+// without a firing). A transition is folded the same way up to the step in
+// which it completes, after which idle may act again: idle is a no-op
+// throughout it, and so is a firing while WakingUp without a visit, save
+// for moving lastFire, so those firings fold too. The outcome is
+// bit-identical to handling every sample.
 func (w *wakeWindow) replay(fires []int, base, end int, visit func(i int, hit bool), until func() int) {
 	dt := 1 / w.c.rate
-	for i := base; ; i++ {
-		quiet := min(end, w.quietUntil(i))
+	for i := base; ; {
+		stop := end
 		if until != nil {
-			quiet = min(quiet, until())
+			stop = min(stop, until())
 		}
-		if len(fires) > 0 {
-			quiet = min(quiet, fires[0])
-		}
-		if quiet > i {
-			w.c.advanceSteps(dt, quiet-i)
-			i = quiet
+		if st := w.c.ph.State(); st == power.WakingUp || st == power.FallingAsleep {
+			foldFires := st == power.WakingUp && visit == nil
+			if !foldFires && len(fires) > 0 {
+				stop = min(stop, fires[0])
+			}
+			if stop > i {
+				i += w.c.advanceTransition(dt, stop-i)
+				if foldFires {
+					k := 0
+					for k < len(fires) && fires[k] < i {
+						k++
+					}
+					if k > 0 {
+						w.lastFire = fires[k-1]
+						fires = fires[k:]
+					}
+				}
+				continue
+			}
+		} else {
+			quiet := min(stop, w.quietUntil())
+			if len(fires) > 0 {
+				quiet = min(quiet, fires[0])
+			}
+			if quiet > i {
+				w.c.advanceSteps(dt, quiet-i)
+				i = quiet
+			}
 		}
 		if i == end {
 			return
@@ -160,23 +185,17 @@ func (w *wakeWindow) replay(fires []int, base, end int, visit func(i int, hit bo
 		}
 		w.idle(i)
 		w.c.advance(dt)
+		i++
 	}
 }
 
-// quietUntil returns the first sample from i on at which idle may act: never
-// for an asleep phone, one past the hold for an awake one, and i itself
-// mid-transition, where the phone is stepped sample by sample.
-func (w *wakeWindow) quietUntil(i int) int {
-	switch w.c.ph.State() {
-	case power.Asleep:
-		return math.MaxInt
-	case power.Awake:
-		if w.lastFire < 0 {
-			return math.MaxInt
-		}
+// quietUntil returns the first sample at which idle may act on a settled
+// phone: never for an asleep one, one past the hold for an awake one.
+func (w *wakeWindow) quietUntil() int {
+	if w.c.ph.State() == power.Awake && w.lastFire >= 0 {
 		return w.lastFire + w.hold + 1
 	}
-	return i
+	return math.MaxInt
 }
 
 // open reports whether a delivery interval is open; after close it still

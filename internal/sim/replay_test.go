@@ -213,6 +213,9 @@ type replayCase struct {
 	density   float64 // per-sample firing probability
 	force     []int   // samples that always fire
 	deadlines []int   // caller deadlines for the until bound (sorted)
+	// plain replays with a nil visit and no until bound, as the
+	// predefined-activity hub does (deadlines are then ignored).
+	plain bool
 }
 
 // replayRun replays c's firings, handed over as per-chunk fire lists,
@@ -220,7 +223,8 @@ type replayCase struct {
 // returns the window and a log of what the caller's visit saw act:
 // firings, wake verdicts and deadline expiries, each with its sample
 // index. timed attaches a telemetry clock, the only reader of the
-// window's simulated time.
+// window's simulated time, and logs the phone's state changes with the
+// clock's bits as the transition hook reads them.
 func replayRun(c replayCase, perSample, timed bool) (*wakeWindow, []string) {
 	rng := rand.New(rand.NewSource(int64(c.n) ^ int64(c.hold)<<20))
 	var fires fireList
@@ -230,10 +234,13 @@ func replayRun(c replayCase, perSample, timed bool) (*wakeWindow, []string) {
 		}
 	}
 	w := newWakeWindow(power.NewPhone(power.Nexus4()), c.rate, c.preBuffer, c.hold)
+	var log []string
 	if timed {
 		w.c.tclk = &telemetry.Clock{}
+		w.c.ph.SetTransitionHook(func(from, to power.State) {
+			log = append(log, fmt.Sprintf("%s -> %s at %#x us", from, to, math.Float64bits(w.c.tclk.NowUS())))
+		})
 	}
-	var log []string
 	next := 0
 	visit := func(i int, hit bool) {
 		if hit {
@@ -258,19 +265,27 @@ func replayRun(c replayCase, perSample, timed bool) (*wakeWindow, []string) {
 		}
 		f := fires[:k]
 		fires = fires[k:]
-		if perSample {
+		switch {
+		case perSample && c.plain:
+			replayPerSample(w, f, base, end, nil)
+		case perSample:
 			replayPerSample(w, f, base, end, visit)
-		} else {
+		case c.plain:
+			w.replay(f, base, end, nil, nil)
+		default:
 			w.replay(f, base, end, visit, until)
 		}
 	}
 	return w, log
 }
 
-// TestReplayMatchesPerSample checks the quiet-run replay against the
-// per-sample loop it replaced: the same delivered intervals, wake-ups,
-// visit log and, bit for bit, every state's dwell, with and without a
-// telemetry clock, and with one, the simulated time it is stamped with.
+// TestReplayMatchesPerSample checks the quiet-run and transition-folding
+// replay against the per-sample loop it replaced: the same delivered
+// intervals, wake-ups, visit log and, bit for bit, every state's dwell,
+// with and without a telemetry clock, and with one, the simulated time it
+// is stamped with and the time each state change reads from it. The plain
+// cases replay without a visit, so firings while waking up fold with the
+// transition.
 func TestReplayMatchesPerSample(t *testing.T) {
 	const b = simBlock
 	cases := []replayCase{
@@ -288,6 +303,30 @@ func TestReplayMatchesPerSample(t *testing.T) {
 		{name: "fractional rate", n: 7*b + 3, rate: 8000.0 / 3, preBuffer: 40, hold: 4000, density: 0.0003},
 		{name: "deadlines", n: 10*b + 9, rate: 50, preBuffer: 10, hold: 75, density: 0.001,
 			deadlines: []int{0, 5, b - 1, b, b + 1, 2000, 2001, 4095, 4096, 7777, 10*b + 8}},
+		// At 50 Hz a transition takes 50 samples. Woken at 100, the phone
+		// is Awake from about 150; the firings at 101-149 land while
+		// WakingUp, the last ones around the completing step, and the hold
+		// runs from the last of them.
+		{name: "fires while waking up", n: 2 * b, rate: 50, preBuffer: 10, hold: 75,
+			force: []int{100, 101, 120, 148, 149, 700, 730}},
+		{name: "fires while waking up, plain", n: 2 * b, rate: 50, preBuffer: 10, hold: 75, plain: true,
+			force: []int{100, 101, 120, 148, 149, 700, 730}},
+		// Woken at 100, awake from about 150, falling asleep from 171 (the
+		// hold of 20 past the firing at 150); the firing at 190 re-wakes
+		// mid-transition, and the phone, awake again from about 240 with
+		// the hold long lapsed, falls asleep at once.
+		{name: "fires while falling asleep", n: 2 * b, rate: 50, preBuffer: 10, hold: 20,
+			force: []int{100, 150, 190, 900, 905, 935}},
+		{name: "fires while falling asleep, plain", n: 2 * b, rate: 50, preBuffer: 10, hold: 20, plain: true,
+			force: []int{100, 150, 190, 900, 905, 935}},
+		// A hold of 5 samples lapses before the 50-sample wake completes:
+		// idle sleeps the phone at the first Awake sample.
+		{name: "hold shorter than transition, forced", n: 3 * b, rate: 50, preBuffer: 3, hold: 5,
+			force: []int{10, 30, 59, 400, 420, 1500}},
+		{name: "hold shorter than transition, plain", n: 8*b + 5, rate: 50, preBuffer: 3, hold: 5, plain: true, density: 0.004},
+		// At 4 kHz a transition is 4000 samples, most firings land in one,
+		// and the hold often lapses between two.
+		{name: "audio rate, plain", n: 40*b + 1, rate: 4000, preBuffer: 1000, hold: 300, plain: true, density: 0.003},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -316,7 +355,7 @@ func TestReplayMatchesPerSample(t *testing.T) {
 					math.Float64bits(gotC.tclk.NowUS()) != math.Float64bits(wantC.tclk.NowUS())) {
 					t.Fatalf("clock = %v (%v us), want %v (%v us)", gotC.t, gotC.tclk.NowUS(), wantC.t, wantC.tclk.NowUS())
 				}
-				if c.density > 0 && wantC.ph.WakeUps() == 0 {
+				if (c.density > 0 || len(c.force) > 0) && wantC.ph.WakeUps() == 0 {
 					t.Fatal("no wake-ups: case is vacuous")
 				}
 			}

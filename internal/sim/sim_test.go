@@ -380,3 +380,16 @@ func TestDutyCyclingRecordsDeliveries(t *testing.T) {
 		t.Errorf("negative latency %g", lat)
 	}
 }
+
+// TestSleepStrategyNamesRenderAsPrintf checks that duty cycling's and
+// batching's names render their sleep interval exactly as %.0f does.
+func TestSleepStrategyNamesRenderAsPrintf(t *testing.T) {
+	for _, sec := range []float64{2, 5, 10, 0.5, 1.5, 2.5, 29.99, 1e21, math.Copysign(0, -1), math.Inf(1), math.NaN()} {
+		if got, want := (DutyCycling{SleepSec: sec}).Name(), fmt.Sprintf("duty-cycle-%.0fs", sec); got != want {
+			t.Errorf("DutyCycling{%v}.Name() = %q, want %q", sec, got, want)
+		}
+		if got, want := (Batching{SleepSec: sec}).Name(), fmt.Sprintf("batching-%.0fs", sec); got != want {
+			t.Errorf("Batching{%v}.Name() = %q, want %q", sec, got, want)
+		}
+	}
+}

@@ -3,6 +3,10 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"strconv"
+	"sync"
 
 	"sidewinder/internal/apps"
 	"sidewinder/internal/core"
@@ -62,6 +66,26 @@ func (c *clock) advanceSteps(dt float64, k int) {
 	}
 	c.t = t
 	c.tclk.SetSec(t)
+}
+
+// advanceTransition equals successive advance(dt) calls on a phone that is
+// mid-transition, up to k of them, stopping after the one in which the
+// transition completes, and returns how many it made. The transition hook
+// reads the telemetry clock at that step, so with a clock attached the
+// steps are made one at a time, each setting it as advance does; without
+// one the phone folds them.
+func (c *clock) advanceTransition(dt float64, k int) int {
+	if c.tclk == nil {
+		return c.ph.AdvanceTransition(dt, k)
+	}
+	from := c.ph.State()
+	for s := 1; s <= k; s++ {
+		c.advance(dt)
+		if c.ph.State() != from {
+			return s
+		}
+	}
+	return k
 }
 
 // sampleAt converts a time to a clamped sample index.
@@ -183,7 +207,16 @@ type DutyCycling struct {
 }
 
 // Name implements Strategy.
-func (d DutyCycling) Name() string { return fmt.Sprintf("duty-cycle-%.0fs", d.SleepSec) }
+func (d DutyCycling) Name() string { return sleepName("duty-cycle-", d.SleepSec) }
+
+// sleepName renders prefix, sec as %.0f renders it, and an s, in one
+// allocation.
+func sleepName(prefix string, sec float64) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	b = strconv.AppendFloat(b, sec, 'f', 0, 64)
+	return string(append(b, 's'))
+}
 
 // Run implements Strategy.
 func (d DutyCycling) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
@@ -256,7 +289,7 @@ type Batching struct {
 }
 
 // Name implements Strategy.
-func (b Batching) Name() string { return fmt.Sprintf("batching-%.0fs", b.SleepSec) }
+func (b Batching) Name() string { return sleepName("batching-", b.SleepSec) }
 
 // Run implements Strategy.
 func (b Batching) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
@@ -302,89 +335,171 @@ type PredefinedActivity struct {
 // Name implements Strategy.
 func (p PredefinedActivity) Name() string { return "predefined-activity" }
 
-// Run implements Strategy.
+// Run implements Strategy. It is GradePA's one-threshold case: the trace
+// graded against {Threshold}, fired wherever it passes.
 func (p PredefinedActivity) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
-	sig, err := newSignificance(p.Kind, tr, p.Threshold)
+	rp := levelRunLists.Get().(*[]levelRun)
+	g := PAGrades{runs: (*rp)[:0]}
+	err := g.grade(p.Kind, tr, []float64{p.Threshold})
+	var res *Result
+	if err == nil {
+		res = g.Run(app, 0)
+	}
+	*rp = g.runs[:0]
+	levelRunLists.Put(rp)
+	return res, err
+}
+
+// levelRunLists holds the level runs PredefinedActivity.Run and GradePA
+// grade into between calls, which the simulation workers make
+// concurrently.
+var levelRunLists = sync.Pool{New: func() any { return new([]levelRun) }}
+
+// PAGrades is a trace's predefined-activity feature graded once against an
+// ascending grid of thresholds: for each sample, its level, how many of
+// the grid's thresholds the window ending there passes. A calibration scan
+// reads each grid step's firings from it (Run) instead of streaming the
+// feature again per step and app. Levels change rarely, so they are kept
+// as runs.
+type PAGrades struct {
+	tr   *sensor.Trace
+	n    int        // trace length in samples
+	runs []levelRun // level changes in sample order; level 0 before the first
+}
+
+// levelRun is a run of samples at one level, from start up to the next
+// run's start or the trace's end.
+type levelRun struct {
+	start int32
+	level uint8
+}
+
+// GradePA grades tr's kind of significance against grid, ascending
+// thresholds (at most 255 of them). The runs are graded into pooled
+// scratch and kept at their exact length.
+func GradePA(kind PAKind, tr *sensor.Trace, grid []float64) (*PAGrades, error) {
+	rp := levelRunLists.Get().(*[]levelRun)
+	g := PAGrades{runs: (*rp)[:0]}
+	err := g.grade(kind, tr, grid)
+	*rp = g.runs[:0]
+	g.runs = slices.Clone(g.runs)
+	levelRunLists.Put(rp)
 	if err != nil {
 		return nil, err
 	}
+	return &g, nil
+}
+
+// grade fills g, appending to g.runs. It is the detector's one streaming
+// pass: the window's running sum and sum of squares, O(1) work per sample,
+// give its variance (sound) or standard deviation (motion), and a sample's
+// level is how many thresholds that feature is at or above. The level at
+// the sample before is checked first, since levels change rarely.
+func (g *PAGrades) grade(kind PAKind, tr *sensor.Trace, grid []float64) error {
 	n := tr.Len() // hoisted: Len ranges over the channel map
+	if n > math.MaxInt32 || len(grid) > math.MaxUint8 {
+		return fmt.Errorf("sim: grading %d samples against %d thresholds exceeds the level runs' range", n, len(grid))
+	}
+	values, win, err := significanceInput(kind, tr)
+	if err != nil {
+		return err
+	}
+	g.tr, g.n = tr, n
+	nf := float64(win)
+	var sum, sumSq float64
+	level := 0
+	for i, v := range values[:n] {
+		sum += v
+		sumSq += v * v
+		if i >= win {
+			old := values[i-win]
+			sum -= old
+			sumSq -= old * old
+		}
+		if i+1 < win {
+			continue
+		}
+		mean := sum / nf
+		variance := sumSq/nf - mean*mean
+		if variance < 0 {
+			variance = 0
+		}
+		x := variance
+		if kind == SignificantMotion {
+			x = math.Sqrt(variance)
+		}
+		if (level == 0 || x >= grid[level-1]) && (level == len(grid) || !(x >= grid[level])) {
+			continue
+		}
+		l := 0
+		for l < len(grid) && x >= grid[l] {
+			l++
+		}
+		if l != level {
+			g.runs = append(g.runs, levelRun{start: int32(i), level: uint8(l)})
+			level = l
+		}
+	}
+	return nil
+}
+
+// AppendFires appends to f the samples of [base, end) whose level exceeds
+// step, in order: where the feature reaches the grid's threshold at step.
+func (g *PAGrades) AppendFires(f []int, step, base, end int) []int {
+	runs := g.runs
+	// j is the run holding base, -1 before the first.
+	j := sort.Search(len(runs), func(k int) bool { return int(runs[k].start) > base }) - 1
+	for i := base; i < end; j++ {
+		next := end
+		if j+1 < len(runs) {
+			next = min(end, int(runs[j+1].start))
+		}
+		if j >= 0 && int(runs[j].level) > step {
+			for ; i < next; i++ {
+				f = append(f, i)
+			}
+		}
+		i = next
+	}
+	return f
+}
+
+// Run is PredefinedActivity{Kind: kind, Threshold: grid[step]}.Run over
+// the graded trace, bit for bit.
+func (g *PAGrades) Run(app *apps.App, step int) *Result {
+	tr, n := g.tr, g.n
 	ph := power.NewPhone(power.Nexus4())
 	w := newWakeWindow(ph, tr.RateHz, int(app.PreBufferSec*tr.RateHz), int(paHoldSec*tr.RateHz))
-	replayHub(w, n, sig.fires, nil, nil)
-	return finish(p.Name(), tr, app, ph, hub.MSP430().ActivePowerMW, w.close(n)), nil
+	replayHub(w, n, func(f fireList, base, end int) fireList {
+		return g.AppendFires(f, step, base, end)
+	}, nil, nil)
+	return finish(PredefinedActivity{}.Name(), tr, app, ph, hub.MSP430().ActivePowerMW, w.close(n))
 }
 
-// significance is the predefined-activity hub: the streaming
-// significant-motion/sound feature, with O(1) work per sample, against a
-// threshold.
-type significance struct {
-	values    []float64 // magnitude (motion) or raw audio
-	win       int
-	threshold float64
-	sum       float64
-	sumSq     float64
-}
-
-func newSignificance(kind PAKind, tr *sensor.Trace, threshold float64) (significance, error) {
+// significanceInput returns what kind's detector windows, the
+// acceleration magnitude (motion) or the raw audio (sound), and its window
+// length in samples.
+func significanceInput(kind PAKind, tr *sensor.Trace) ([]float64, int, error) {
 	switch kind {
 	case SignificantMotion:
 		axes, err := traceChannels(tr, []core.SensorChannel{core.AccelX, core.AccelY, core.AccelZ}, "significant motion")
 		if err != nil {
-			return significance{}, err
+			return nil, 0, err
 		}
 		x, y, z := axes[0], axes[1], axes[2]
 		mags := make([]float64, len(x))
 		for i := range mags {
 			mags[i] = math.Sqrt(x[i]*x[i] + y[i]*y[i] + z[i]*z[i])
 		}
-		return significance{values: mags, win: int(0.5 * tr.RateHz), threshold: threshold}, nil
+		return mags, int(0.5 * tr.RateHz), nil
 	case SignificantSound:
 		mic, err := traceChannels(tr, []core.SensorChannel{core.Mic}, "significant sound")
 		if err != nil {
-			return significance{}, err
+			return nil, 0, err
 		}
-		return significance{values: mic[0], win: 1024, threshold: threshold}, nil
+		return mic[0], 1024, nil
 	}
-	return significance{}, fmt.Errorf("sim: unknown predefined activity kind %d", kind)
-}
-
-// fires is the detector's hub pass: it appends the samples of [base, end)
-// whose window is significant to f, in order. The feature streams, so
-// chunks must come in trace order.
-func (s *significance) fires(f fireList, base, end int) fireList {
-	for i := base; i < end; i++ {
-		if s.significant(i) {
-			f = append(f, i)
-		}
-	}
-	return f
-}
-
-// significant reports whether the window ending at sample i has standard
-// deviation (motion) / variance (sound) at or above the threshold.
-func (s *significance) significant(i int) bool {
-	v := s.values[i]
-	s.sum += v
-	s.sumSq += v * v
-	if i >= s.win {
-		old := s.values[i-s.win]
-		s.sum -= old
-		s.sumSq -= old * old
-	}
-	n := float64(min(i+1, s.win))
-	if int(n) < s.win {
-		return false
-	}
-	mean := s.sum / n
-	variance := s.sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	if s.win == 1024 { // sound: variance is the intensity feature
-		return variance >= s.threshold
-	}
-	return math.Sqrt(variance) >= s.threshold
+	return nil, 0, fmt.Errorf("sim: unknown predefined activity kind %d", kind)
 }
 
 // -------------------------------------------------------------- Sidewinder
