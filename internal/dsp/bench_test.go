@@ -132,3 +132,45 @@ func BenchmarkFusedStages(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFirstPairs keeps the cost of both first stage pairs visible on
+// both paths at n = 1024: the real pair of FFTRealInto over unpadded
+// input, and the inverse pair the FFT filter gathers from its masked
+// spectrum, each through its AVX kernel (skipped where the CPU lacks it)
+// and its Go loop.
+func BenchmarkFirstPairs(b *testing.B) {
+	x := benchSignal(1024)
+	spec, err := FFTRealInto(nil, x)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]complex128, len(x))
+	st := stages(len(x))
+	avx := useAVX
+	b.Cleanup(func() { useAVX = avx })
+	for _, pair := range []struct {
+		name string
+		run  func()
+	}{
+		{"real", func() { realFirstPair(dst, x, st.rev, &st.fwd.pairs[0]) }},
+		{"inverse", func() { gatherFirstPair(dst, spec, st.rev, &st.inv) }},
+	} {
+		for _, kernel := range []bool{true, false} {
+			name := pair.name + "/go"
+			if kernel {
+				name = pair.name + "/kernel"
+			}
+			b.Run(name, func(b *testing.B) {
+				if kernel && !avx {
+					b.Skip("no AVX kernel on this CPU or GOARCH")
+				}
+				useAVX = kernel
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					pair.run()
+				}
+				sinkF = real(dst[0])
+			})
+		}
+	}
+}

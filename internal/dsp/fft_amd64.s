@@ -70,6 +70,153 @@ loop:
 	VZEROUPPER
 	RET
 
+// CMULR is CMUL with the twiddle's real parts in re and its signed
+// imaginary parts in im.
+#define CMULR(x, re, im, tmp, dst) \
+	VPERMILPD $5, x, tmp; \
+	VMULPD    im, tmp, tmp; \
+	VMULPD    re, x, dst;   \
+	VADDPD    tmp, dst, dst
+
+// func gatherPairAVX(dst, src []complex128, rev []int, w []float64)
+//
+// fusedPairAVX's butterflies on the groups of two adjacent source indices
+// r, r+1 (r even). Register use: SI walks the first quarter of src and CX
+// (one quarter's bytes, 4n) and BX (three quarters', 12n) reach the
+// others; R9 walks rev two entries at a time; AX is lane 0's group, and
+// lane 1's sits 2CX (8n) bytes after it. Y8-Y13 hold wa, wb and wc.
+TEXT ·gatherPairAVX(SB), NOSPLIT, $0-96
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    src_base+24(FP), SI
+	MOVQ    src_len+32(FP), CX
+	MOVQ    rev_base+48(FP), R9
+	MOVQ    rev_len+56(FP), R8
+	MOVQ    w_base+72(FP), DX
+	SHLQ    $2, CX             // n/4 points of 16 bytes = 4n bytes
+	LEAQ    (CX)(CX*2), BX
+	SHLQ    $4, R8
+	ADDQ    SI, R8             // end of the first quarter
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	VMOVUPD 64(DX), Y10
+	VMOVUPD 96(DX), Y11
+	VMOVUPD 128(DX), Y12
+	VMOVUPD 160(DX), Y13
+
+gloop:
+	VMOVUPD (SI), Y0            // a = src[r], src[r+1]
+	VMOVUPD (SI)(CX*2), Y1      // b = src[r+n/2]
+	VMOVUPD (SI)(CX*1), Y2      // c = src[r+n/4]
+	VMOVUPD (SI)(BX*1), Y3      // d = src[r+3n/4]
+	CMULR(Y1, Y8, Y9, Y4, Y1)   // ob = b*wa
+	CMULR(Y3, Y8, Y9, Y5, Y3)   // od = d*wa
+	VSUBPD Y1, Y0, Y4           // b = a - ob
+	VADDPD Y1, Y0, Y0           // a = a + ob
+	VSUBPD Y3, Y2, Y5           // d = c - od
+	VADDPD Y3, Y2, Y2           // c = c + od
+	CMULR(Y2, Y10, Y11, Y1, Y2) // oc = c*wb
+	CMULR(Y5, Y12, Y13, Y3, Y5) // od = d*wc
+	VADDPD Y2, Y0, Y1           // a + oc
+	VSUBPD Y2, Y0, Y0           // a - oc
+	VADDPD Y5, Y4, Y3           // b + od
+	VSUBPD Y5, Y4, Y4           // b - od
+	MOVQ   (R9), AX
+	SHLQ   $6, AX
+	ADDQ   DI, AX               // group rev[r]
+	VMOVUPD      X1, (AX)
+	VMOVUPD      X3, 16(AX)
+	VMOVUPD      X0, 32(AX)
+	VMOVUPD      X4, 48(AX)
+	VEXTRACTF128 $1, Y1, (AX)(CX*2)
+	VEXTRACTF128 $1, Y3, 16(AX)(CX*2)
+	VEXTRACTF128 $1, Y0, 32(AX)(CX*2)
+	VEXTRACTF128 $1, Y4, 48(AX)(CX*2)
+	ADDQ   $32, SI
+	ADDQ   $16, R9
+	CMPQ   SI, R8
+	JB     gloop
+
+	VZEROUPPER
+	RET
+
+// func realPairAVX(dst []complex128, x []float64, rev []int, wr, wi float64)
+//
+// realGroup's operations on four adjacent source indices r..r+3 (r a
+// multiple of 4), one per lane; under the real gate no value is a NaN,
+// so operand order moves no bit. The unpacks pair each lane's parts into
+// 128-bit complex values: lanes 0 and 2 in the low and high halves of
+// the UNPCKL results, lanes 1 and 3 in the UNPCKH results. Register use:
+// SI walks the first quarter of x and CX (one quarter's bytes, 2n) and
+// BX (three quarters', 6n) reach the others; R9 walks rev four entries at
+// a time; AX is lane 0's group, and lanes 2, 1 and 3 sit 2CX (4n), 4CX
+// (8n) and 2BX (12n) bytes after it. Y13 holds +0.
+TEXT ·realPairAVX(SB), NOSPLIT, $0-88
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         x_len+32(FP), CX
+	MOVQ         rev_base+48(FP), R9
+	MOVQ         rev_len+56(FP), R8
+	VBROADCASTSD wr+72(FP), Y14
+	VBROADCASTSD wi+80(FP), Y15
+	SHLQ         $1, CX         // n/4 float64s = 2n bytes
+	LEAQ         (CX)(CX*2), BX
+	LEAQ         (SI)(R8*8), R8 // end of the first quarter
+	VXORPD       Y13, Y13, Y13
+
+rloop:
+	VMOVUPD (SI), Y0         // a
+	VMOVUPD (SI)(CX*2), Y1   // b
+	VMOVUPD (SI)(CX*1), Y2   // c
+	VMOVUPD (SI)(BX*1), Y3   // d
+	VADDPD  Y13, Y1, Y1      // bp = b + 0
+	VADDPD  Y1, Y0, Y4       // s0 = a + bp
+	VSUBPD  Y1, Y0, Y5       // d0 = a - bp
+	VADDPD  Y3, Y2, Y6       // s1 = c + d
+	VSUBPD  Y3, Y2, Y7       // d1 = c - d
+	VMULPD  Y14, Y7, Y8
+	VADDPD  Y13, Y8, Y8      // tr = d1*wr + 0
+	VMULPD  Y15, Y7, Y9
+	VADDPD  Y13, Y9, Y9      // ti = d1*wi + 0
+	VADDPD  Y6, Y4, Y0       // s0 + s1
+	VSUBPD  Y6, Y4, Y1       // s0 - s1
+	VADDPD  Y8, Y5, Y2       // d0 + tr
+	VSUBPD  Y8, Y5, Y3       // d0 - tr
+	VSUBPD  Y9, Y13, Y10     // 0 - ti
+	VUNPCKLPD Y13, Y0, Y4    // (s0+s1, 0)
+	VUNPCKHPD Y13, Y0, Y5
+	VUNPCKLPD Y9, Y2, Y6     // (d0+tr, ti)
+	VUNPCKHPD Y9, Y2, Y7
+	VUNPCKLPD Y13, Y1, Y8    // (s0-s1, 0)
+	VUNPCKHPD Y13, Y1, Y11
+	VUNPCKLPD Y10, Y3, Y12   // (d0-tr, 0-ti)
+	VUNPCKHPD Y10, Y3, Y3
+	MOVQ    (R9), AX
+	SHLQ    $6, AX
+	ADDQ    DI, AX           // group rev[r]
+	VMOVUPD      X4, (AX)
+	VMOVUPD      X6, 16(AX)
+	VMOVUPD      X8, 32(AX)
+	VMOVUPD      X12, 48(AX)
+	VEXTRACTF128 $1, Y4, (AX)(CX*2)
+	VEXTRACTF128 $1, Y6, 16(AX)(CX*2)
+	VEXTRACTF128 $1, Y8, 32(AX)(CX*2)
+	VEXTRACTF128 $1, Y12, 48(AX)(CX*2)
+	VMOVUPD      X5, (AX)(CX*4)
+	VMOVUPD      X7, 16(AX)(CX*4)
+	VMOVUPD      X11, 32(AX)(CX*4)
+	VMOVUPD      X3, 48(AX)(CX*4)
+	VEXTRACTF128 $1, Y5, (AX)(BX*2)
+	VEXTRACTF128 $1, Y7, 16(AX)(BX*2)
+	VEXTRACTF128 $1, Y11, 32(AX)(BX*2)
+	VEXTRACTF128 $1, Y3, 48(AX)(BX*2)
+	ADDQ    $32, SI
+	ADDQ    $32, R9
+	CMPQ    SI, R8
+	JB      rloop
+
+	VZEROUPPER
+	RET
+
 // func finiteAVX(x []complex128) bool
 //
 // Each v - v is +0 for a finite v and NaN otherwise, so every lane sum is

@@ -120,3 +120,71 @@ func TestGateScansKernelMatchesGo(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstPairKernelsMatchGo runs both first stage pairs through their
+// AVX kernels and their Go loops on the same input and compares the
+// results by math.Float64bits: the real pair on unpadded x (realPairAVX)
+// and the gathered inverse pair (gatherPairAVX), for every power of two
+// from 4 to 4096 (the kernels start at 16 and 8 points). The inputs are
+// TestFusedStagesKernelMatchesGo's three families; the real pair's large
+// magnitudes sit just under its gate's bound, the gathered pair's span
+// the whole range, so its first sums overflow to ±Inf and the products
+// after them meet Inf·0, the default NaN.
+func TestFirstPairKernelsMatchGo(t *testing.T) {
+	requireAVX(t)
+	rng := rand.New(rand.NewSource(19))
+	var nanParts, infParts int
+	for n := 4; n <= 4096; n <<= 1 {
+		st := stages(n)
+		noise := make([]float64, n)
+		edge := make([]float64, n)
+		huge := make([]float64, n)
+		noiseC := make([]complex128, n)
+		edgeC := make([]complex128, n)
+		hugeC := make([]complex128, n)
+		for i := range noise {
+			noise[i] = rng.NormFloat64()
+			edge[i] = edgeValues[rng.Intn(len(edgeValues))]
+			huge[i] = realFastBound * (2*rng.Float64() - 1)
+			noiseC[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			edgeC[i] = complex(edgeValues[rng.Intn(len(edgeValues))], edgeValues[rng.Intn(len(edgeValues))])
+			hugeC[i] = complex(math.MaxFloat64*(2*rng.Float64()-1), math.MaxFloat64*(2*rng.Float64()-1))
+		}
+		got := make([]complex128, n)
+		want := make([]complex128, n)
+		for v, x := range [][]float64{noise, edge, huge} {
+			if !realFastOK(x) {
+				t.Fatalf("n=%d real input %d misses the real gate", n, v)
+			}
+			useAVX = true
+			realFirstPair(got, x, st.rev, &st.fwd.pairs[0])
+			useAVX = false
+			realFirstPair(want, x, st.rev, &st.fwd.pairs[0])
+			requireSameBits(t, fmt.Sprintf("real pair n=%d input %d", n, v), got, want)
+		}
+		for _, dir := range []struct {
+			name string
+			t    *stageTables
+		}{{"forward", &st.fwd}, {"inverse", &st.inv}} {
+			for v, src := range [][]complex128{noiseC, edgeC, hugeC} {
+				useAVX = true
+				gatherFirstPair(got, src, st.rev, dir.t)
+				useAVX = false
+				gatherFirstPair(want, src, st.rev, dir.t)
+				requireSameBits(t, fmt.Sprintf("gathered pair n=%d %s input %d", n, dir.name, v), got, want)
+				for _, c := range got {
+					for _, p := range []float64{real(c), imag(c)} {
+						if math.IsNaN(p) {
+							nanParts++
+						} else if math.IsInf(p, 0) {
+							infParts++
+						}
+					}
+				}
+			}
+		}
+	}
+	if nanParts == 0 || infParts == 0 {
+		t.Fatalf("the gathered kernel met no overflow: %d NaN and %d Inf parts", nanParts, infParts)
+	}
+}

@@ -335,3 +335,154 @@ func fftFastPathMatchesOracle(t *testing.T) {
 		t.Fatalf("the fast paths reached no overflow: %d NaN and %d Inf parts", nanParts, infParts)
 	}
 }
+
+// oracleFilter is the composition fftFilterInto fuses, built from the
+// textbook kernels FFTRealInto and IFFT match bit for bit: the transform
+// of x zero-padded to the next power of two n, the mask zeroing each bin
+// k <= n/2 whose frequency keep rejects and its mirror n-k, the inverse
+// with the runtime's complex division, and the real parts of the first
+// len(x) points. finite reports the gathered inverse's gate on the masked
+// spectrum, and rewrites counts the points whose value the division's
+// both-NaN rewrite supplies: the reduced real part (re + im*0) / n is NaN
+// there, the rewritten one is not.
+func oracleFilter(x []float64, sampleRate float64, keep func(f float64) bool) (out []float64, finite bool, rewrites int) {
+	n := NextPowerOfTwo(len(x))
+	spec := realOracle(x, n)
+	for k := 0; k <= n/2; k++ {
+		if !keep(BinFrequency(k, n, sampleRate)) {
+			spec[k] = 0
+			if k != 0 && k != n/2 {
+				spec[n-k] = 0
+			}
+		}
+	}
+	finite = !slices.ContainsFunc(spec, func(c complex128) bool {
+		return math.IsNaN(real(c)-real(c)) || math.IsNaN(imag(c)-imag(c))
+	})
+	oracleFFT(spec, true)
+	out = make([]float64, len(x))
+	for i := range out {
+		c := spec[i]
+		out[i] = real(c / complex(float64(n), 0))
+		if math.IsNaN((real(c)+imag(c)*0)/float64(n)) && !math.IsNaN(out[i]) {
+			rewrites++
+		}
+	}
+	return out, finite, rewrites
+}
+
+func requireSameFloatBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d points, oracle %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: point %d = %v, oracle %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFFTFilterMatchesOracleBitForBit checks the fused filter pass (real
+// transform, mask, gathered inverse, real-only scaling) against the
+// composition it replaced, FFTRealInto → mask → IFFT → real, by
+// math.Float64bits. Lengths are every power of two up to 4096 through
+// fftFilterInto and the non-powers n-1 and n/2+1 through LowPassFFT,
+// HighPassFFT and BandPassFFT; masks are low- and high-pass, keep-all and
+// drop-all. Beside Gaussian noise and the finite edge values, the inputs
+// hold magnitudes near MaxFloat64, both ones the real gate refuses and a
+// half-scale alternation whose spectrum is finite, so the gathered
+// inverse meets ±Inf and Inf - Inf and the both-NaN rewrite supplies
+// outputs on both inverse paths (the test asserts each happened); and
+// noise with one value the real gate refuses.
+func TestFFTFilterMatchesOracleBitForBit(t *testing.T) {
+	kernelOnAndOff(t, fftFilterMatchesOracleBitForBit)
+}
+
+func fftFilterMatchesOracleBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const rate = 4000.0
+	keeps := []struct {
+		name string
+		keep func(f float64) bool
+	}{
+		{"low", func(f float64) bool { return f <= 750 }},
+		{"high", func(f float64) bool { return f >= 750 }},
+		{"all", func(float64) bool { return true }},
+		{"none", func(float64) bool { return false }},
+	}
+	filters := []struct {
+		name string
+		run  func(x []float64) ([]float64, error)
+		keep func(f float64) bool
+	}{
+		{"LowPassFFT", func(x []float64) ([]float64, error) { return LowPassFFT(x, 600, rate) }, func(f float64) bool { return f <= 600 }},
+		{"HighPassFFT", func(x []float64) ([]float64, error) { return HighPassFFT(x, 600, rate) }, func(f float64) bool { return f >= 600 }},
+		{"BandPassFFT", func(x []float64) ([]float64, error) { return BandPassFFT(x, 300, 1200, rate) }, func(f float64) bool { return f >= 300 && f <= 1200 }},
+		{"LowPassFFT/none", func(x []float64) ([]float64, error) { return LowPassFFT(x, -1, rate) }, func(f float64) bool { return f <= -1 }},
+		{"LowPassFFT/all", func(x []float64) ([]float64, error) { return LowPassFFT(x, rate, rate) }, func(f float64) bool { return f <= rate }},
+	}
+	refused := []float64{realFastBound, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0xFFF8000000000001)}
+	inputs := func(l int) [][]float64 {
+		noise := make([]float64, l)
+		edge := make([]float64, l)
+		huge := make([]float64, l)
+		half := make([]float64, l)
+		bad := make([]float64, l)
+		for i := range noise {
+			noise[i] = rng.NormFloat64()
+			edge[i] = edgeValues[rng.Intn(len(edgeValues))]
+			huge[i] = math.Copysign(math.MaxFloat64*(0.5+rng.Float64()/2), rng.NormFloat64())
+			half[i] = math.MaxFloat64 / float64(l) * (1 + float64(i%2)) * (0.5 + rng.Float64()/2)
+			bad[i] = rng.NormFloat64()
+		}
+		bad[rng.Intn(l)] = refused[rng.Intn(len(refused))]
+		return [][]float64{noise, edge, huge, half, bad}
+	}
+	var gatheredOverflow, rewrites, gatheredRewrites int
+	check := func(what string, got []float64, x []float64, keep func(f float64) bool) {
+		t.Helper()
+		want, finite, rw := oracleFilter(x, rate, keep)
+		requireSameFloatBits(t, what, got, want)
+		rewrites += rw
+		if finite {
+			gatheredRewrites += rw
+		}
+		if finite && slices.ContainsFunc(want, func(v float64) bool { return math.IsNaN(v - v) }) {
+			gatheredOverflow++
+		}
+	}
+	var dst []float64
+	var spec []complex128
+	for n := 1; n <= 4096; n <<= 1 {
+		for v, x := range inputs(n) {
+			for _, k := range keeps {
+				var err error
+				dst, spec, err = fftFilterInto(dst, spec, x, binMask(n, rate, k.keep))
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("n=%d input %d mask %s", n, v, k.name), dst, x, k.keep)
+			}
+		}
+		for _, l := range []int{n - 1, n/2 + 1} {
+			if l < 3 || l == n {
+				continue
+			}
+			for v, x := range inputs(l) {
+				for _, f := range filters {
+					got, err := f.run(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("%s len=%d input %d", f.name, l, v), got, x, f.keep)
+				}
+			}
+		}
+	}
+	if gatheredOverflow == 0 || gatheredRewrites == 0 || rewrites == gatheredRewrites {
+		t.Fatalf("the filter missed an overflow case: %d gathered inverses overflowed, %d points rewritten (%d of them gathered)",
+			gatheredOverflow, rewrites, gatheredRewrites)
+	}
+}

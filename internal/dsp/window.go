@@ -87,8 +87,11 @@ func (w *Windower) Size() int { return w.size }
 // Push adds one sample. When a full window is available it returns the
 // window with the taper applied and ok=true; otherwise ok=false. The
 // returned slice is the Windower's internal buffer: it stays valid only
-// until the next emission, so callers that retain windows must copy.
+// until the next Push, Consume or Reset (an untapered window is the
+// sample buffer itself, slid at the next call), so callers that retain
+// windows must copy and must not write to them.
 func (w *Windower) Push(v float64) (window []float64, ok bool) {
+	w.slide()
 	w.buf = append(w.buf, v)
 	if len(w.buf) < w.size {
 		return nil, false
@@ -102,6 +105,7 @@ func (w *Windower) Push(v float64) (window []float64, ok bool) {
 // scratch-aliasing contract as Push). Repeated Consume calls over a slice
 // are equivalent to a Push loop.
 func (w *Windower) Consume(src []float64) (n int, window []float64, ok bool) {
+	w.slide()
 	n = w.size - len(w.buf)
 	if n > len(src) {
 		n = len(src)
@@ -113,21 +117,31 @@ func (w *Windower) Consume(src []float64) (n int, window []float64, ok bool) {
 	return n, w.emit(), true
 }
 
-// emit tapers the full buffer into the output scratch and slides by step.
+// emit returns the full buffer's window. An untapered window is the
+// buffer itself, left full for the next call's slide, so a hop costs one
+// window-sized copy; a tapered one is written into the output scratch and
+// the buffer slides at once.
 func (w *Windower) emit() []float64 {
+	if w.taper == nil {
+		return w.buf
+	}
 	if w.out == nil {
 		w.out = make([]float64, w.size)
 	}
-	copy(w.out, w.buf)
-	if w.taper != nil {
-		for i, c := range w.taper {
-			w.out[i] *= c
-		}
+	for i, c := range w.taper {
+		w.out[i] = w.buf[i] * c
 	}
-	// Slide by step.
-	copy(w.buf, w.buf[w.step:])
-	w.buf = w.buf[:w.size-w.step]
+	w.slide()
 	return w.out
+}
+
+// slide drops the oldest step samples of a full buffer: only an emitted
+// window fills it, so this runs once per hop.
+func (w *Windower) slide() {
+	if len(w.buf) == w.size {
+		copy(w.buf, w.buf[w.step:])
+		w.buf = w.buf[:w.size-w.step]
+	}
 }
 
 // Reset discards any buffered samples.
